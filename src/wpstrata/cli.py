@@ -57,6 +57,7 @@ from .integrals import (
 )
 from .riera import a_hat, a_of_T, riera_R
 from .toruscoset import (
+    MAX_WORD_LENGTH,
     delta11_bracket,
     enumerate_cosets,
     grad_sq_bracket,
@@ -869,6 +870,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+def _tolerance(text: str) -> float:
+    """argparse type: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _word_length(text: str) -> int:
+    """argparse type: an int in 0..MAX_WORD_LENGTH."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= MAX_WORD_LENGTH:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_WORD_LENGTH}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wpstrata",
@@ -877,15 +900,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("constants", help="recompute and compare the named constants")
-    pc.add_argument("--tol", type=float, default=1e-8, help="bracket width target")
-    pc.add_argument("--max-word-length", type=int, default=8)
+    pc.add_argument("--tol", type=_tolerance, default=1e-8, help="bracket width target")
+    pc.add_argument("--max-word-length", type=_word_length, default=8)
     pc.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pc.add_argument("--out", help="write to this path instead of stdout")
     pc.set_defaults(fn=cmd_constants)
 
     pd = sub.add_parser("delta11", help="refined one-handle distance bracket")
-    pd.add_argument("--tol", type=float, default=1e-6, help="quadrature tolerance")
-    pd.add_argument("--max-word-length", type=int, default=8)
+    pd.add_argument("--tol", type=_tolerance, default=1e-6, help="quadrature tolerance")
+    pd.add_argument("--max-word-length", type=_word_length, default=8)
     pd.add_argument("--format", choices=("text", "json", "csv"), default="text")
     pd.add_argument("--out", help="write to this path instead of stdout")
     pd.set_defaults(fn=cmd_delta11)
@@ -893,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("plot", help="write a deterministic SVG plus CSV sidecar")
     pp.add_argument("which", choices=("hsys-ratio", "h-vs-k"))
     pp.add_argument("--samples", type=int, default=64)
-    pp.add_argument("--tol", type=float, default=1e-6)
+    pp.add_argument("--tol", type=_tolerance, default=1e-6)
     pp.add_argument("--out", help="SVG output path (default plot.svg)")
     pp.set_defaults(fn=cmd_plot)
 

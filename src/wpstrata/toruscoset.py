@@ -16,7 +16,21 @@ partial sums give certified lower bounds; same story on the AB side for
 upper bounds. Integrating the reciprocal square root across the family
 then brackets the distance delta11 between the two boundary strata.
 
-Words are enumerated level by level and evaluated in bulk with numpy.
+The sums run level by level over the 3^L - 1 reduced words of length
+1..L that start with a B letter. A level is one float64 (2, 2, n) array
+of word products, its columns grouped by last letter in the cyclic
+order A, B, A^-1, B^-1, with the first two groups appended again. A
+word ending in a letter extends a word ending in that letter or in
+either letter of the other generator: three cyclically adjacent groups,
+so one contiguous slice. Each child group is that slice times the letter
+on the right, written in place: a column scaling by e^(+-t/2) for
+A^(+-1), a cosh/csch mix of the two columns for B^(+-1).
+Each product and sum is rounded on its own (no fused multiply-add), so
+the sums do not depend on which BLAS or SIMD code numpy dispatches to.
+u_AA is read off the B groups and u_AB off the A groups. At the cap
+MAX_WORD_LENGTH = 14 the deepest level holds 2 * 3^13, about 3.2M words,
+and each (2, 2, n) array about 100 MB.
+
 The u formulas use det = 1 exactly, u_AA = |1 + 2 w01 w10| and
 u_AB = |w01 w11 - w00 w10|, never the determinant of the assembled
 product, whose cancellation at extreme parameters is catastrophic.
@@ -43,6 +57,9 @@ _LETTER_CHARS = "AaBb"
 # kernel term is below (2/3) u^-2 ~ 6.7e-17.
 PRUNE_U = 1e8
 _PRUNED_TERM_BOUND = 6.8e-17
+
+# Longest words summed or enumerated; see the module docstring for memory.
+MAX_WORD_LENGTH = 14
 
 _REL_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -132,45 +149,24 @@ def holonomy(t: float) -> RectTorusPoint:
     )
 
 
+def _check_word_length(max_word_length: int, least: int) -> None:
+    if not isinstance(max_word_length, int) or isinstance(max_word_length, bool):
+        raise TypeError("max_word_length must be an int")
+    if not least <= max_word_length <= MAX_WORD_LENGTH:
+        raise ValueError(f"max_word_length must be in {least}..{MAX_WORD_LENGTH}")
+
+
 @lru_cache(maxsize=8)
-def _word_tables(maxlen: int):
+def _word_tables(maxlen: int) -> list[tuple[tuple[int, ...], ...]]:
     """Level by level reduced words starting with a B letter.
 
-    Each level carries the words, the index of each word's parent at
-    the previous level, the appended letter, and membership masks for
-    the two canonical kinds. Orders are deterministic: parents in
-    order, letters ascending.
+    Each level is in lexicographic order: parents in order, letters
+    ascending. Only enumerate_cosets reads these.
     """
-    levels = []
-    words: list[tuple[int, ...]] = [(2,), (3,)]
-    parent = np.array([-1, -1], dtype=np.intp)
-    letter = np.array([2, 3], dtype=np.intp)
-    for _ in range(maxlen):
-        last = np.array([w[-1] for w in words], dtype=np.intp)
-        levels.append(
-            (
-                tuple(words),
-                parent,
-                letter,
-                (last >= 2),  # AA mask: ends with B letter
-                (last <= 1),  # AB mask: ends with A letter
-            )
-        )
-        nxt_words = []
-        nxt_parent = []
-        nxt_letter = []
-        for i, w in enumerate(words):
-            bad = _INV[w[-1]]
-            for l in range(4):
-                if l == bad:
-                    continue
-                nxt_words.append(w + (l,))
-                nxt_parent.append(i)
-                nxt_letter.append(l)
-        words = nxt_words
-        parent = np.array(nxt_parent, dtype=np.intp)
-        letter = np.array(nxt_letter, dtype=np.intp)
-    return levels
+    levels = [((2,), (3,))]
+    for _ in range(maxlen - 1):
+        levels.append(tuple(w + (l,) for w in levels[-1] for l in range(4) if l != _INV[w[-1]]))
+    return levels[:maxlen]
 
 
 def enumerate_cosets(kind: str, max_word_length: int) -> list[CosetWord]:
@@ -182,17 +178,9 @@ def enumerate_cosets(kind: str, max_word_length: int) -> list[CosetWord]:
     """
     if kind not in ("AA", "AB"):
         raise ValueError(f"unknown coset kind {kind!r}")
-    if not isinstance(max_word_length, int) or isinstance(max_word_length, bool):
-        raise TypeError("max_word_length must be an int")
-    if max_word_length < 1:
-        raise ValueError("max_word_length must be at least 1")
-    out = []
-    for words, _, _, aa_mask, ab_mask in _word_tables(max_word_length):
-        mask = aa_mask if kind == "AA" else ab_mask
-        for w, ok in zip(words, mask):
-            if ok:
-                out.append(CosetWord(w, kind))
-    return out
+    _check_word_length(max_word_length, 1)
+    ends = (2, 3) if kind == "AA" else (0, 1)
+    return [CosetWord(w, kind) for words in _word_tables(max_word_length) for w in words if w[-1] in ends]
 
 
 def u_of_coset(point: RectTorusPoint, word: CosetWord) -> UValue:
@@ -233,49 +221,58 @@ def _kernel_sum(u: np.ndarray) -> tuple[float, int]:
     return total, pruned
 
 
-def _letter_mats(t: float) -> np.ndarray:
-    e = math.exp(0.5 * t)
-    sh = _csch(0.5 * t)
-    ch = math.hypot(1.0, sh)
-    return np.array(
-        [
-            [[e, 0.0], [0.0, 1.0 / e]],
-            [[1.0 / e, 0.0], [0.0, e]],
-            [[ch, sh], [sh, ch]],
-            [[ch, -sh], [-sh, ch]],
-        ]
-    )
+def _u_of(w: np.ndarray, kind: str) -> np.ndarray:
+    """u of every product in the (2, 2, ...) block w, flattened."""
+    if kind == "AA":
+        u = np.multiply(w[0, 1], w[1, 0])
+        u *= 2.0
+        u += 1.0
+    else:
+        u = np.multiply(w[0, 1], w[1, 1])
+        u -= w[0, 0] * w[1, 0]
+    return np.abs(u, out=u).reshape(-1)
 
 
 def _coset_sums(t: float, maxlen: int) -> tuple[float, float, int]:
     """Partial AA and nonidentity AB kernel sums through length maxlen."""
     if maxlen == 0:
         return 0.0, 0.0, 0
-    lm = _letter_mats(t)
+    e = math.exp(0.5 * t)
+    sh = _csch(0.5 * t)
+    ch = math.hypot(1.0, sh)
+    scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
+    b = [[ch, sh], [sh, ch]]
+    # Level 1 in the layout A, B, A^-1, B^-1, A, B: the words B and B^-1.
+    mats = np.array([b, [[ch, -sh], [-sh, ch]], b]).transpose(1, 2, 0)
+    na, nb = 0, 1  # words per A group and per B group
     s_aa = 0.0
     s_ab = 0.0
     pruned = 0
-    mats = None
-    for _, parent, letter, aa_mask, ab_mask in _word_tables(maxlen):
-        if mats is None:
-            mats = lm[letter]
-        else:
-            mats = np.matmul(mats[parent], lm[letter])
-        w00 = mats[:, 0, 0]
-        w01 = mats[:, 0, 1]
-        w10 = mats[:, 1, 0]
-        w11 = mats[:, 1, 1]
-        if aa_mask.any():
-            u = np.abs(1.0 + 2.0 * w01[aa_mask] * w10[aa_mask])
-            part, cut = _kernel_sum(u)
-            s_aa += part
-            pruned += cut
-        if ab_mask.any():
-            sel = ab_mask
-            u = np.abs(w01[sel] * w11[sel] - w00[sel] * w10[sel])
-            part, cut = _kernel_sum(u)
-            s_ab += part
-            pruned += cut
+    for level in range(1, maxlen + 1):
+        if level > 1:
+            ma, mb = na + 2 * nb, 2 * na + nb
+            n = 2 * (ma + mb)
+            nxt = np.empty((2, 2, n if level == maxlen else n + ma + mb))
+            # Parents: B^-1 A B for A, A B A^-1 for B, and so on.
+            np.multiply(mats[..., 2 * na + nb :], scale, out=nxt[..., :ma])
+            np.multiply(mats[..., na : 2 * na + 2 * nb], scale[:, ::-1], out=nxt[..., ma + mb : 2 * ma + mb])
+            tmp = np.empty((2, 2, mb))
+            for parents, child, s in (
+                (mats[..., : 2 * na + nb], nxt[..., ma : ma + mb], sh),
+                (mats[..., na + nb : 3 * na + 2 * nb], nxt[..., 2 * ma + mb : n], -sh),
+            ):
+                np.multiply(parents, ch, out=child)
+                child += np.multiply(parents[:, ::-1], s, out=tmp)  # column swap
+            if level < maxlen:
+                nxt[..., n:] = nxt[..., : ma + mb]
+            mats, na, nb = nxt, ma, mb
+        # The four groups read as two halves, (A, B) and (A^-1, B^-1).
+        halves = mats[..., : 2 * (na + nb)].reshape(2, 2, 2, na + nb)
+        part_aa, cut_aa = _kernel_sum(_u_of(halves[..., na:], "AA"))
+        part_ab, cut_ab = _kernel_sum(_u_of(halves[..., :na], "AB"))
+        s_aa += part_aa
+        s_ab += part_ab
+        pruned += cut_aa + cut_ab
     return s_aa, s_ab, pruned
 
 
@@ -288,10 +285,7 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
     """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
-    if not isinstance(max_word_length, int) or isinstance(max_word_length, bool):
-        raise TypeError("max_word_length must be an int")
-    if max_word_length < 0:
-        raise ValueError("max_word_length must be nonnegative")
+    _check_word_length(max_word_length, 0)
     s_aa, s_ab, pruned = _coset_sums(t, max_word_length)
     lower = (2.0 / math.pi) * (t + s_aa)
     upper = (2.0 / math.pi) * math.sinh(0.5 * t) * (2.0 - s_ab)
@@ -316,12 +310,9 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     two sides are the analytic envelope integrals; positive lengths
     tighten them toward each other.
     """
-    if not isinstance(max_word_length, int) or isinstance(max_word_length, bool):
-        raise TypeError("max_word_length must be an int")
-    if max_word_length < 0:
-        raise ValueError("max_word_length must be nonnegative")
-    if quad_tol <= 0.0:
-        raise ValueError("quad_tol must be positive")
+    _check_word_length(max_word_length, 0)
+    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
+        raise ValueError("quad_tol must be positive and finite")
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)
@@ -362,6 +353,7 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
         lo,
         hi,
         {
+            "truncation": v_hi - v_lo,
             "quadrature": e_lo + e_hi,
             "pruned_terms": float(pruned),
             "pruned_kernel_bound": pruned * _PRUNED_TERM_BOUND,

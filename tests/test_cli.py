@@ -196,6 +196,28 @@ class TestUsage:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta11", "--max-word-length", "-3"],
+            ["delta11", "--max-word-length", "15"],
+            ["delta11", "--max-word-length", "2.5"],
+            ["delta11", "--tol", "0"],
+            ["delta11", "--tol", "nan"],
+            ["delta11", "--tol", "inf"],
+            ["delta11", "--tol", "abc"],
+            ["constants", "--tol", "-1e-8"],
+            ["constants", "--max-word-length", "40"],
+            ["plot", "h-vs-k", "--tol", "nan"],
+        ],
+    )
+    def test_bad_option_values_exit_2(self, argv, capsys):
+        # refused by the parser before any work is done
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_module_invocation(self, tmp_path):
         # the module runs standalone with the documented exit semantics;
         # an absolute path to the imported package keeps it importable from

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wpstrata.hyp2 import GeodesicH2, INF, compose_many, translate_geodesic, translation_length, u_value
+from wpstrata.hyp2 import GeodesicH2, INF, UValue, compose_many, translate_geodesic, translation_length, u_value
+from wpstrata.riera import riera_R
 from wpstrata.toruscoset import (
+    MAX_WORD_LENGTH,
+    PRUNE_U,
     CosetWord,
     RectTorusPoint,
     delta11_bracket,
@@ -18,6 +22,7 @@ from wpstrata.toruscoset import (
     holonomy,
     identity_coset,
     u_of_coset,
+    _coset_sums,
 )
 
 T0 = 2.0 * math.asinh(1.0)
@@ -42,6 +47,23 @@ def _reduced_words(maxlen: int) -> list[tuple[int, ...]]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def _exact_u(point: RectTorusPoint, word: CosetWord) -> float:
+    # u from the translated axis endpoints in exact rational arithmetic
+    # on the float generator entries: no determinant is assumed or checked
+    gens = []
+    for m in (point.A, point.A.inverse(), point.B, point.B.inverse()):
+        gens.append([Fraction(x) for x in (m.a, m.b, m.c, m.d)])
+    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for l in word.letters:
+        ga, gb, gc, gd = gens[l]
+        a, b, c, d = a * ga + b * gc, a * gb + b * gd, c * ga + d * gc, c * gb + d * gd
+    if word.kind == "AA":  # images of 0 and oo
+        p, q = b / d, a / c
+    else:  # images of -1 and 1
+        p, q = (b - a) / (d - c), (a + b) / (c + d)
+    return float(abs(p + q) / abs(p - q))
 
 
 def _strip(word: tuple[int, ...], kind: str) -> tuple[int, ...]:
@@ -94,6 +116,11 @@ class TestEnumeration:
             enumerate_cosets("AA", True)
         with pytest.raises(TypeError):
             enumerate_cosets("AA", 2.0)
+
+    def test_word_length_cap(self):
+        assert MAX_WORD_LENGTH == 14
+        with pytest.raises(ValueError):
+            enumerate_cosets("AB", MAX_WORD_LENGTH + 1)
 
 
 class TestCosetWord:
@@ -257,6 +284,30 @@ class TestGradBracket:
     def test_square_point_upper(self):
         assert grad_sq_bracket(T0, 4).hi < 4.0 / math.pi
 
+    def test_kernel_against_oracle(self):
+        # the grouped numpy kernel against u_of_coset and riera_R, word by word
+        for t in (0.05, 0.5, 1.0, T0, 4.0):
+            p = holonomy(t)
+            for L in range(6):
+                s_aa, s_ab, pruned = _coset_sums(t, L)
+                sums = {"AA": 0.0, "AB": 0.0}
+                cut = 0
+                for kind in sums:
+                    for word in enumerate_cosets(kind, L) if L else ():
+                        try:
+                            u = u_of_coset(p, word)
+                        except (ValueError, ZeroDivisionError):
+                            # hyp2 refuses the product once its determinant
+                            # cancels (t = 0.05 only); evaluate it exactly
+                            u = UValue(_exact_u(p, word), False)
+                        if u.value >= PRUNE_U:
+                            cut += 1
+                        else:
+                            sums[kind] += riera_R(u)
+                assert pruned == cut
+                assert math.isclose(t + s_aa, t + sums["AA"], rel_tol=1e-12)
+                assert math.isclose(2.0 - s_ab, 2.0 - sums["AB"], rel_tol=1e-12)
+
     def test_budget_keys(self):
         br = grad_sq_bracket(1.0, 6)
         assert set(br.error_budget) == {"pruned_terms", "pruned_kernel_bound"}
@@ -268,6 +319,8 @@ class TestGradBracket:
             grad_sq_bracket(1.0, -1)
         with pytest.raises(TypeError):
             grad_sq_bracket(1.0, True)
+        with pytest.raises(ValueError):
+            grad_sq_bracket(1.0, MAX_WORD_LENGTH + 1)
 
 
 class TestDistanceBracket:
@@ -287,6 +340,9 @@ class TestDistanceBracket:
         assert math.isclose(br.hi, 6.604620951235697, abs_tol=1e-9)
         assert br.width < 0.0007
 
+    def test_refined_pruned_count(self):
+        assert delta11_bracket(8, 1e-6).error_budget["pruned_terms"] == 69548
+
     def test_nesting_in_word_length(self):
         brs = [delta11_bracket(L, 1e-7) for L in (0, 2, 4)]
         for prev, nxt in zip(brs, brs[1:]):
@@ -301,11 +357,18 @@ class TestDistanceBracket:
     def test_budget_keys(self):
         br = delta11_bracket(2, 1e-6)
         assert set(br.error_budget) == {
+            "truncation",
             "quadrature",
             "pruned_terms",
             "pruned_kernel_bound",
             "evals",
         }
+
+    @pytest.mark.parametrize("L", [0, 4, 8])
+    def test_budget_adds_up_to_width(self, L):
+        br = delta11_bracket(L, 1e-6)
+        parts = br.error_budget["truncation"] + br.error_budget["quadrature"]
+        assert math.isclose(parts, br.width, rel_tol=0.0, abs_tol=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -314,3 +377,10 @@ class TestDistanceBracket:
             delta11_bracket(True)
         with pytest.raises(ValueError):
             delta11_bracket(2, 0.0)
+        with pytest.raises(ValueError):
+            delta11_bracket(2, math.nan)
+
+    def test_word_length_cap(self):
+        # refused before any allocation; the cap itself is never run here
+        with pytest.raises(ValueError):
+            delta11_bracket(MAX_WORD_LENGTH + 1)
