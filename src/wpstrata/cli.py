@@ -87,9 +87,6 @@ def _trunc_str(x: float, places: int = 5) -> str:
     dot = s.index(".")
     return s[: dot + 1 + places]
 
-def _floor_str(x: float, places: int = 5) -> str:
-    return _trunc_str(x, places)
-
 
 def _ceil_str(x: float, places: int = 5) -> str:
     scale = 10.0**places
@@ -106,7 +103,7 @@ def _record(name: str, value, paper: str, provenance: str, status: str) -> Const
 
 
 def _status_enclosure(br: Bracket, paper_lo: str, paper_hi: str) -> str:
-    ok = _floor_str(br.lo) == paper_lo and _ceil_str(br.hi) == paper_hi
+    ok = _trunc_str(br.lo) == paper_lo and _ceil_str(br.hi) == paper_hi
     return "reproduced" if ok else "mismatch"
 
 
@@ -566,7 +563,7 @@ def _verify_quadrature_nesting() -> None:
 
 def _verify_elementary_digits() -> None:
     br = delta11_bracket(0, 1e-9)
-    _check(_floor_str(br.lo) == "6.57252", "elementary lower digits off")
+    _check(_trunc_str(br.lo) == "6.57252", "elementary lower digits off")
     _check(_ceil_str(br.hi) == "6.65603", "elementary upper digits off")
 
 

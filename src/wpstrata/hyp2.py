@@ -121,17 +121,25 @@ def compose_many(maps: Iterable[MoebiusMap]) -> MoebiusMap:
 
     Accumulates raw entries so only the final map is validated; long
     products would otherwise trip the determinant check on rounding
-    accumulated mid-product.
+    accumulated mid-product. Raises ValueError when the determinant is
+    lost: once the entries grow so large that a d - b c cancels to 0, or
+    overflows.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for k, m in enumerate(maps, start=1):
         a, b = a * m.a + b * m.c, a * m.b + b * m.d
         c, d = c * m.a + d * m.c, c * m.b + d * m.d
         if k % RENORM_EVERY == 0:
-            s = 1.0 / math.sqrt(abs(a * d - b * c))
+            s = _unit_scale(a * d - b * c)
             a, b, c, d = a * s, b * s, c * s, d * s
-    s = 1.0 / math.sqrt(abs(a * d - b * c))
+    s = _unit_scale(a * d - b * c)
     return MoebiusMap(a * s, b * s, c * s, d * s)
+
+
+def _unit_scale(det: float) -> float:
+    if det == 0.0 or not math.isfinite(det):
+        raise ValueError(f"product lost its determinant to rounding (a d - b c = {det!r})")
+    return 1.0 / math.sqrt(abs(det))
 
 
 def mobius_apply(m: MoebiusMap, x: float) -> float:

@@ -13,6 +13,18 @@ series, whose term count explodes as T -> 0, and the closed form
 e^(2T) (2 cosh(T) log(coth(T/2)) - 2), which loses all digits to
 cancellation as T grows. The switch point T = 0.51 keeps both branches
 comfortably inside their stable ranges; they agree to a few ulps there.
+
+a_hat fixes its term count n from the tail bound before it sums
+anything, in a constant number of steps, so a count over the cap raises
+at once. With x = u^2 the sum then takes one of two regimes, chosen by
+n alone. Up to 64 terms, which covers every production call (at most 30
+below the switch point), a scalar loop runs over the precomputed
+numerators and denominators of the coefficients, so each term rounds
+as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has. Longer sums, reached
+only by the series-only a_of_T at small T, go in numpy blocks against
+one power table x^k = exp(k log x) built inside the call, never at
+import. The partial fractions c_n = 2 / (2n + 1) + 2 / (2n + 3) make
+each block's coefficients one reciprocal and one shifted add.
 """
 
 from __future__ import annotations
@@ -32,9 +44,20 @@ _R_SERIES_CUT = 1e8
 _A_SERIES_UMAX = math.exp(-0.51)
 
 _MAX_TERMS = 40_000_000
-_BLOCK = 1 << 18
+
+# Sums of at most _SHORT_TERMS terms run as a scalar loop; that covers
+# every u <= _A_SERIES_UMAX at tol >= 1e-29. Longer ones go in numpy
+# blocks of _BLOCK terms.
+_SHORT_TERMS = 64
+_BLOCK = 1 << 15
+
+_LN2 = math.log(2.0)
 
 EIGHT_THIRDS = 8.0 / 3.0
+
+# c_n = 8 (n + 1) / ((2n + 1) (2n + 3)) for the scalar loop, as the exact
+# numerator and denominator: each term rounds as 8 (n + 1) u^(2n) / den.
+_COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))
 
 
 @dataclass(frozen=True)
@@ -70,53 +93,69 @@ def riera_R(u: UValue) -> float:
 def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     """Partial sum of sum_n 8 (n+1) / ((2n+1)(2n+3)) u^(2n).
 
-    Sums until the tail bound 2 u^(2n) / (n (1 - u^2)) drops under tol,
-    valid because c_m <= 2/m for m >= 1. Requires 0 <= u < 1; raises
-    RuntimeError if the tolerance is out of reach within the term cap,
-    which happens only for u so close to 1 that the sum is astronomically
+    Sums the first n terms, where the tail bound 2 u^(2n) / (n (1 - u^2))
+    after them is at most tol; the bound holds because c_m <= 2/m for
+    m >= 1. n is computed before any term is summed. It is the least
+    such count or slightly above it (under 0.1% above over a sweep of u
+    at the default tol). Requires 0 <= u < 1 and tol > 0. Raises
+    RuntimeError, before summing, if n exceeds the term cap, which
+    happens only for u so close to 1 that the sum is astronomically
     large anyway.
+
+    Counts up to _SHORT_TERMS (every production call) run a scalar loop
+    over the coefficient fractions _COEF, rounding each term as the
+    formula above does. Longer sums go in numpy blocks of _BLOCK terms
+    against one power table x^k = exp(k log x), x = u^2, built here per
+    call: block m0 adds x^m0 * dot(c, table), where
+    c_m = 2/(2m+1) + 2/(2m+3) is one reciprocal and a shifted add.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if u == 0.0:
-        return SeriesEval(EIGHT_THIRDS, 0.0, 1)
-
-    u2 = u * u
-    if u2 == 0.0:
+    x = u * u
+    if x == 0.0:
         # Below the denormal floor the n = 0 term is the whole sum.
         return SeriesEval(EIGHT_THIRDS, 0.0, 1)
-    rem = 1.0 - u2
-    log_u2 = math.log(u2)
-    # Rough term count needed; picks the scalar or blocked path.
-    est = math.log(0.25 * tol * rem) / log_u2 if tol * rem < 4.0 else 1.0
 
-    if est <= 30_000.0:
+    rem = 1.0 - x
+    log_x = math.log(x)
+    # Term count. With g(n) = log(tol rem n / 2) / log x the bound holds
+    # iff n >= g(n), and g decreases in n. The count without the 1/n
+    # factor, ceil(g(1)), satisfies it; one step n <- ceil(g(n)) lands at
+    # or under the least count, and a second lands on a count that
+    # satisfies it again, above the least by about 1 / (n |log x|) of the
+    # first step's undershoot. One check of the bound itself absorbs the
+    # rounding of the estimate. A tol of 2 / rem or more needs one term.
+    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - _LN2
+    n = math.ceil(log_c / log_x)
+    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
+    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
+    if n < 1:
+        n = 1
+    if n > _MAX_TERMS:
+        raise RuntimeError("series tolerance not reached within term cap")
+    tail = 2.0 * math.exp(n * log_x) / (n * rem)
+    if tail > tol:
+        n += 1
+        tail = 2.0 * math.exp(n * log_x) / (n * rem)
+
+    if n <= _SHORT_TERMS:
         total = 0.0
         p = 1.0
-        n = 0
-        while n < _MAX_TERMS:
-            total += 8.0 * (n + 1.0) * p / ((2.0 * n + 1.0) * (2.0 * n + 3.0))
-            p *= u2
-            n += 1
-            tail = 2.0 * p / (n * rem)
-            if tail <= tol:
-                return SeriesEval(total, tail, n)
-        raise RuntimeError("series tolerance not reached within term cap")
+        for num, den in _COEF[:n]:
+            total += num * p / den
+            p *= x
+        return SeriesEval(total, 2.0 * p / (n * rem), n)
 
+    powers = np.exp(np.arange(min(n, _BLOCK), dtype=np.float64) * log_x)
+    odd = np.arange(1.0, 2.0 * len(powers) + 2.0, 2.0)
     total = 0.0
-    n0 = 0
-    while n0 < _MAX_TERMS:
-        m = np.arange(n0, n0 + _BLOCK, dtype=np.float64)
-        terms = 8.0 * (m + 1.0) / ((2.0 * m + 1.0) * (2.0 * m + 3.0))
-        terms *= np.exp(log_u2 * m)
-        total += float(terms.sum())
-        n0 += _BLOCK
-        tail = 2.0 * math.exp(log_u2 * n0) / (n0 * rem)
-        if tail <= tol:
-            return SeriesEval(total, tail, n0)
-    raise RuntimeError("series tolerance not reached within term cap")
+    for m0 in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - m0)
+        r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
+        total += math.exp(m0 * log_x) * float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
+    return SeriesEval(total, tail, n)
 
 
 def _a_closed(T: float) -> float:
@@ -140,8 +179,9 @@ def a_of_T(T: float, tol: float = 1e-14) -> float:
 
     Strictly decreasing from a logarithmic blowup at T = 0 to the limit
     8/3, and pinched by 8/3 <= a(T) <= 8/3 - 2 log(1 - e^-2T). The term
-    count grows like 1/T near zero; arguments under about 7e-7 exhaust
-    the cap and raise.
+    count grows like 1/T near zero (15M terms at T = 1e-6); arguments
+    under about 3.7e-7 need more than the cap and raise RuntimeError
+    before any term is summed.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")

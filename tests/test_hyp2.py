@@ -88,6 +88,16 @@ class TestMoebius:
         assert abs(prod.det() - 1.0) < 1e-12
         assert abs(prod.trace()) <= 2.0 + 1e-9
 
+    def test_compose_many_lost_determinant(self):
+        # B of the square family at t = 0.05: the fifth power has entries
+        # near 1e9 and its determinant cancels to exactly 0
+        sh = 1.0 / math.sinh(0.025)
+        b = MoebiusMap(math.hypot(1.0, sh), sh, sh, math.hypot(1.0, sh))
+        with pytest.raises(ValueError, match="lost its determinant"):
+            compose_many([b] * 5)
+        with pytest.raises(ValueError, match="lost its determinant"):
+            compose_many([MoebiusMap(1e200, 0.0, 0.0, 1e-200)] * 2)
+
     def test_compose_many_matches_direct(self):
         rng = np.random.default_rng(13)
         maps = []

@@ -113,6 +113,20 @@ class TestAHat:
         assert ev.value == EIGHT_THIRDS
         assert ev.tail_bound == 0.0
 
+    @pytest.mark.parametrize("T", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 5.0])
+    def test_enclosure_against_mpmath(self, T):
+        # scalar loop (T >= 0.1) and numpy blocks (T <= 1e-2) alike; the
+        # exact sum at x is 2A + 2(A - 1)/x with A = artanh(sqrt x)/sqrt x
+        mp = pytest.importorskip("mpmath")
+        u = math.exp(-T)
+        ev = a_hat(u)
+        with mp.workdps(50):
+            x = mp.mpf(u * u)
+            A = mp.atanh(mp.sqrt(x)) / mp.sqrt(x)
+            exact = 2 * A + 2 * (A - 1) / x
+            slack = 2e-15 * exact
+            assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack
+
     @given(u=st.floats(min_value=0.0, max_value=0.98))
     @settings(deadline=None)
     def test_tail_bound_is_sound(self, u):
@@ -152,6 +166,18 @@ class TestCollarProfile:
         # closed form below the switch, series above; both must agree
         for T in (0.3, 0.45, 0.5, 0.51, 0.52, 0.7, 1.0):
             assert math.isclose(a_stable(T), a_of_T(T), rel_tol=1e-13)
+        # down to the bottom of the verify grid the series-only route is an
+        # oracle for the closed form; rounding u = e^-T and the -log(e^-T)
+        # round trip in a_stable leave about 1e-12
+        for T in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
+            assert math.isclose(a_stable(T), a_of_T(T), rel_tol=1e-11)
+
+    def test_term_cap_raises_before_summing(self):
+        # 1.6e8 terms are needed at T = 1e-7, four times the cap
+        with pytest.raises(RuntimeError):
+            a_of_T(1e-7)
+        with pytest.raises(RuntimeError):
+            a_hat(math.nextafter(1.0, 0.0))
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -238,6 +238,21 @@ class TestPositionInvariant:
             for word in enumerate_cosets(kind, 5):
                 assert not u_of_coset(p, word).crossing
 
+    def test_far_cosets_refused_with_value_error(self):
+        # at t = 0.05 the B powers reach entries near 1e9, where a d - b c
+        # cancels to 0; compose_many names the lost determinant instead of
+        # dividing by it, and every refusal is a ValueError
+        p = holonomy(0.05)
+        lost = []
+        for L in range(1, 6):
+            for word in enumerate_cosets("AA", L):
+                try:
+                    u_of_coset(p, word)
+                except ValueError as exc:
+                    if "lost its determinant" in str(exc):
+                        lost.append(str(word))
+        assert lost == ["BBBBB", "bbbbb"]
+
     def test_square_symmetry(self):
         # at the square point, swapping the two curves permutes the
         # AA geometry onto the B-axis version of itself
@@ -296,7 +311,7 @@ class TestGradBracket:
                     for word in enumerate_cosets(kind, L) if L else ():
                         try:
                             u = u_of_coset(p, word)
-                        except (ValueError, ZeroDivisionError):
+                        except ValueError:
                             # hyp2 refuses the product once its determinant
                             # cancels (t = 0.05 only); evaluate it exactly
                             u = UValue(_exact_u(p, word), False)
