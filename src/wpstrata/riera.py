@@ -30,7 +30,7 @@ each block's coefficients one reciprocal and one shifted add.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,12 +60,12 @@ EIGHT_THIRDS = 8.0 / 3.0
 _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))
 
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(NamedTuple):
     """Partial sum of a positive series with a certified tail bound.
 
     The true sum lies in [value, value + tail_bound] up to floating
-    point rounding of the partial sum itself.
+    point rounding of the partial sum itself. A named tuple, so that
+    building one stays cheap next to the short sums that return it.
     """
 
     value: float

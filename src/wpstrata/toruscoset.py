@@ -43,12 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .gradbounds import _csch
 from .hyp2 import INF, GeodesicH2, MoebiusMap, UValue, compose_many, translate_geodesic, u_value
-from .integrals import SQRT_2PI, Bracket, adaptive_simpson
+from .integrals import SQRT_2PI, Bracket, simpson_sweeps
+from .integrals import adaptive_simpson  # noqa: F401  perfbench's tracer patches this name
 
 _INV = (1, 0, 3, 2)
 _LETTER_CHARS = "AaBb"
@@ -60,6 +62,11 @@ _PRUNED_TERM_BOUND = 6.8e-17
 
 # Longest words summed or enumerated; see the module docstring for memory.
 MAX_WORD_LENGTH = 14
+
+# Nodes per kernel block, and the most columns a block may hold at its
+# deepest level: one node's deepest level at length 10 in the full tree.
+_BLOCK_NODES = 4
+_BLOCK_COLUMNS = 2 * 3**9
 
 _REL_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -196,83 +203,143 @@ def u_of_coset(point: RectTorusPoint, word: CosetWord) -> UValue:
     return u_value(GeodesicH2(0.0, INF), translate_geodesic(m, base))
 
 
-def _kernel_sum(u: np.ndarray) -> tuple[float, int]:
-    """Sum of R(u) over kept terms plus the pruned count.
+def _disjoint_terms(u: np.ndarray) -> np.ndarray:
+    return u * np.log1p(2.0 / (u - 1.0)) - 2.0
 
-    Disjoint terms use the log1p form. Values at or beyond PRUNE_U and
-    non finite values are pruned; both only arise for far cosets whose
-    true kernel term is below _PRUNED_TERM_BOUND. A crossing value
-    (never observed off the identity coset) is kept with its negative
-    kernel value, which can only slacken the affected bound.
+
+def _crossing_terms(u: np.ndarray) -> np.ndarray:
+    return u * np.log((1.0 + u) / np.maximum(1.0 - u, 1e-300)) - 2.0
+
+
+def _kernel_rows(u: np.ndarray, splits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
+    """Per-node sums of R(u) over kept terms, and pruned counts.
+
+    Row i of the (k, m) block u is node i; splits cut the columns into
+    segments. Disjoint terms use the log1p form. Values at or beyond
+    PRUNE_U and non finite values are pruned; both only arise for far
+    cosets whose true kernel term is below _PRUNED_TERM_BOUND. A
+    crossing value (never observed off the identity coset) is kept with
+    its negative kernel value, which can only slacken the affected
+    bound. Each (row, segment) sums its kept terms by one np.sum over
+    its own contiguous run of the row-major compressed array, so no
+    node's sums depend on the other nodes of the block. Returns the
+    (k, segments) sums and the pruned count of each segment.
     """
-    finite = np.isfinite(u)
-    keep = finite & (u < PRUNE_U)
-    pruned = int(u.size - np.count_nonzero(keep))
-    uk = u[keep]
-    total = 0.0
-    disj = uk > 1.0
-    ud = uk[disj]
-    if ud.size:
-        total += float(np.sum(ud * np.log1p(2.0 / (ud - 1.0)) - 2.0))
-    uc = uk[~disj]
-    if uc.size:
-        ratio = (1.0 + uc) / np.maximum(1.0 - uc, 1e-300)
-        total += float(np.sum(uc * np.log(ratio) - 2.0))
-    return total, pruned
+    edges = list(zip((0, *splits), (*splits, u.shape[1])))
+    sums = np.zeros((u.shape[0], len(edges)))
+    flat = sums.reshape(-1)
+    kept = np.zeros(len(edges), dtype=np.intp)
+    disj = u > 1.0
+    disj &= u < PRUNE_U  # u >= 0, so this also drops inf and nan
+    for mask, terms in ((disj, _disjoint_terms), (u <= 1.0, _crossing_terms)):
+        if not mask.any():
+            continue
+        counts = np.stack([mask[:, a:b].sum(axis=1) for a, b in edges], axis=1)
+        kept += counts.sum(axis=0)
+        values = terms(u[mask])
+        start = 0
+        for seg, stop in enumerate(np.cumsum(counts).tolist()):
+            if stop > start:
+                flat[seg] += values[start:stop].sum()
+            start = stop
+    return sums, [u.shape[0] * (b - a) - int(c) for (a, b), c in zip(edges, kept)]
 
 
-def _u_of(w: np.ndarray, kind: str) -> np.ndarray:
-    """u of every product in the (2, 2, ...) block w, flattened."""
-    if kind == "AA":
-        u = np.multiply(w[0, 1], w[1, 0])
-        u *= 2.0
-        u += 1.0
-    else:
-        u = np.multiply(w[0, 1], w[1, 1])
-        u -= w[0, 0] * w[1, 0]
-    return np.abs(u, out=u).reshape(-1)
+def _u_rows(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """u of the (2, 2, k, n) level w as one (k, m) block.
+
+    The AA values of the column spans aa come first, in span order,
+    then the AB values of the spans ab.
+    """
+    widths = [stop - start for start, stop in aa + ab]
+    split = sum(widths[: len(aa)])
+    u = np.empty((w.shape[2], sum(widths)))
+    tmp = np.empty((w.shape[2], u.shape[1] - split))
+    at = 0
+    for (start, stop), width in zip(aa + ab, widths):
+        cols = slice(start, stop)
+        if at < split:
+            np.multiply(w[0, 1, :, cols], w[1, 0, :, cols], out=u[:, at : at + width])
+        else:
+            np.multiply(w[0, 1, :, cols], w[1, 1, :, cols], out=u[:, at : at + width])
+            np.multiply(w[0, 0, :, cols], w[1, 0, :, cols], out=tmp[:, at - split : at - split + width])
+        at += width
+    u_aa = u[:, :split]
+    u_aa *= 2.0
+    u_aa += 1.0
+    u[:, split:] -= tmp
+    return np.abs(u, out=u)
 
 
-def _coset_sums(t: float, maxlen: int) -> tuple[float, float, int]:
-    """Partial AA and nonidentity AB kernel sums through length maxlen."""
-    if maxlen == 0:
-        return 0.0, 0.0, 0
-    e = math.exp(0.5 * t)
-    sh = _csch(0.5 * t)
-    ch = math.hypot(1.0, sh)
-    scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
-    b = [[ch, sh], [sh, ch]]
-    # Level 1 in the layout A, B, A^-1, B^-1, A, B: the words B and B^-1.
-    mats = np.array([b, [[ch, -sh], [-sh, ch]], b]).transpose(1, 2, 0)
-    na, nb = 0, 1  # words per A group and per B group
-    s_aa = 0.0
-    s_ab = 0.0
+def _coset_block(ts: list[float], maxlen: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Partial AA and AB kernel sums of a block of nodes; see the module docstring."""
+    k = len(ts)
+    e = np.array([math.exp(0.5 * t) for t in ts]).reshape(k, 1)
+    sh = np.array([_csch(0.5 * t) for t in ts]).reshape(k, 1)
+    ch = np.array([math.hypot(1.0, s) for s in sh[:, 0].tolist()]).reshape(k, 1)
+    neg_sh = -sh
+    scale = np.stack([e, 1.0 / e]).reshape(1, 2, k, 1)  # A on the right
+    parts = np.zeros((2, k, maxlen))  # AA and AB sum of each level
     pruned = 0
+    # Level 1 is the chain column alone: the word B.
+    mats = np.stack([np.stack([ch, sh]), np.stack([sh, ch])])
+    nA = nB = na = nb = 0  # words of T_A per group
     for level in range(1, maxlen + 1):
         if level > 1:
-            ma, mb = na + 2 * nb, 2 * na + nb
-            n = 2 * (ma + mb)
-            nxt = np.empty((2, 2, n if level == maxlen else n + ma + mb))
-            # Parents: B^-1 A B for A, A B A^-1 for B, and so on.
-            np.multiply(mats[..., 2 * na + nb :], scale, out=nxt[..., :ma])
-            np.multiply(mats[..., na : 2 * na + 2 * nb], scale[:, ::-1], out=nxt[..., ma + mb : 2 * ma + mb])
-            tmp = np.empty((2, 2, mb))
+            mA, mB, ma, mb = nb + nA + nB + 1, nA + nB + na, nB + na + nb, na + nb + nA
+            n = mA + mB + ma + mb
+            nxt = np.empty((2, 2, k, (n if level == maxlen else n + mA + mB) + 1))
+            # A children of the B^-1, A and B groups and, last, of the chain.
+            np.multiply(mats[..., nA + nB + na :], scale, out=nxt[..., :mA])
+            np.multiply(mats[..., nA : nA + nB + na + nb], scale[:, ::-1], out=nxt[..., mA + mB : mA + mB + ma])
+            tmp = np.empty((2, 2, k, max(mB, mb, 1)))
             for parents, child, s in (
-                (mats[..., : 2 * na + nb], nxt[..., ma : ma + mb], sh),
-                (mats[..., na + nb : 3 * na + 2 * nb], nxt[..., 2 * ma + mb : n], -sh),
+                (mats[..., : nA + nB + na], nxt[..., mA : mA + mB], sh),
+                (mats[..., nA + nB : 2 * nA + nB + na + nb], nxt[..., mA + mB + ma : n], neg_sh),
+                (mats[..., -1:], nxt[..., -1:], sh),
             ):
                 np.multiply(parents, ch, out=child)
-                child += np.multiply(parents[:, ::-1], s, out=tmp)  # column swap
+                child += np.multiply(parents[:, ::-1], s, out=tmp[..., : child.shape[-1]])  # column swap
             if level < maxlen:
-                nxt[..., n:] = nxt[..., : ma + mb]
-            mats, na, nb = nxt, ma, mb
-        # The four groups read as two halves, (A, B) and (A^-1, B^-1).
-        halves = mats[..., : 2 * (na + nb)].reshape(2, 2, 2, na + nb)
-        part_aa, cut_aa = _kernel_sum(_u_of(halves[..., na:], "AA"))
-        part_ab, cut_ab = _kernel_sum(_u_of(halves[..., :na], "AB"))
-        s_aa += part_aa
-        s_ab += part_ab
-        pruned += cut_aa + cut_ab
+                nxt[..., n:-1] = nxt[..., : mA + mB]
+            del parents, child, tmp  # free the parent level before the kernel runs
+            mats, nA, nB, na, nb = nxt, mA, mB, ma, mb
+        # AA from the chain, then from the B and B^-1 groups; AB from the
+        # A and A^-1 groups.
+        n = nA + nB + na + nb
+        chain = mats.shape[-1] - 1
+        aa = ((chain, chain + 1), (nA, nA + nB), (nA + nB + na, n))
+        ab = ((0, nA), (nA + nB, nA + nB + na))
+        sums, cut = _kernel_rows(_u_rows(mats, aa, ab), (1, 1 + nB + nb))
+        parts[0, :, level - 1] = 2.0 * sums[:, 0] + 4.0 * sums[:, 1]
+        parts[1, :, level - 1] = 4.0 * sums[:, 2]
+        pruned += 2 * cut[0] + 4 * (cut[1] + cut[2])
+    # Levels are added in order, as running sums.
+    s_aa, s_ab = np.cumsum(parts, axis=2)[..., -1]
+    return s_aa, s_ab, pruned
+
+
+def _coset_sums(t, maxlen: int):
+    """Partial AA and nonidentity AB kernel sums through length maxlen.
+
+    t is one length or a sequence of them; the sums come back as floats
+    or as arrays to match, with the pruned count summed over all nodes.
+    Nodes run in blocks whose size keeps the deepest level array within
+    _BLOCK_COLUMNS columns.
+    """
+    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
+    if maxlen == 0:
+        s_aa = s_ab = np.zeros(len(ts))
+        pruned = 0
+    else:
+        deepest = (3 ** (maxlen - 1) - 1) // 2
+        per = max(1, min(_BLOCK_NODES, _BLOCK_COLUMNS // max(deepest, 1)))
+        blocks = [_coset_block(ts[i : i + per], maxlen) for i in range(0, len(ts), per)]
+        s_aa = np.concatenate([b[0] for b in blocks])
+        s_ab = np.concatenate([b[1] for b in blocks])
+        pruned = sum(b[2] for b in blocks)
+    if np.ndim(t) == 0:
+        return float(s_aa[0]), float(s_ab[0]), pruned
     return s_aa, s_ab, pruned
 
 
@@ -316,39 +383,43 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)
-    cache: dict[float, tuple[float, float, int]] = {}
-
-    def sums(tt: float) -> tuple[float, float, int]:
-        got = cache.get(tt)
-        if got is None:
-            got = _coset_sums(tt, max_word_length)
-            cache[tt] = got
-        return got
+    cache: dict[float, tuple[float, float]] = {}  # t -> (AA sum, AB sum)
+    pruned = 0
 
     def f_lower(y: float) -> float:
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        _, s_ab, _ = sums(tt)
-        q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - s_ab)
+        q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - cache[tt][1])
         return 4.0 * y / math.sqrt(q_hi)
 
     def f_upper(y: float) -> float:
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        s_aa, _, _ = sums(tt)
-        q_lo = (2.0 / math.pi) * (tt + s_aa)
+        q_lo = (2.0 / math.pi) * (tt + cache[tt][0])
         return 4.0 * y / math.sqrt(q_lo)
 
+    def batched(f: Callable[[float], float]) -> Callable[[list[float]], list[float]]:
+        # One kernel call per sweep for the t values not yet cached.
+        def f_many(ys: list[float]) -> list[float]:
+            nonlocal pruned
+            new = [tt for tt in dict.fromkeys(y * y for y in ys if y != 0.0) if tt not in cache]
+            if new:
+                s_aa, s_ab, cut = _coset_sums(new, max_word_length)
+                cache.update(zip(new, zip(s_aa.tolist(), s_ab.tolist())))
+                pruned += cut
+            return [f(y) for y in ys]
+
+        return f_many
+
     half = 0.5 * quad_tol
-    v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half)
-    v_hi, e_hi, n_hi = adaptive_simpson(f_upper, 0.0, y_top, half)
+    v_lo, e_lo, n_lo = simpson_sweeps(batched(f_lower), 0.0, y_top, half)
+    v_hi, e_hi, n_hi = simpson_sweeps(batched(f_upper), 0.0, y_top, half)
     lo = v_lo - e_lo
     hi = v_hi + e_hi
     if lo > hi:
         raise RuntimeError("distance bracket collapsed, bounds crossed")
-    pruned = sum(c for _, _, c in cache.values())
     return Bracket(
         lo,
         hi,

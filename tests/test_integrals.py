@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,23 @@ class TestAdaptiveSimpson:
             adaptive_simpson(math.sin, 1.0, 1.0, 1e-8)
         with pytest.raises(ValueError):
             adaptive_simpson(math.sin, 0.0, 1.0, 0.0)
+
+    def test_nan_tol(self):
+        with pytest.raises(ValueError):
+            adaptive_simpson(math.sin, 0.0, 1.0, math.nan)
+
+    def test_inf_tol_stops_at_depth_three(self):
+        # 3 nodes, then 2 per panel at depths 0..3: 1 + 2 + 4 + 8 panels
+        _, _, evals = adaptive_simpson(math.sin, 0.0, 1.0, math.inf)
+        assert evals == 3 + 2 * 15
+
+    def test_evaluation_cap(self):
+        # noise at every scale: no panel converges, and the breadth-first
+        # sweeps stop at MAX_EVALS evaluations long before max_depth
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestBaselineK:
@@ -187,6 +205,8 @@ class TestIntegralH:
             integral_H(0.0, 1.0, "nope")
         with pytest.raises(ValueError):
             integral_H(0.0, 1.0, "plain", 0.0)
+        with pytest.raises(ValueError):
+            integral_H(0.0, 1.0, "plain", math.nan)
         with pytest.raises(ValueError):
             integral_H(-0.5, 1.0)
 
