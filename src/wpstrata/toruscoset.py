@@ -16,20 +16,52 @@ partial sums give certified lower bounds; same story on the AB side for
 upper bounds. Integrating the reciprocal square root across the family
 then brackets the distance delta11 between the two boundary strata.
 
-The sums run level by level over the 3^L - 1 reduced words of length
-1..L that start with a B letter. A level is one float64 (2, 2, n) array
-of word products, its columns grouped by last letter in the cyclic
-order A, B, A^-1, B^-1, with the first two groups appended again. A
-word ending in a letter extends a word ending in that letter or in
-either letter of the other generator: three cyclically adjacent groups,
-so one contiguous slice. Each child group is that slice times the letter
-on the right, written in place: a column scaling by e^(+-t/2) for
-A^(+-1), a cosh/csch mix of the two columns for B^(+-1).
-Each product and sum is rounded on its own (no fused multiply-add), so
-the sums do not depend on which BLAS or SIMD code numpy dispatches to.
-u_AA is read off the B groups and u_AB off the A groups. At the cap
-MAX_WORD_LENGTH = 14 the deepest level holds 2 * 3^13, about 3.2M words,
-and each (2, 2, n) array about 100 MB.
+The sums run over the 3^L - 1 reduced words of length 1..L that start
+with a B letter, but only a quarter of that tree is built. Two
+conjugations map the word set to itself and fix u bit for bit:
+
+- J = diag(1, -1) fixes A and sends B to B^-1. It negates the
+  off-diagonal entries of every product, computed or exact, and
+  rounding to nearest commutes with negation.
+- P = [[0, 1], [1, 0]] sends A to A^-1 and fixes B. It swaps both
+  indices of every product: u_AA multiplies the same two entries in the
+  other order, and u_AB changes sign inside the abs.
+
+Every word that starts with B^-1 is the J image of one that starts with
+B. Of those, all but the chain word B^l hold an A letter, and the ones
+whose first A letter is A^-1 are the P images of the set T_A whose first
+A letter is A. So each length contributes 2 R(u(B^l)) + 4 (sum over
+T_A), and the pruned count is twice the chain's plus four times T_A's.
+T_A is closed under extension, and its level l gains one seed word,
+B^(l-1) A.
+
+A level of T_A is one float64 (2, 2, k, n) array that holds a block of
+k quadrature nodes. Its columns are grouped by last letter in the
+cyclic order A, B, A^-1, B^-1, the first two groups appended again, and
+the chain word B^l comes last. A word ending in a letter extends a word
+ending in that letter or in either letter of the other generator: three
+cyclically adjacent groups, so one contiguous slice. The A slice runs on
+into the chain column, which makes the seed the last A child. Each child
+group is that slice times the letter on the right, written in place: a
+column scaling by e^(+-t/2) for A^(+-1), a cosh/csch mix of the two
+columns for B^(+-1), with per-node factors of shape (k, 1) and cosh
+from math.hypot. Each product and sum is rounded on its own (no fused
+multiply-add), so the sums depend neither on which BLAS or SIMD code
+numpy dispatches to nor on the other nodes of the block. u_AA is read
+off the chain and the B groups, u_AB off the A groups. One mask and one
+log1p pass serve the whole block; each node then sums its kept terms by
+one np.sum over its own run of the compressed array, the same terms in
+the same order as when it runs alone. The weighted sums reorder the
+full tree's additions, yet match them bit for bit on every case tried;
+the tests hold them to that for t up to 2 arcsinh 1, and to 4 ulp
+beyond.
+
+A block holds at most _BLOCK_NODES = 4 nodes, and never more columns at
+its deepest level than the full tree of one node at L = 10,
+_BLOCK_COLUMNS = 2 * 3^9; from L = 11 on, nodes run one at a time. T_A's
+level L holds (3^(L-1) - 1) / 2 words, so at the cap MAX_WORD_LENGTH =
+14 the deepest array holds about 800k columns, about 25 MB (the full
+tree's held 3.2M, about 100 MB).
 
 The u formulas use det = 1 exactly, u_AA = |1 + 2 w01 w10| and
 u_AB = |w01 w11 - w00 w10|, never the determinant of the assembled
@@ -64,7 +96,7 @@ _PRUNED_TERM_BOUND = 6.8e-17
 MAX_WORD_LENGTH = 14
 
 # Nodes per kernel block, and the most columns a block may hold at its
-# deepest level: one node's deepest level at length 10 in the full tree.
+# deepest level: the full tree of one node at length 10.
 _BLOCK_NODES = 4
 _BLOCK_COLUMNS = 2 * 3**9
 
@@ -204,7 +236,13 @@ def u_of_coset(point: RectTorusPoint, word: CosetWord) -> UValue:
 
 
 def _disjoint_terms(u: np.ndarray) -> np.ndarray:
-    return u * np.log1p(2.0 / (u - 1.0)) - 2.0
+    # u * log1p(2 / (u - 1)) - 2, one rounding per step, in one buffer
+    r = u - 1.0
+    np.divide(2.0, r, out=r)
+    np.log1p(r, out=r)
+    r *= u
+    r -= 2.0
+    return r
 
 
 def _crossing_terms(u: np.ndarray) -> np.ndarray:
@@ -251,23 +289,22 @@ def _u_rows(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int,
     The AA values of the column spans aa come first, in span order,
     then the AB values of the spans ab.
     """
-    widths = [stop - start for start, stop in aa + ab]
-    split = sum(widths[: len(aa)])
-    u = np.empty((w.shape[2], sum(widths)))
-    tmp = np.empty((w.shape[2], u.shape[1] - split))
+    n_aa = sum(stop - start for start, stop in aa)
+    n_ab = sum(stop - start for start, stop in ab)
+    u = np.empty((w.shape[2], n_aa + n_ab))
     at = 0
-    for (start, stop), width in zip(aa + ab, widths):
-        cols = slice(start, stop)
-        if at < split:
-            np.multiply(w[0, 1, :, cols], w[1, 0, :, cols], out=u[:, at : at + width])
-        else:
-            np.multiply(w[0, 1, :, cols], w[1, 1, :, cols], out=u[:, at : at + width])
-            np.multiply(w[0, 0, :, cols], w[1, 0, :, cols], out=tmp[:, at - split : at - split + width])
-        at += width
-    u_aa = u[:, :split]
+    for start, stop in aa:
+        np.multiply(w[0, 1, :, start:stop], w[1, 0, :, start:stop], out=u[:, at : at + stop - start])
+        at += stop - start
+    u_aa = u[:, :n_aa]
     u_aa *= 2.0
     u_aa += 1.0
-    u[:, split:] -= tmp
+    tmp = np.empty((w.shape[2], n_ab))
+    for start, stop in ab:
+        np.multiply(w[0, 1, :, start:stop], w[1, 1, :, start:stop], out=u[:, at : at + stop - start])
+        np.multiply(w[0, 0, :, start:stop], w[1, 0, :, start:stop], out=tmp[:, at - n_aa : at - n_aa + stop - start])
+        at += stop - start
+    u[:, n_aa:] -= tmp
     return np.abs(u, out=u)
 
 
@@ -328,16 +365,15 @@ def _coset_sums(t, maxlen: int):
     _BLOCK_COLUMNS columns.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
-    if maxlen == 0:
-        s_aa = s_ab = np.zeros(len(ts))
-        pruned = 0
-    else:
+    s_aa = np.zeros(len(ts))
+    s_ab = np.zeros(len(ts))
+    pruned = 0
+    if maxlen > 0:
         deepest = (3 ** (maxlen - 1) - 1) // 2
         per = max(1, min(_BLOCK_NODES, _BLOCK_COLUMNS // max(deepest, 1)))
-        blocks = [_coset_block(ts[i : i + per], maxlen) for i in range(0, len(ts), per)]
-        s_aa = np.concatenate([b[0] for b in blocks])
-        s_ab = np.concatenate([b[1] for b in blocks])
-        pruned = sum(b[2] for b in blocks)
+        for i in range(0, len(ts), per):
+            s_aa[i : i + per], s_ab[i : i + per], cut = _coset_block(ts[i : i + per], maxlen)
+            pruned += cut
     if np.ndim(t) == 0:
         return float(s_aa[0]), float(s_ab[0]), pruned
     return s_aa, s_ab, pruned
@@ -375,7 +411,9 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     t = 0 to the self-dual length 2 arcsinh(1): the gradient upper bound
     yields the distance lower bound and vice versa. At word length 0 the
     two sides are the analytic envelope integrals; positive lengths
-    tighten them toward each other.
+    tighten them toward each other. Both sides run through
+    simpson_sweeps, and each sweep hands the t values not yet cached
+    to one _coset_sums call.
     """
     _check_word_length(max_word_length, 0)
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
