@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .gradbounds import EPS2, F_pair, G_of, L0, collar_radius_separating, r_sys
 
@@ -29,9 +29,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Per-point slack for the truncated collar profile series inside F.
 _SERIES_SLACK = 1.5e-14
-
-# Integrand evaluations one quadrature may spend before it gives up.
-MAX_EVALS = 2**20
 
 
 def _merge_budgets(b1: dict[str, float], b2: dict[str, float]) -> dict[str, float]:
@@ -87,77 +84,6 @@ class Bracket:
         return Bracket(c * self.lo, c * self.hi, dict(self.error_budget))
 
 
-def _finite(xs: list[float], ys: Sequence[float]) -> Sequence[float]:
-    if not all(map(math.isfinite, ys)):
-        x = next(x for x, y in zip(xs, ys) if not math.isfinite(y))
-        raise RuntimeError(f"integrand not finite at {x!r}")
-    return ys
-
-
-def simpson_sweeps(
-    f_many: Callable[[list[float]], Sequence[float]],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = 48,
-) -> tuple[float, float, int]:
-    """Adaptive Simpson rule run breadth first, one batch per sweep.
-
-    The core of adaptive_simpson, which documents the rule and the
-    result. f_many maps a list of nodes to their integrand values. It
-    gets the nodes a, b and (a + b) / 2 first, then once per sweep the
-    two new nodes of every open panel, left to right.
-    """
-    if not a < b:
-        raise ValueError("requires a < b")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    inv_len = 1.0 / (b - a)
-    xm = 0.5 * (a + b)
-    xs = [a, b, xm]
-    fa, fb, fm = _finite(xs, f_many(xs))
-    n_evals = 3
-    # Open panels of one depth as (x0, f0, xm, fm, x2, f2, s), where s is
-    # the panel's Simpson value; a child's midpoint is a node of its parent.
-    panels = [(a, fa, xm, fm, b, fb, (b - a) * (fa + 4.0 * fm + fb) / 6.0)]
-    done: list[tuple[float, float, float]] = []  # accepted (x0, value, err)
-    depth = 0
-    while panels:
-        n_evals += 2 * len(panels)
-        if n_evals > MAX_EVALS:
-            raise RuntimeError("adaptive quadrature failed to converge")
-        xs = []
-        for x0, _, xm, _, x2, _, _ in panels:
-            xs.append(0.5 * (x0 + xm))
-            xs.append(0.5 * (xm + x2))
-        ys = _finite(xs, f_many(xs))
-        nxt = []
-        xi = iter(xs)
-        yi = iter(ys)
-        for (x0, f0, xm, fm, x2, f2, s), xl, fl, xr, fr in zip(panels, xi, yi, xi, yi):
-            sl = (xm - x0) * (f0 + 4.0 * fl + fm) / 6.0
-            sr = (x2 - xm) * (fm + 4.0 * fr + f2) / 6.0
-            e = abs(sl + sr - s) / 15.0
-            # Minimum depth 3 guards against symmetric integrands fooling
-            # the first few Richardson comparisons.
-            if e <= tol * (x2 - x0) * inv_len and depth >= 3:
-                done.append((x0, sl + sr, e))
-            elif depth >= max_depth:
-                raise RuntimeError("adaptive quadrature failed to converge")
-            else:
-                nxt.append((x0, f0, xl, fl, xm, fm, sl))
-                nxt.append((xm, fm, xr, fr, x2, f2, sr))
-        panels = nxt
-        depth += 1
-    done.sort()
-    value = 0.0
-    err = 0.0
-    for _, v, e in done:
-        value += v
-        err += e
-    return value, err, n_evals
-
-
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -167,22 +93,60 @@ def adaptive_simpson(
 ) -> tuple[float, float, int]:
     """Adaptive Simpson rule with a Richardson error estimate.
 
-    Splits intervals until the per-interval Richardson difference
-    |S2 - S1| / 15 fits inside a length-proportional share of tol, and
-    at least three times. Returns (value, error_bound, evals); raises
-    ValueError unless a < b and tol > 0 (a NaN tol included), and
-    RuntimeError if the subdivision cap max_depth or the MAX_EVALS
-    evaluation cap is hit before the estimate converges, or if the
-    integrand stops being finite. tol = inf accepts every panel at
-    depth 3.
-
-    The rule runs in breadth-first sweeps through simpson_sweeps: each
-    sweep evaluates the new nodes of every open panel together, then
-    tests each panel on its own. Accepted panels are summed left to
-    right, which gives the panels, the value, the error and the
-    evaluation count of the depth-first recursion bit for bit.
+    Splits intervals depth first until the per-interval Richardson
+    difference |S2 - S1| / 15 fits inside a length-proportional share of
+    tol, and at least three times. Returns (value, error_bound, evals);
+    raises ValueError unless a < b and tol > 0 (a NaN tol included), and
+    RuntimeError if the subdivision cap is hit before the estimate
+    converges or if the integrand stops being finite. tol = inf accepts
+    every interval at depth 3.
     """
-    return simpson_sweeps(lambda xs: list(map(f, xs)), a, b, tol, max_depth)
+    if not a < b:
+        raise ValueError("requires a < b")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    n_evals = 0
+
+    def fe(x: float) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        v = f(x)
+        if not math.isfinite(v):
+            raise RuntimeError(f"integrand not finite at {x!r}")
+        return v
+
+    inv_len = 1.0 / (b - a)
+    value = 0.0
+    err = 0.0
+
+    def rec(x0: float, f0: float, x2: float, f2: float, fm: float, s: float, depth: int) -> None:
+        nonlocal value, err
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = fe(xl)
+        fr = fe(xr)
+        sl = (xm - x0) * (f0 + 4.0 * fl + fm) / 6.0
+        sr = (x2 - xm) * (fm + 4.0 * fr + f2) / 6.0
+        e = abs(sl + sr - s) / 15.0
+        # Minimum depth 3 guards against symmetric integrands fooling
+        # the first few Richardson comparisons.
+        if e <= tol * (x2 - x0) * inv_len and depth >= 3:
+            value += sl + sr
+            err += e
+            return
+        if depth >= max_depth:
+            raise RuntimeError("adaptive quadrature failed to converge")
+        rec(x0, f0, xm, fm, fl, sl, depth + 1)
+        rec(xm, fm, x2, f2, fr, sr, depth + 1)
+
+    fa = fe(a)
+    fb = fe(b)
+    fm = fe(0.5 * (a + b))
+    s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    rec(a, fa, b, fb, fm, s0, 0)
+    return value, err, n_evals
 
 
 def _check_range(a: float, b: float, strict: bool) -> None:

@@ -35,33 +35,29 @@ T_A), and the pruned count is twice the chain's plus four times T_A's.
 T_A is closed under extension, and its level l gains one seed word,
 B^(l-1) A.
 
-A level of T_A is one float64 (2, 2, k, n) array that holds a block of
-k quadrature nodes. Its columns are grouped by last letter in the
-cyclic order A, B, A^-1, B^-1, the first two groups appended again, and
-the chain word B^l comes last. A word ending in a letter extends a word
-ending in that letter or in either letter of the other generator: three
-cyclically adjacent groups, so one contiguous slice. The A slice runs on
-into the chain column, which makes the seed the last A child. Each child
-group is that slice times the letter on the right, written in place: a
-column scaling by e^(+-t/2) for A^(+-1), a cosh/csch mix of the two
-columns for B^(+-1), with per-node factors of shape (k, 1) and cosh
-from math.hypot. Each product and sum is rounded on its own (no fused
-multiply-add), so the sums depend neither on which BLAS or SIMD code
-numpy dispatches to nor on the other nodes of the block. u_AA is read
-off the chain and the B groups, u_AB off the A groups. One mask and one
-log1p pass serve the whole block; each node then sums its kept terms by
-one np.sum over its own run of the compressed array, the same terms in
-the same order as when it runs alone. The weighted sums reorder the
-full tree's additions, yet match them bit for bit on every case tried;
-the tests hold them to that for t up to 2 arcsinh 1, and to 4 ulp
-beyond.
+A level of T_A is one float64 (2, 2, n) array of word products. Its
+columns are grouped by last letter in the cyclic order A, B, A^-1,
+B^-1, the first two groups appended again, and the chain word B^l comes
+last. A word ending in a letter extends a word ending in that letter or
+in either letter of the other generator: three cyclically adjacent
+groups, so one contiguous slice. The A slice runs on into the chain
+column, which makes the seed the last A child. Each child group is that
+slice times the letter on the right, written in place: a column scaling
+by e^(+-t/2) for A^(+-1), a cosh/csch mix of the two columns for
+B^(+-1). Each product and sum is rounded on its own (no fused
+multiply-add), so the sums do not depend on which BLAS or SIMD code
+numpy dispatches to. u_AA is read off the chain and the B groups, u_AB
+off the A groups. All levels write their u values into one array, so
+one mask and one log1p pass serve the whole call; each level's chain,
+AA and AB segments are then summed on their own, levels in order. The
+weighted sums reorder the full tree's additions, yet match them bit for
+bit on every case tried; the tests hold them to that for t up to
+2 arcsinh 1, and to 4 ulp beyond.
 
-A block holds at most _BLOCK_NODES = 4 nodes, and never more columns at
-its deepest level than the full tree of one node at L = 10,
-_BLOCK_COLUMNS = 2 * 3^9; from L = 11 on, nodes run one at a time. T_A's
-level L holds (3^(L-1) - 1) / 2 words, so at the cap MAX_WORD_LENGTH =
-14 the deepest array holds about 800k columns, about 25 MB (the full
-tree's held 3.2M, about 100 MB).
+T_A's level L holds (3^(L-1) - 1) / 2 words, so at the cap
+MAX_WORD_LENGTH = 14 the deepest array holds about 800k columns, about
+25 MB (the full tree's held 3.2M, about 100 MB), and the u values of
+all levels about 1.2M, about 10 MB.
 
 The u formulas use det = 1 exactly, u_AA = |1 + 2 w01 w10| and
 u_AB = |w01 w11 - w00 w10|, never the determinant of the assembled
@@ -75,14 +71,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .gradbounds import _csch
 from .hyp2 import INF, GeodesicH2, MoebiusMap, UValue, compose_many, translate_geodesic, u_value
-from .integrals import SQRT_2PI, Bracket, simpson_sweeps
-from .integrals import adaptive_simpson  # noqa: F401  perfbench's tracer patches this name
+from .integrals import SQRT_2PI, Bracket, adaptive_simpson
 
 _INV = (1, 0, 3, 2)
 _LETTER_CHARS = "AaBb"
@@ -94,11 +88,6 @@ _PRUNED_TERM_BOUND = 6.8e-17
 
 # Longest words summed or enumerated; see the module docstring for memory.
 MAX_WORD_LENGTH = 14
-
-# Nodes per kernel block, and the most columns a block may hold at its
-# deepest level: the full tree of one node at length 10.
-_BLOCK_NODES = 4
-_BLOCK_COLUMNS = 2 * 3**9
 
 _REL_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -249,134 +238,112 @@ def _crossing_terms(u: np.ndarray) -> np.ndarray:
     return u * np.log((1.0 + u) / np.maximum(1.0 - u, 1e-300)) - 2.0
 
 
-def _kernel_rows(u: np.ndarray, splits: tuple[int, ...]) -> tuple[np.ndarray, list[int]]:
-    """Per-node sums of R(u) over kept terms, and pruned counts.
+def _kernel_sums(u: np.ndarray, edges: list[int]) -> tuple[list[float], list[int]]:
+    """Sums of R(u) over the kept terms of each segment of u, and the
+    pruned count of each; segment i is u[edges[i] : edges[i + 1]].
 
-    Row i of the (k, m) block u is node i; splits cut the columns into
-    segments. Disjoint terms use the log1p form. Values at or beyond
-    PRUNE_U and non finite values are pruned; both only arise for far
-    cosets whose true kernel term is below _PRUNED_TERM_BOUND. A
-    crossing value (never observed off the identity coset) is kept with
-    its negative kernel value, which can only slacken the affected
-    bound. Each (row, segment) sums its kept terms by one np.sum over
-    its own contiguous run of the row-major compressed array, so no
-    node's sums depend on the other nodes of the block. Returns the
-    (k, segments) sums and the pruned count of each segment.
+    Disjoint terms use the log1p form. Values at or beyond PRUNE_U and
+    non finite values are pruned; both only arise for far cosets whose
+    true kernel term is below _PRUNED_TERM_BOUND. A crossing value
+    (never observed off the identity coset) is kept with its negative
+    kernel value, which can only slacken the affected bound. One mask
+    and one log1p pass serve all segments; each segment then sums its
+    run of the compressed terms on its own.
     """
-    edges = list(zip((0, *splits), (*splits, u.shape[1])))
-    sums = np.zeros((u.shape[0], len(edges)))
-    flat = sums.reshape(-1)
-    kept = np.zeros(len(edges), dtype=np.intp)
+    spans = list(zip(edges, edges[1:]))
+    sums = [0.0] * len(spans)
+    kept = [0] * len(spans)
     disj = u > 1.0
     disj &= u < PRUNE_U  # u >= 0, so this also drops inf and nan
-    for mask, terms in ((disj, _disjoint_terms), (u <= 1.0, _crossing_terms)):
-        if not mask.any():
-            continue
-        counts = np.stack([mask[:, a:b].sum(axis=1) for a, b in edges], axis=1)
-        kept += counts.sum(axis=0)
+    passes = [(disj, _disjoint_terms)]
+    cross = u <= 1.0
+    if cross.any():
+        passes.append((cross, _crossing_terms))
+    for mask, terms in passes:
         values = terms(u[mask])
-        start = 0
-        for seg, stop in enumerate(np.cumsum(counts).tolist()):
+        stop = 0
+        for seg, (a, b) in enumerate(spans):
+            start, stop = stop, stop + int(np.count_nonzero(mask[a:b]))
             if stop > start:
-                flat[seg] += values[start:stop].sum()
-            start = stop
-    return sums, [u.shape[0] * (b - a) - int(c) for (a, b), c in zip(edges, kept)]
+                sums[seg] += float(values[start:stop].sum())
+            kept[seg] += stop - start
+    return sums, [b - a - k for (a, b), k in zip(spans, kept)]
 
 
-def _u_rows(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """u of the (2, 2, k, n) level w as one (k, m) block.
-
-    The AA values of the column spans aa come first, in span order,
-    then the AB values of the spans ab.
-    """
-    n_aa = sum(stop - start for start, stop in aa)
-    n_ab = sum(stop - start for start, stop in ab)
-    u = np.empty((w.shape[2], n_aa + n_ab))
+def _u_of(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int, int], ...], u: np.ndarray) -> None:
+    """Write u of the (2, 2, n) level w into u: the AA values of the
+    column spans aa, in span order, then the AB values of the spans ab."""
     at = 0
     for start, stop in aa:
-        np.multiply(w[0, 1, :, start:stop], w[1, 0, :, start:stop], out=u[:, at : at + stop - start])
+        np.multiply(w[0, 1, start:stop], w[1, 0, start:stop], out=u[at : at + stop - start])
         at += stop - start
-    u_aa = u[:, :n_aa]
+    u_aa = u[:at]
     u_aa *= 2.0
     u_aa += 1.0
-    tmp = np.empty((w.shape[2], n_ab))
+    n_aa = at
+    tmp = np.empty(u.size - n_aa)
     for start, stop in ab:
-        np.multiply(w[0, 1, :, start:stop], w[1, 1, :, start:stop], out=u[:, at : at + stop - start])
-        np.multiply(w[0, 0, :, start:stop], w[1, 0, :, start:stop], out=tmp[:, at - n_aa : at - n_aa + stop - start])
+        np.multiply(w[0, 1, start:stop], w[1, 1, start:stop], out=u[at : at + stop - start])
+        np.multiply(w[0, 0, start:stop], w[1, 0, start:stop], out=tmp[at - n_aa : at - n_aa + stop - start])
         at += stop - start
-    u[:, n_aa:] -= tmp
-    return np.abs(u, out=u)
+    u[n_aa:] -= tmp
+    np.abs(u, out=u)
 
 
-def _coset_block(ts: list[float], maxlen: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Partial AA and AB kernel sums of a block of nodes; see the module docstring."""
-    k = len(ts)
-    e = np.array([math.exp(0.5 * t) for t in ts]).reshape(k, 1)
-    sh = np.array([_csch(0.5 * t) for t in ts]).reshape(k, 1)
-    ch = np.array([math.hypot(1.0, s) for s in sh[:, 0].tolist()]).reshape(k, 1)
-    neg_sh = -sh
-    scale = np.stack([e, 1.0 / e]).reshape(1, 2, k, 1)  # A on the right
-    parts = np.zeros((2, k, maxlen))  # AA and AB sum of each level
-    pruned = 0
+def _coset_sums(t: float, maxlen: int) -> tuple[float, float, int]:
+    """Partial AA and nonidentity AB kernel sums through length maxlen,
+    over the quarter tree; see the module docstring."""
+    if maxlen == 0:
+        return 0.0, 0.0, 0
+    e = math.exp(0.5 * t)
+    sh = _csch(0.5 * t)
+    ch = math.hypot(1.0, sh)
+    scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
+    levels = [(0, 0, 0, 0)]  # words of T_A per group, level by level
+    for _ in range(maxlen - 1):
+        nA, nB, na, nb = levels[-1]
+        levels.append((nb + nA + nB + 1, nA + nB + na, nB + na + nb, na + nb + nA))
+    # u of all levels in one array. Each level holds three segments: the
+    # AA value of the chain, the AA values of the B and B^-1 groups, and
+    # the AB values of the A and A^-1 groups.
+    edges = [0]
+    for nA, nB, na, nb in levels:
+        edges += [edges[-1] + 1, edges[-1] + 1 + nB + nb, edges[-1] + 1 + nA + nB + na + nb]
+    u = np.empty(edges[-1])
     # Level 1 is the chain column alone: the word B.
-    mats = np.stack([np.stack([ch, sh]), np.stack([sh, ch])])
-    nA = nB = na = nb = 0  # words of T_A per group
-    for level in range(1, maxlen + 1):
-        if level > 1:
-            mA, mB, ma, mb = nb + nA + nB + 1, nA + nB + na, nB + na + nb, na + nb + nA
-            n = mA + mB + ma + mb
-            nxt = np.empty((2, 2, k, (n if level == maxlen else n + mA + mB) + 1))
+    mats = np.array([[ch, sh], [sh, ch]]).reshape(2, 2, 1)
+    for level, (mA, mB, ma, mb) in enumerate(levels):
+        n = mA + mB + ma + mb
+        if level:
+            nA, nB, na, nb = levels[level - 1]
+            nxt = np.empty((2, 2, (n if level == maxlen - 1 else n + mA + mB) + 1))
             # A children of the B^-1, A and B groups and, last, of the chain.
             np.multiply(mats[..., nA + nB + na :], scale, out=nxt[..., :mA])
             np.multiply(mats[..., nA : nA + nB + na + nb], scale[:, ::-1], out=nxt[..., mA + mB : mA + mB + ma])
-            tmp = np.empty((2, 2, k, max(mB, mb, 1)))
+            tmp = np.empty((2, 2, max(mB, mb, 1)))
             for parents, child, s in (
                 (mats[..., : nA + nB + na], nxt[..., mA : mA + mB], sh),
-                (mats[..., nA + nB : 2 * nA + nB + na + nb], nxt[..., mA + mB + ma : n], neg_sh),
+                (mats[..., nA + nB : 2 * nA + nB + na + nb], nxt[..., mA + mB + ma : n], -sh),
                 (mats[..., -1:], nxt[..., -1:], sh),
             ):
                 np.multiply(parents, ch, out=child)
                 child += np.multiply(parents[:, ::-1], s, out=tmp[..., : child.shape[-1]])  # column swap
-            if level < maxlen:
+            if level < maxlen - 1:
                 nxt[..., n:-1] = nxt[..., : mA + mB]
-            del parents, child, tmp  # free the parent level before the kernel runs
-            mats, nA, nB, na, nb = nxt, mA, mB, ma, mb
-        # AA from the chain, then from the B and B^-1 groups; AB from the
-        # A and A^-1 groups.
-        n = nA + nB + na + nb
+            del parents, child, tmp  # free the parent level before the next one
+            mats = nxt
         chain = mats.shape[-1] - 1
-        aa = ((chain, chain + 1), (nA, nA + nB), (nA + nB + na, n))
-        ab = ((0, nA), (nA + nB, nA + nB + na))
-        sums, cut = _kernel_rows(_u_rows(mats, aa, ab), (1, 1 + nB + nb))
-        parts[0, :, level - 1] = 2.0 * sums[:, 0] + 4.0 * sums[:, 1]
-        parts[1, :, level - 1] = 4.0 * sums[:, 2]
-        pruned += 2 * cut[0] + 4 * (cut[1] + cut[2])
-    # Levels are added in order, as running sums.
-    s_aa, s_ab = np.cumsum(parts, axis=2)[..., -1]
-    return s_aa, s_ab, pruned
-
-
-def _coset_sums(t, maxlen: int):
-    """Partial AA and nonidentity AB kernel sums through length maxlen.
-
-    t is one length or a sequence of them; the sums come back as floats
-    or as arrays to match, with the pruned count summed over all nodes.
-    Nodes run in blocks whose size keeps the deepest level array within
-    _BLOCK_COLUMNS columns.
-    """
-    ts = np.atleast_1d(np.asarray(t, dtype=float)).tolist()
-    s_aa = np.zeros(len(ts))
-    s_ab = np.zeros(len(ts))
-    pruned = 0
-    if maxlen > 0:
-        deepest = (3 ** (maxlen - 1) - 1) // 2
-        per = max(1, min(_BLOCK_NODES, _BLOCK_COLUMNS // max(deepest, 1)))
-        for i in range(0, len(ts), per):
-            s_aa[i : i + per], s_ab[i : i + per], cut = _coset_block(ts[i : i + per], maxlen)
-            pruned += cut
-    if np.ndim(t) == 0:
-        return float(s_aa[0]), float(s_ab[0]), pruned
-    return s_aa, s_ab, pruned
+        aa = ((chain, chain + 1), (mA, mA + mB), (mA + mB + ma, n))
+        ab = ((0, mA), (mA + mB, mA + mB + ma))
+        _u_of(mats, aa, ab, u[edges[3 * level] : edges[3 * level + 3]])
+    del mats
+    sums, cut = _kernel_sums(u, edges)
+    s_aa = 0.0
+    s_ab = 0.0
+    for part_c, part_aa, part_ab in zip(sums[0::3], sums[1::3], sums[2::3]):
+        s_aa += 2.0 * part_c + 4.0 * part_aa
+        s_ab += 4.0 * part_ab
+    return s_aa, s_ab, 2 * sum(cut[0::3]) + 4 * (sum(cut[1::3]) + sum(cut[2::3]))
 
 
 def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
@@ -411,9 +378,7 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     t = 0 to the self-dual length 2 arcsinh(1): the gradient upper bound
     yields the distance lower bound and vice versa. At word length 0 the
     two sides are the analytic envelope integrals; positive lengths
-    tighten them toward each other. Both sides run through
-    simpson_sweeps, and each sweep hands the t values not yet cached
-    to one _coset_sums call.
+    tighten them toward each other.
     """
     _check_word_length(max_word_length, 0)
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
@@ -421,43 +386,39 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)
-    cache: dict[float, tuple[float, float]] = {}  # t -> (AA sum, AB sum)
-    pruned = 0
+    cache: dict[float, tuple[float, float, int]] = {}
+
+    def sums(tt: float) -> tuple[float, float, int]:
+        got = cache.get(tt)
+        if got is None:
+            got = _coset_sums(tt, max_word_length)
+            cache[tt] = got
+        return got
 
     def f_lower(y: float) -> float:
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - cache[tt][1])
+        _, s_ab, _ = sums(tt)
+        q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - s_ab)
         return 4.0 * y / math.sqrt(q_hi)
 
     def f_upper(y: float) -> float:
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        q_lo = (2.0 / math.pi) * (tt + cache[tt][0])
+        s_aa, _, _ = sums(tt)
+        q_lo = (2.0 / math.pi) * (tt + s_aa)
         return 4.0 * y / math.sqrt(q_lo)
 
-    def batched(f: Callable[[float], float]) -> Callable[[list[float]], list[float]]:
-        # One kernel call per sweep for the t values not yet cached.
-        def f_many(ys: list[float]) -> list[float]:
-            nonlocal pruned
-            new = [tt for tt in dict.fromkeys(y * y for y in ys if y != 0.0) if tt not in cache]
-            if new:
-                s_aa, s_ab, cut = _coset_sums(new, max_word_length)
-                cache.update(zip(new, zip(s_aa.tolist(), s_ab.tolist())))
-                pruned += cut
-            return [f(y) for y in ys]
-
-        return f_many
-
     half = 0.5 * quad_tol
-    v_lo, e_lo, n_lo = simpson_sweeps(batched(f_lower), 0.0, y_top, half)
-    v_hi, e_hi, n_hi = simpson_sweeps(batched(f_upper), 0.0, y_top, half)
+    v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half)
+    v_hi, e_hi, n_hi = adaptive_simpson(f_upper, 0.0, y_top, half)
     lo = v_lo - e_lo
     hi = v_hi + e_hi
     if lo > hi:
         raise RuntimeError("distance bracket collapsed, bounds crossed")
+    pruned = sum(c for _, _, c in cache.values())
     return Bracket(
         lo,
         hi,

@@ -1,86 +1,21 @@
-"""Reference implementations that the production kernels replaced.
+"""Reference implementations that the production kernel replaced.
 
-The full-tree coset kernel and the depth-first adaptive Simpson rule
-are kept here verbatim, outside the package, as oracles: the quarter
-tree, node-batched coset kernel and the breadth-first quadrature sweeps
-of wpstrata must reproduce them bit for bit where the tests say so.
-delta11_sides is the quadrature of the old delta11_bracket on top of
-these two, returning each side's (value, err, evals).
+The full-tree coset kernel is kept here verbatim, outside the package,
+as an oracle: the quarter-tree kernel of wpstrata must reproduce it bit
+for bit where the tests say so. delta11_sides is the quadrature of
+delta11_bracket on top of it, returning each side's (value, err,
+evals).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from wpstrata.gradbounds import _csch
-from wpstrata.integrals import SQRT_2PI
+from wpstrata.integrals import SQRT_2PI, adaptive_simpson
 from wpstrata.toruscoset import PRUNE_U
-
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = 48,
-) -> tuple[float, float, int]:
-    """Adaptive Simpson rule with a Richardson error estimate.
-
-    Splits intervals until the per-interval Richardson difference
-    |S2 - S1| / 15 fits inside a length-proportional share of tol.
-    Returns (value, error_bound, evals); raises RuntimeError if the
-    subdivision cap is hit before the estimate converges or if the
-    integrand stops being finite.
-    """
-    if not a < b:
-        raise ValueError("requires a < b")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-
-    n_evals = 0
-
-    def fe(x: float) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        v = f(x)
-        if not math.isfinite(v):
-            raise RuntimeError(f"integrand not finite at {x!r}")
-        return v
-
-    inv_len = 1.0 / (b - a)
-    value = 0.0
-    err = 0.0
-
-    def rec(x0: float, f0: float, x2: float, f2: float, fm: float, s: float, depth: int) -> None:
-        nonlocal value, err
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = fe(xl)
-        fr = fe(xr)
-        sl = (xm - x0) * (f0 + 4.0 * fl + fm) / 6.0
-        sr = (x2 - xm) * (fm + 4.0 * fr + f2) / 6.0
-        e = abs(sl + sr - s) / 15.0
-        # Minimum depth 3 guards against symmetric integrands fooling
-        # the first few Richardson comparisons.
-        if e <= tol * (x2 - x0) * inv_len and depth >= 3:
-            value += sl + sr
-            err += e
-            return
-        if depth >= max_depth:
-            raise RuntimeError("adaptive quadrature failed to converge")
-        rec(x0, f0, xm, fm, fl, sl, depth + 1)
-        rec(xm, fm, x2, f2, fr, sr, depth + 1)
-
-    fa = fe(a)
-    fb = fe(b)
-    fm = fe(0.5 * (a + b))
-    s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    rec(a, fa, b, fb, fm, s0, 0)
-    return value, err, n_evals
 
 
 def _kernel_sum(u: np.ndarray) -> tuple[float, int]:

@@ -1,5 +1,4 @@
-"""The quarter-tree coset kernel and the quadrature sweeps against the
-full-tree kernel and the depth-first recursion they replaced."""
+"""The quarter-tree coset kernel against the full-tree kernel it replaced."""
 
 from __future__ import annotations
 
@@ -10,9 +9,7 @@ import sys
 import oracles
 import pytest
 
-from wpstrata import integrals, toruscoset
-from wpstrata.gradbounds import EPS2
-from wpstrata.integrals import integral_H
+from wpstrata import toruscoset
 from wpstrata.toruscoset import CosetWord, _coset_sums, enumerate_cosets, holonomy, u_of_coset
 
 T0 = 2.0 * math.asinh(1.0)
@@ -42,57 +39,13 @@ def test_kernel_matches_full_tree():
             assert _ulps(2.0 - o_ab, 2.0 - s_ab) <= 4.0, (t, L)
 
 
-@pytest.mark.parametrize("L", [1, 2, 5, 8, 10])
-def test_block_invariance(L):
-    ts = [0.05, 0.6, 1.3, T0]
-    s_aa, s_ab, pruned = _coset_sums(ts, L)
-    alone = [_coset_sums(t, L) for t in ts]
-    assert s_aa.tolist() == [a for a, _, _ in alone]
-    assert s_ab.tolist() == [b for _, b, _ in alone]
-    assert pruned == sum(c for _, _, c in alone)
-
-
-def test_blocks_split_past_the_column_cap():
-    # Five nodes at L = 10 run as a block of four and a block of one;
-    # at L = 11 one node at a time.
-    for L in (10, 11):
-        ts = [0.4, 0.8, 1.2, 1.6, T0][: 5 if L == 10 else 2]
-        s_aa, s_ab, _ = _coset_sums(ts, L)
-        for i, t in enumerate(ts):
-            assert (s_aa[i], s_ab[i]) == oracles.coset_sums(t, L)[:2]
-
-
-@pytest.mark.parametrize("variant", ["plain", "separating", "systole"])
-@pytest.mark.parametrize("tol", [1e-7, 1e-10, 1e-12])
-def test_sweeps_match_recursion_on_integral_H(monkeypatch, variant, tol):
-    calls = []
-    sweep = integrals.adaptive_simpson
-
-    def both(f, a, b, tol, max_depth=48):
-        got = sweep(f, a, b, tol, max_depth)
-        assert got == oracles.adaptive_simpson(f, a, b, tol, max_depth)
-        calls.append(got)
-        return got
-
-    monkeypatch.setattr(integrals, "adaptive_simpson", both)
-    integral_H(0.0, 6.0, variant, tol)
-    integral_H(2.0 * EPS2, 4.0 * EPS2, variant, tol)
-    assert len(calls) >= 2
-
-
-@pytest.mark.parametrize("L", [0, 3, 8])
+@pytest.mark.parametrize("L", [0, 3, 8, 10])
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
-def test_sweeps_match_recursion_on_delta11(monkeypatch, L, tol):
-    sides = []
-    sweeps = toruscoset.simpson_sweeps
-
-    def recorded(*args):
-        sides.append(sweeps(*args))
-        return sides[-1]
-
-    monkeypatch.setattr(toruscoset, "simpson_sweeps", recorded)
-    toruscoset.delta11_bracket(L, tol)
-    assert sides == oracles.delta11_sides(L, tol)
+def test_delta11_matches_full_tree(L, tol):
+    (v_lo, e_lo, n_lo), (v_hi, e_hi, n_hi) = oracles.delta11_sides(L, tol)
+    br = toruscoset.delta11_bracket(L, tol)
+    assert (br.lo, br.hi) == (v_lo - e_lo, v_hi + e_hi)
+    assert br.error_budget["evals"] == n_lo + n_hi
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, T0])

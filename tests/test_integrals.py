@@ -105,9 +105,9 @@ class TestAdaptiveSimpson:
         _, _, evals = adaptive_simpson(math.sin, 0.0, 1.0, math.inf)
         assert evals == 3 + 2 * 15
 
-    def test_evaluation_cap(self):
-        # noise at every scale: no panel converges, and the breadth-first
-        # sweeps stop at MAX_EVALS evaluations long before max_depth
+    def test_noise_fails_fast(self):
+        # noise at every scale: no interval converges, and the depth-first
+        # recursion reaches max_depth on its first branch
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="failed to converge"):
             adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)
