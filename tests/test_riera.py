@@ -145,6 +145,12 @@ class TestAHat:
         assert ev.terms_used >= 1
         assert ev.value >= EIGHT_THIRDS - 1e-15
 
+    def test_series_eval_fields_are_read_only(self):
+        ev = a_hat(0.3)
+        assert ev._fields == ("value", "tail_bound", "terms_used")
+        with pytest.raises(AttributeError):
+            ev.value = 0.0
+
 
 class TestCollarProfile:
     def test_pinch_and_monotone(self):
