@@ -572,59 +572,55 @@ def _verify_lipschitz() -> None:
     _check(_trunc_str(lip) == "2.00423", "lipschitz constant digits off")
 
 
-def _brute_force_words(kind: str, max_word_length: int) -> set[tuple[int, ...]]:
-    # Independent road: all reduced words up to length cap + 4, then
-    # strip A powers from the appropriate ends and deduplicate.
+def _brute_force_cosets(max_word_length: int) -> dict[str, set[tuple[int, ...]]]:
+    # Independent road: all reduced words up to length cap + 4, each
+    # stripped of its leading A letters and then of its trailing A
+    # letters (an AA coset) or its trailing B letters (an AB coset).
     inv = (1, 0, 3, 2)
-    out: set[tuple[int, ...]] = set()
+    aa: set[tuple[int, ...]] = set()
+    ab: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = [()]
     for _ in range(max_word_length + 4):
-        nxt = []
+        frontier = [w + (l,) for w in frontier for l in range(4) if not w or inv[w[-1]] != l]
         for w in frontier:
-            for l in range(4):
-                if w and inv[w[-1]] == l:
-                    continue
-                nxt.append(w + (l,))
-        frontier = nxt
-        for w in frontier:
-            ww = list(w)
-            while ww and ww[0] in (0, 1):
-                ww.pop(0)
-            if kind == "AA":
-                while ww and ww[-1] in (0, 1):
-                    ww.pop()
-            else:
-                while ww and ww[-1] in (2, 3):
-                    ww.pop()
-            if ww and len(ww) <= max_word_length:
-                canon = tuple(ww)
-                if kind == "AB" and canon[-1] not in (0, 1):
-                    continue
-                out.add(canon)
-    return out
+            n = len(w)
+            i = 0
+            while i < n and w[i] < 2:
+                i += 1
+            j = n
+            while j > i and w[j - 1] < 2:
+                j -= 1
+            if 0 < j - i <= max_word_length:
+                aa.add(w[i:j])
+            j = n
+            while j > i and w[j - 1] >= 2:
+                j -= 1
+            if 0 < j - i <= max_word_length:
+                ab.add(w[i:j])
+    return {"AA": aa, "AB": ab}
 
 
 def _verify_brute_force() -> None:
+    brute = _brute_force_cosets(5)
     for kind in ("AA", "AB"):
         direct = {w.letters for w in enumerate_cosets(kind, 5)}
-        brute = _brute_force_words(kind, 5)
-        _check(direct == brute, f"{kind} enumeration disagrees with brute force")
+        _check(direct == brute[kind], f"{kind} enumeration disagrees with brute force")
 
 
+# In both envelope grids logspace is strictly increasing, so j >= i is
+# exactly w >= z.
 def _verify_grid_inequalities() -> None:
-    zs = np.logspace(-4.0, math.log10(40.0), 200)
+    zs = np.logspace(-4.0, math.log10(40.0), 200).tolist()
+    sh = [math.sinh(0.5 * z) for z in zs]
     bound = 8.0 / (3.0 * math.pi * math.pi)
-    for z in zs:
-        zf = float(z)
-        sz = math.sinh(0.5 * zf)
-        for w in zs:
-            wf = float(w)
-            if wf < zf:
-                continue
-            lhs = (2.0 * zf / math.pi) * F_pair(zf, wf)
-            sw = math.sinh(0.5 * wf)
-            rhs = bound * zf * sz * sw * sw
-            _check(lhs <= rhs * (1.0 + 1e-12) + 1e-300, f"envelope bound fails at ({zf}, {wf})")
+    for i, z in enumerate(zs):
+        scale = 2.0 * z / math.pi
+        rz = bound * z * sh[i]
+        for j in range(i, len(zs)):
+            w = zs[j]
+            sw = sh[j]
+            if not scale * F_pair(z, w) <= rz * sw * sw * (1.0 + 1e-12) + 1e-300:
+                raise AssertionError(f"envelope bound fails at ({z}, {w})")
 
 
 def _verify_cor_grid() -> None:
@@ -636,17 +632,15 @@ def _verify_cor_grid() -> None:
 
 
 def _verify_auv_bound() -> None:
-    cap = 4.0 / (3.0 * math.pi)
-    for z in np.logspace(-4.0, math.log10(40.0), 60):
-        for w in np.logspace(-4.0, math.log10(40.0), 60):
-            zf, wf = float(z), float(w)
-            if wf < zf:
-                continue
-            prod = (
-                F_pair(zf, wf)
-                / (math.sinh(0.5 * zf) * math.sinh(0.5 * wf) ** 2)
-            )
-            _check(prod <= cap * (1.0 + 1e-10), f"a u v cap fails at ({zf}, {wf})")
+    zs = np.logspace(-4.0, math.log10(40.0), 60).tolist()
+    sh = [math.sinh(0.5 * z) for z in zs]
+    sh2 = [s**2 for s in sh]
+    cap = 4.0 / (3.0 * math.pi) * (1.0 + 1e-10)
+    for i, z in enumerate(zs):
+        for j in range(i, len(zs)):
+            w = zs[j]
+            if not F_pair(z, w) / (sh[i] * sh2[j]) <= cap:
+                raise AssertionError(f"a u v cap fails at ({z}, {w})")
 
 
 def _verify_refined_delta11() -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .hyp2 import collar_area
-from .riera import _a_of_u
+from .riera import _a_closed, _a_of_u
 
 # Thin part length threshold for the strata distance integrals.
 # Calibrated so that the paired integral H(0, 4 e) + H(0, 2 e) evaluates
@@ -31,11 +31,16 @@ EPS2_IDENTITY = math.asinh(1.0)
 
 
 def _csch(x: float) -> float:
-    # 1/sinh, safe against overflow of sinh for large x.
+    # 1/sinh, safe against overflow of sinh for large x. inf where x
+    # underflowed to 0, the limit as x -> 0+ (1/sinh of a tiny
+    # subnormal is already inf).
     if x > 350.0:
         e = math.exp(-x)
         return 2.0 * e / (1.0 - e * e)
-    return 1.0 / math.sinh(x)
+    try:
+        return 1.0 / math.sinh(x)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def collar_radius_simple(ell: float) -> float:
@@ -80,11 +85,12 @@ def v_factor(ell: float) -> float:
     """
     if ell < 0.0:
         raise ValueError("length must be nonnegative")
-    if ell == 0.0:
-        return 2.0 / math.pi
     if ell > 700.0:
         return math.exp(-0.5 * ell)
     s = math.sinh(0.5 * ell)
+    if s == 0.0:
+        # ell = 0, or ell / 2 underflowed: the limit value.
+        return 2.0 / math.pi
     c = math.cosh(0.5 * ell)
     return 1.0 / (math.atan(1.0 / s) * c * c + s)
 
@@ -94,11 +100,15 @@ def G_of(r: float, s: float) -> float:
 
     a(r + s) (e^-r + e^-3r / 3) / A(s) with A the collar area profile.
     Strictly decreasing in each argument; saturating areas and
-    underflowing exponentials make far tails exact zeros.
+    underflowing exponentials make far tails exact zeros. Where
+    e^-(r + s) rounds to 1, a is taken at T = r + s directly; it and G
+    grow without bound as r + s -> 0 and saturate to inf once
+    1 / tanh((r + s) / 2) overflows.
     """
     if r <= 0.0 or s <= 0.0:
         raise ValueError("collar radii must be positive")
-    av = _a_of_u(math.exp(-(r + s)))
+    u = math.exp(-(r + s))
+    av = _a_of_u(u) if u < 1.0 else _a_closed(r + s)
     num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
     return av * num / collar_area(s)
 
@@ -111,15 +121,31 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     and agrees with G_of(r_a, r_b) to working precision. The combined
     radius enters through e^-(r_a + r_b) = tanh(l_alpha/4)
     tanh(l_beta/4), which avoids the inverse solve entirely.
+
+    Large lengths saturate. Where that product rounds to 1 (both
+    lengths above about 76), a is taken at
+    T = log1p(2 / expm1(l_alpha/2)) + log1p(2 / expm1(l_beta/2)), which
+    there equals 2 (e^-(l_alpha/2) + e^-(l_beta/2)) to double precision.
+    Where sinh(l_beta/2) leaves the double range (l_beta above about
+    1421) the value is inf, so an integrand 1 / sqrt(1 + F) is exactly
+    0; F is past 1e300 well before that.
     """
     if l_alpha <= 0.0 or l_beta <= 0.0:
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
-    av = _a_of_u(math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta))
-    sa = math.sinh(0.5 * l_alpha)
-    sb = math.sinh(0.5 * l_beta)
-    return av * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
+    try:
+        sa = math.sinh(0.5 * l_alpha)
+        sb = math.sinh(0.5 * l_beta)
+    except OverflowError:
+        return math.inf
+    u = math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta)
+    if u < 1.0:
+        return _a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
+    # Saturated: pair each decay factor with its sinh (products near 2/3
+    # and 1/2), so that subnormal factors cannot underflow the product.
+    av = _a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
+    return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
 
 
 def grad_sq_upper_single(ell: float) -> float:

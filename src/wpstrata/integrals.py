@@ -166,10 +166,15 @@ def integral_K(a: float, b: float) -> float:
     return SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
 
 
+def _systole_envelope(t: float) -> float:
+    r = r_sys(t)
+    return G_of(r, r)
+
+
 _VARIANTS: dict[str, Callable[[float], float]] = {
     "plain": lambda t: F_pair(t, t),
     "separating": lambda t: F_pair(0.5 * t, 0.5 * t),
-    "systole": lambda t: G_of(r_sys(t), r_sys(t)),
+    "systole": _systole_envelope,
 }
 
 
@@ -181,7 +186,9 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     G_of(r_sys(t), r_sys(t)). After t = y^2 the integrand is
     sqrt(2 pi) / sqrt(1 + F(y^2)), smooth everywhere except for a kink
     of the systole envelope at t = L0, where the range is split. The
-    bracket width comes out at or below tol.
+    bracket width comes out at or below tol. Raises ValueError if
+    sqrt(a) and sqrt(b) round to the same double, where the
+    substitution cannot resolve the range.
     """
     _check_range(a, b, strict=True)
     if not tol > 0.0:
@@ -198,6 +205,8 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
 
     ya = math.sqrt(a)
     yb = math.sqrt(b)
+    if ya == yb:
+        raise ValueError("range too narrow for the y = sqrt(t) substitution")
     cuts = [ya, yb]
     if variant == "systole":
         yc = math.sqrt(L0)

@@ -51,6 +51,11 @@ _MAX_TERMS = 40_000_000
 _SHORT_TERMS = 64
 _BLOCK = 1 << 15
 
+# Full blocks from _NEAR_BLOCKS * _BLOCK terms on are summed from
+# _MOMENTS power moments instead of one dot product each.
+_NEAR_BLOCKS = 8
+_MOMENTS = 21
+
 _LN2 = math.log(2.0)
 
 EIGHT_THIRDS = 8.0 / 3.0
@@ -148,14 +153,46 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
             p *= x
         return SeriesEval(total, 2.0 * p / (n * rem), n)
 
+    return SeriesEval(_long_sum(n, log_x), tail, n)
+
+
+def _long_sum(n: int, log_x: float) -> float:
+    """sum_{m < n} c_m x^m for n > _SHORT_TERMS, in blocks of _BLOCK terms.
+
+    Block m0 is x^m0 sum_{k < K} (2 / (a + 2k) + 2 / (a + 2 + 2k)) x^k
+    with K = _BLOCK and a = 2 m0 + 1. The first _NEAR_BLOCKS blocks and
+    a partial last block take one dot product against the power table.
+    A full block further out takes its two halves from the moments
+    M_j = sum_{k < K} (k / K)^j x^k, computed once per call:
+    sum_k 2 x^k / (a + 2k) = (2 / a) sum_j (-2K / a)^j M_j, cut after
+    _MOMENTS terms (see the module docstring for the bound).
+    """
     powers = np.exp(np.arange(min(n, _BLOCK), dtype=np.float64) * log_x)
     odd = np.arange(1.0, 2.0 * len(powers) + 2.0, 2.0)
+    moments: list[float] = []
+    if n >= (_NEAR_BLOCKS + 1) * _BLOCK:
+        scaled = powers.copy()
+        step = np.arange(_BLOCK, dtype=np.float64) / _BLOCK
+        for _ in range(_MOMENTS):
+            moments.append(float(scaled.sum()))
+            scaled *= step
     total = 0.0
     for m0 in range(0, n, _BLOCK):
         k = min(_BLOCK, n - m0)
-        r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
-        total += math.exp(m0 * log_x) * float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
-    return SeriesEval(total, tail, n)
+        if k == _BLOCK and m0 >= _NEAR_BLOCKS * _BLOCK:
+            a = 2.0 * m0 + 1.0
+            q1 = -2.0 * _BLOCK / a
+            q2 = -2.0 * _BLOCK / (a + 2.0)
+            s1 = s2 = 0.0
+            for mj in reversed(moments):
+                s1 = s1 * q1 + mj
+                s2 = s2 * q2 + mj
+            block = 2.0 * s1 / a + 2.0 * s2 / (a + 2.0)
+        else:
+            r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
+            block = float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
+        total += math.exp(m0 * log_x) * block
+    return total
 
 
 def _a_closed(T: float) -> float:

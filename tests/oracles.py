@@ -1,10 +1,16 @@
-"""Reference implementations that the production kernel replaced.
+"""Reference implementations that the production code replaced.
 
 The full-tree coset kernel is kept here verbatim, outside the package,
 as an oracle: the quarter-tree kernel of wpstrata must reproduce it bit
 for bit where the tests say so. delta11_sides is the quadrature of
 delta11_bracket on top of it, returning each side's (value, err,
 evals).
+
+Three more are kept verbatim for the same reason: long_sum_direct, the
+one-dot-per-block long series that riera._long_sum now sums from
+moments far out; F_pair, the interaction envelope before large lengths
+saturated; and brute_force_words, the two-pass brute-force coset
+enumeration that cli._brute_force_cosets does in one pass.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import math
 
 import numpy as np
 
-from wpstrata.gradbounds import _csch
+from wpstrata.gradbounds import _csch, u_factor, v_factor
+from wpstrata.riera import _BLOCK, _a_of_u
 from wpstrata.integrals import SQRT_2PI, adaptive_simpson
 from wpstrata.toruscoset import PRUNE_U
 
@@ -129,3 +136,59 @@ def delta11_sides(max_word_length: int, quad_tol: float) -> list[tuple[float, fl
 
     half = 0.5 * quad_tol
     return [adaptive_simpson(f, 0.0, y_top, half) for f in (f_lower, f_upper)]
+
+
+def long_sum_direct(n: int, log_x: float) -> float:
+    """sum_{m < n} c_m x^m, one numpy dot product per block of _BLOCK terms."""
+    powers = np.exp(np.arange(min(n, _BLOCK), dtype=np.float64) * log_x)
+    odd = np.arange(1.0, 2.0 * len(powers) + 2.0, 2.0)
+    total = 0.0
+    for m0 in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - m0)
+        r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
+        total += math.exp(m0 * log_x) * float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
+    return total
+
+
+def F_pair(l_alpha: float, l_beta: float) -> float:
+    """The interaction envelope as it was before large lengths saturated."""
+    if l_alpha <= 0.0 or l_beta <= 0.0:
+        raise ValueError("lengths must be positive")
+    if l_alpha > l_beta:
+        raise ValueError("requires l_alpha <= l_beta")
+    av = _a_of_u(math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta))
+    sa = math.sinh(0.5 * l_alpha)
+    sb = math.sinh(0.5 * l_beta)
+    return av * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
+
+
+def brute_force_words(kind: str, max_word_length: int) -> set[tuple[int, ...]]:
+    # Independent road: all reduced words up to length cap + 4, then
+    # strip A powers from the appropriate ends and deduplicate.
+    inv = (1, 0, 3, 2)
+    out: set[tuple[int, ...]] = set()
+    frontier: list[tuple[int, ...]] = [()]
+    for _ in range(max_word_length + 4):
+        nxt = []
+        for w in frontier:
+            for l in range(4):
+                if w and inv[w[-1]] == l:
+                    continue
+                nxt.append(w + (l,))
+        frontier = nxt
+        for w in frontier:
+            ww = list(w)
+            while ww and ww[0] in (0, 1):
+                ww.pop(0)
+            if kind == "AA":
+                while ww and ww[-1] in (0, 1):
+                    ww.pop()
+            else:
+                while ww and ww[-1] in (2, 3):
+                    ww.pop()
+            if ww and len(ww) <= max_word_length:
+                canon = tuple(ww)
+                if kind == "AB" and canon[-1] not in (0, 1):
+                    continue
+                out.add(canon)
+    return out

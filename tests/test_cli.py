@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wpstrata
+from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
 
 EXPECTED_NAMES = [
@@ -187,6 +191,39 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "18 passed" in out
+
+
+# (check, grid size): both grids run F_pair on every pair w >= z of
+# logspace(-4, log10 40, size).
+_GRID_CHECKS = [(cli._verify_grid_inequalities, 200), (cli._verify_auv_bound, 60)]
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("check, size", _GRID_CHECKS)
+    def test_every_pair_w_at_least_z_once(self, monkeypatch, check, size):
+        seen = []
+        f_pair = cli.F_pair
+
+        def counting(z, w):
+            seen.append((z, w))
+            return f_pair(z, w)
+
+        monkeypatch.setattr(cli, "F_pair", counting)
+        check()
+        zs = np.logspace(-4.0, math.log10(40.0), size).tolist()
+        assert len(seen) == size * (size + 1) // 2  # 20100 and 1830
+        assert seen == [(z, w) for z in zs for w in zs if w >= z]
+
+    @pytest.mark.parametrize("check, size", _GRID_CHECKS)
+    @pytest.mark.parametrize("pick", ["first", "diagonal", "off_diagonal", "last"])
+    def test_one_bad_pair_is_named(self, monkeypatch, check, size, pick):
+        zs = np.logspace(-4.0, math.log10(40.0), size).tolist()
+        i, j = {"first": (0, 0), "diagonal": (size // 2,) * 2, "off_diagonal": (3, size - 7), "last": (size - 1,) * 2}[pick]
+        bad = (zs[i], zs[j])
+        f_pair = cli.F_pair
+        monkeypatch.setattr(cli, "F_pair", lambda z, w: 1e300 if (z, w) == bad else f_pair(z, w))
+        with pytest.raises(AssertionError, match=re.escape(f"fails at {bad}") + "$"):
+            check()
 
 
 class TestUsage:

@@ -277,3 +277,47 @@ class TestSystoleRadius:
         assert r_sys(L0 - h) > r_sys(L0)
         assert r_sys(L0 + h) > r_sys(L0)
         assert math.isclose(r_sys(L0), 0.25 * L0, rel_tol=1e-12)
+
+
+_POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+
+
+class TestLargeLengths:
+    """Large lengths saturate: a number, possibly inf, or ValueError."""
+
+    def test_saturated_values(self):
+        # tanh(20)^2 rounds to 1; a is taken at T = 4 e^-40 directly
+        f = F_pair(80.0, 80.0)
+        assert math.isfinite(f) and f > F_pair(70.0, 70.0)
+        assert math.isfinite(grad_sq_upper_single(80.0))
+        assert math.isfinite(grad_sq_upper_separating(400.0))
+        # sinh(l_beta / 2) out of range: the integrand 1 / sqrt(1 + F) is 0
+        assert F_pair(1.0, 1500.0) == math.inf
+        assert F_pair(2000.0, 2000.0) == math.inf
+        assert grad_sq_upper_single(3000.0) == math.inf
+        # no intermediate underflow just below the sinh overflow
+        assert F_pair(1419.8, 1419.9) == math.inf
+        assert F_pair(1300.0, 1300.0) > 1e280
+
+    def test_tiny_radii_saturate(self):
+        assert G_of(1e-17, 1e-17) > G_of(1e-10, 1e-10)
+        assert G_of(5e-324, 5e-324) == math.inf
+        assert v_factor(5e-324) == 2.0 / math.pi
+
+    @given(x=_POSITIVE, y=_POSITIVE)
+    @settings(deadline=None, max_examples=300)
+    def test_total_over_positive_floats(self, x, y):
+        lo, hi = sorted((x, y))
+        calls = [
+            lambda: F_pair(lo, hi),
+            lambda: G_of(x, y),
+            lambda: grad_sq_upper_single(x),
+            lambda: grad_sq_upper_separating(x),
+            lambda: grad_sq_upper_systole(x),
+        ]
+        for call in calls:
+            try:
+                v = call()
+            except ValueError:
+                continue
+            assert isinstance(v, float) and v >= 0.0

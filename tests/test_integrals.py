@@ -209,6 +209,30 @@ class TestIntegralH:
             integral_H(0.0, 1.0, "plain", math.nan)
         with pytest.raises(ValueError):
             integral_H(-0.5, 1.0)
+        with pytest.raises(ValueError):
+            integral_H(1.0, math.nextafter(1.0, 2.0))
+
+    def test_large_lengths_saturate(self):
+        # F_pair(t, t) is inf beyond t = 1421, so the integrand is 0 there
+        # and the integral levels off
+        near = integral_H(0.0, 100.0, "plain")
+        far = integral_H(0.0, 1e4, "plain")
+        assert near.lo <= far.hi and far.lo <= near.hi + 1e-7
+        assert integral_H(0.0, 1e4, "separating").width <= 1e-7
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=1e4),
+        b=st.floats(min_value=0.0, max_value=1e4),
+        variant=st.sampled_from(["plain", "separating", "systole"]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_total_up_to_1e4(self, a, b, variant):
+        a, b = sorted((a, b))
+        try:
+            br = integral_H(a, b, variant)
+        except ValueError:
+            return
+        assert math.isfinite(br.lo) and br.lo <= br.hi <= integral_K(a, b) + 1e-7
 
 
 class TestEfficiencyRatio:

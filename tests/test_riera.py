@@ -113,7 +113,7 @@ class TestAHat:
         assert ev.value == EIGHT_THIRDS
         assert ev.tail_bound == 0.0
 
-    @pytest.mark.parametrize("T", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 5.0])
+    @pytest.mark.parametrize("T", [1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 5.0])
     def test_enclosure_against_mpmath(self, T):
         # scalar loop (T >= 0.1) and numpy blocks (T <= 1e-2) alike; the
         # exact sum at x is 2A + 2(A - 1)/x with A = artanh(sqrt x)/sqrt x
