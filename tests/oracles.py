@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from wpstrata.gradbounds import _csch, u_factor, v_factor
-from wpstrata.riera import _BLOCK, _a_of_u
 from wpstrata.integrals import SQRT_2PI, adaptive_simpson
+from wpstrata.riera import _BLOCK, _a_of_u
 from wpstrata.toruscoset import PRUNE_U
 
 
