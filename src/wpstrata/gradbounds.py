@@ -159,11 +159,13 @@ def grad_sq_upper_single(ell: float) -> float:
 def grad_sq_upper_separating(ell: float) -> float:
     """Upper bound for a separating curve, via the half-length envelope.
 
-    Never above grad_sq_upper_single at the same length.
+    Never above grad_sq_upper_single at the same length. Where ell / 2
+    underflows to 0, F takes its limit 0 and the bound is 2 ell / pi.
     """
     if ell <= 0.0:
         raise ValueError("length must be positive")
-    return (2.0 * ell / math.pi) * (1.0 + F_pair(0.5 * ell, 0.5 * ell))
+    half = 0.5 * ell
+    return (2.0 * ell / math.pi) * (1.0 + (F_pair(half, half) if half > 0.0 else 0.0))
 
 
 def solve_L0(tol: float = 1e-13) -> float:
@@ -202,7 +204,9 @@ def grad_sq_upper_systole(ell: float) -> float:
 
     Valid when ell is the systole. The envelope term peaks at L0 and
     dies off in both directions, so the bound approaches the universal
-    lower bound 2 ell / pi at both ends.
+    lower bound 2 ell / pi at both ends. It is exactly 2 ell / pi below
+    about 1.1e-308, where the collar radius 1 / sinh(ell / 2) overflows
+    to inf and G_of(inf, inf) is 0.
     """
     if ell <= 0.0:
         raise ValueError("length must be positive")

@@ -258,11 +258,11 @@ def collar_area(r: float) -> float:
 
     Strictly increasing, equal to pi + 2 at r = arcsinh(1), and
     asymptotic to pi cosh^2 r - 4 / (3 sinh r) for large r. Beyond the
-    double range the value saturates to inf, which downstream ratios
-    treat as an exact zero reciprocal.
+    double range, r = inf included, the value saturates to inf, which
+    downstream ratios treat as an exact zero reciprocal.
     """
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError("collar half-width must be finite and nonnegative")
+    if not r >= 0.0:
+        raise ValueError("collar half-width must be nonnegative")
     if r > 700.0:
         return INF
     s = math.sinh(r)

@@ -90,6 +90,7 @@ def adaptive_simpson(
     b: float,
     tol: float,
     max_depth: int = 48,
+    prefetch: Callable[[list[float]], None] | None = None,
 ) -> tuple[float, float, int]:
     """Adaptive Simpson rule with a Richardson error estimate.
 
@@ -138,9 +139,15 @@ def adaptive_simpson(
             return
         if depth >= max_depth:
             raise RuntimeError("adaptive quadrature failed to converge")
+        if prefetch is not None:
+            # The points each half evaluates first, by the same expressions.
+            prefetch([0.5 * (x0 + xl), 0.5 * (xl + xm), 0.5 * (xm + xr), 0.5 * (xr + x2)])
         rec(x0, f0, xm, fm, fl, sl, depth + 1)
         rec(xm, fm, x2, f2, fr, sr, depth + 1)
 
+    if prefetch is not None:
+        xm = 0.5 * (a + b)
+        prefetch([a, b, xm, 0.5 * (a + xm), 0.5 * (xm + b)])
     fa = fe(a)
     fb = fe(b)
     fm = fe(0.5 * (a + b))

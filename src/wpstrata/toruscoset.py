@@ -69,6 +69,7 @@ pruned, which is harmless for the bound direction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,6 +89,15 @@ _PRUNED_TERM_BOUND = 6.8e-17
 
 # Longest words summed or enumerated; see the module docstring for memory.
 MAX_WORD_LENGTH = 14
+
+# A word length is built for a whole block of nodes while the block's
+# columns of it stay within this; see the module docstring.
+_BLOCK_COLUMNS = 2 * 3**7
+
+# grad_sq_bracket sums no cosets below _FLAT_T, and takes 2 sinh(t/2)
+# as t below _TINY_T, under which halving t would round; see there.
+_FLAT_T = 1e-8
+_TINY_T = 2.0**-1020
 
 _REL_TOL = 1e-12
 _TRACE_TOL = 1e-9
@@ -162,13 +172,22 @@ class RectTorusPoint:
             raise ValueError("commutator trace is not -2")
 
 
+def _node_entries(t: float) -> tuple[float, float, float]:
+    # e^(t/2), inf once it leaves the double range, and csch(t/2) with
+    # the cosh taken from it, which keeps det B at 1 exactly.
+    try:
+        e = math.exp(0.5 * t)
+    except OverflowError:
+        e = math.inf
+    sh = _csch(0.5 * t)
+    return e, sh, math.hypot(1.0, sh)
+
+
 def holonomy(t: float) -> RectTorusPoint:
     """Square family point at first-curve length t."""
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
-    e = math.exp(0.5 * t)
-    sh = _csch(0.5 * t)
-    ch = math.hypot(1.0, sh)  # cosh from sinh, keeps det at 1 exactly
+    e, sh, ch = _node_entries(t)
     return RectTorusPoint(
         t=t,
         s=2.0 * math.asinh(sh),
@@ -250,9 +269,8 @@ def _kernel_sums(u: np.ndarray, edges: list[int]) -> tuple[list[float], list[int
     and one log1p pass serve all segments; each segment then sums its
     run of the compressed terms on its own.
     """
-    spans = list(zip(edges, edges[1:]))
-    sums = [0.0] * len(spans)
-    kept = [0] * len(spans)
+    sums = [0.0] * (len(edges) - 1)
+    kept = [0] * (len(edges) - 1)
     disj = u > 1.0
     disj &= u < PRUNE_U  # u >= 0, so this also drops inf and nan
     passes = [(disj, _disjoint_terms)]
@@ -260,67 +278,66 @@ def _kernel_sums(u: np.ndarray, edges: list[int]) -> tuple[list[float], list[int
     if cross.any():
         passes.append((cross, _crossing_terms))
     for mask, terms in passes:
-        values = terms(u[mask])
-        stop = 0
-        for seg, (a, b) in enumerate(spans):
-            start, stop = stop, stop + int(np.count_nonzero(mask[a:b]))
-            if stop > start:
-                sums[seg] += float(values[start:stop].sum())
+        where = np.flatnonzero(mask)
+        values = terms(u[where])
+        cuts = np.searchsorted(where, edges).tolist()  # kept terms before each edge
+        for seg, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+            if stop - start == 1:  # the chain's segments
+                sums[seg] += float(values[start])
+            elif stop > start:
+                sums[seg] += float(np.add.reduce(values[start:stop]))
             kept[seg] += stop - start
-    return sums, [b - a - k for (a, b), k in zip(spans, kept)]
+    return sums, [b - a - k for a, b, k in zip(edges, edges[1:], kept)]
 
 
 def _u_of(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int, int], ...], u: np.ndarray) -> None:
-    """Write u of the (2, 2, n) level w into u: the AA values of the
-    column spans aa, in span order, then the AB values of the spans ab."""
+    """Write u of the (2, 2, ..., n) level w into u (..., m): the AA
+    values of the column spans aa, in span order, then the AB values of
+    the spans ab. The leading axes of u match w's past the first two."""
     at = 0
     for start, stop in aa:
-        np.multiply(w[0, 1, start:stop], w[1, 0, start:stop], out=u[at : at + stop - start])
+        np.multiply(w[0, 1, ..., start:stop], w[1, 0, ..., start:stop], out=u[..., at : at + stop - start])
         at += stop - start
-    u_aa = u[:at]
+    u_aa = u[..., :at]
     u_aa *= 2.0
     u_aa += 1.0
     n_aa = at
-    tmp = np.empty(u.size - n_aa)
+    tmp = np.empty(u.shape[:-1] + (u.shape[-1] - n_aa,))
     for start, stop in ab:
-        np.multiply(w[0, 1, start:stop], w[1, 1, start:stop], out=u[at : at + stop - start])
-        np.multiply(w[0, 0, start:stop], w[1, 0, start:stop], out=tmp[at - n_aa : at - n_aa + stop - start])
+        np.multiply(w[0, 1, ..., start:stop], w[1, 1, ..., start:stop], out=u[..., at : at + stop - start])
+        np.multiply(w[0, 0, ..., start:stop], w[1, 0, ..., start:stop], out=tmp[..., at - n_aa : at - n_aa + stop - start])
         at += stop - start
-    u[n_aa:] -= tmp
+    u[..., n_aa:] -= tmp
     np.abs(u, out=u)
 
 
-def _coset_sums(t: float, maxlen: int) -> tuple[float, float, int]:
-    """Partial AA and nonidentity AB kernel sums through length maxlen,
-    over the quarter tree; see the module docstring."""
-    if maxlen == 0:
-        return 0.0, 0.0, 0
-    e = math.exp(0.5 * t)
-    sh = _csch(0.5 * t)
-    ch = math.hypot(1.0, sh)
-    scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
-    levels = [(0, 0, 0, 0)]  # words of T_A per group, level by level
-    for _ in range(maxlen - 1):
-        nA, nB, na, nb = levels[-1]
-        levels.append((nb + nA + nB + 1, nA + nB + na, nB + na + nb, na + nb + nA))
-    # u of all levels in one array. Each level holds three segments: the
-    # AA value of the chain, the AA values of the B and B^-1 groups, and
-    # the AB values of the A and A^-1 groups.
-    edges = [0]
-    for nA, nB, na, nb in levels:
-        edges += [edges[-1] + 1, edges[-1] + 1 + nB + nb, edges[-1] + 1 + nA + nB + na + nb]
-    u = np.empty(edges[-1])
-    # Level 1 is the chain column alone: the word B.
-    mats = np.array([[ch, sh], [sh, ch]]).reshape(2, 2, 1)
-    for level, (mA, mB, ma, mb) in enumerate(levels):
+def _columns(levels: list[tuple[int, int, int, int]], level: int, maxlen: int) -> int:
+    # The four groups, the copies of the first two unless this is the
+    # last level, and the chain.
+    mA, mB, ma, mb = levels[level]
+    n = mA + mB + ma + mb
+    return (n if level == maxlen - 1 else n + mA + mB) + 1
+
+
+def _build(mats: np.ndarray, levels: list[tuple[int, int, int, int]], span: range, maxlen: int,
+           scale: np.ndarray, ch, sh, u: np.ndarray, edges: list[int]) -> np.ndarray:
+    """Levels span of T_A, each written over its u segment; returns the last.
+
+    mats is the level before span (the chain column of level 0 if span
+    starts there). For one node mats is (2, 2, columns) and ch, sh are
+    floats; for a block of k nodes mats is (2, 2, k, columns), ch and sh
+    are (k, 1) arrays and u has one row per node.
+    """
+    for level in span:
+        mA, mB, ma, mb = levels[level]
         n = mA + mB + ma + mb
         if level:
             nA, nB, na, nb = levels[level - 1]
-            nxt = np.empty((2, 2, (n if level == maxlen - 1 else n + mA + mB) + 1))
+            nxt = np.empty(mats.shape[:-1] + (_columns(levels, level, maxlen),))
             # A children of the B^-1, A and B groups and, last, of the chain.
             np.multiply(mats[..., nA + nB + na :], scale, out=nxt[..., :mA])
             np.multiply(mats[..., nA : nA + nB + na + nb], scale[:, ::-1], out=nxt[..., mA + mB : mA + mB + ma])
-            tmp = np.empty((2, 2, max(mB, mb, 1)))
+            tmp = np.empty(mats.shape[:-1] + (max(mB, mb, 1),))
             for parents, child, s in (
                 (mats[..., : nA + nB + na], nxt[..., mA : mA + mB], sh),
                 (mats[..., nA + nB : 2 * nA + nB + na + nb], nxt[..., mA + mB + ma : n], -sh),
@@ -335,15 +352,65 @@ def _coset_sums(t: float, maxlen: int) -> tuple[float, float, int]:
         chain = mats.shape[-1] - 1
         aa = ((chain, chain + 1), (mA, mA + mB), (mA + mB + ma, n))
         ab = ((0, mA), (mA + mB, mA + mB + ma))
-        _u_of(mats, aa, ab, u[edges[3 * level] : edges[3 * level + 3]])
-    del mats
-    sums, cut = _kernel_sums(u, edges)
-    s_aa = 0.0
-    s_ab = 0.0
-    for part_c, part_aa, part_ab in zip(sums[0::3], sums[1::3], sums[2::3]):
-        s_aa += 2.0 * part_c + 4.0 * part_aa
-        s_ab += 4.0 * part_ab
-    return s_aa, s_ab, 2 * sum(cut[0::3]) + 4 * (sum(cut[1::3]) + sum(cut[2::3]))
+        _u_of(mats, aa, ab, u[..., edges[3 * level] : edges[3 * level + 3]])
+    return mats
+
+
+def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[float], int]:
+    """Partial AA and nonidentity AB kernel sums through length maxlen at
+    each t of ts, over the quarter tree, and the pruned count of them all.
+
+    The leading word lengths are built once for the whole block, the
+    rest node by node; see the module docstring. Each node's sums are
+    bit for bit those of the node alone.
+    """
+    k = len(ts)
+    if maxlen == 0:
+        return [0.0] * k, [0.0] * k, 0
+    levels = [(0, 0, 0, 0)]  # words of T_A per group, level by level
+    for _ in range(maxlen - 1):
+        nA, nB, na, nb = levels[-1]
+        levels.append((nb + nA + nB + 1, nA + nB + na, nB + na + nb, na + nb + nA))
+    # u of all levels in one array per node. Each level holds three
+    # segments: the AA value of the chain, the AA values of the B and
+    # B^-1 groups, and the AB values of the A and A^-1 groups.
+    edges = [0]
+    for nA, nB, na, nb in levels:
+        edges += [edges[-1] + 1, edges[-1] + 1 + nB + nb, edges[-1] + 1 + nA + nB + na + nb]
+    head = 0  # levels built for the whole block
+    if k > 1:
+        while head < maxlen and k * _columns(levels, head, maxlen) <= _BLOCK_COLUMNS:
+            head += 1
+    nodes = [_node_entries(t) for t in ts]
+    s_aa: list[float] = []
+    s_ab: list[float] = []
+    pruned = 0
+    # Non-finite entries at extreme t are pruned below, by design.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if head:
+            e, sh, ch = (np.array(c).reshape(k, 1) for c in zip(*nodes))
+            scale = np.array([e, 1.0 / e]).reshape(1, 2, k, 1)
+            u_head = np.empty((k, edges[3 * head]))
+            block = _build(np.array([[ch, sh], [sh, ch]]), levels, range(head), maxlen, scale, ch, sh, u_head, edges)
+        for i, (e, sh, ch) in enumerate(nodes):
+            u = np.empty(edges[-1])
+            if head:
+                u[: edges[3 * head]] = u_head[i]
+                mats = block[:, :, i]
+            else:  # level 1 is the chain column alone: the word B
+                mats = np.array([[ch, sh], [sh, ch]]).reshape(2, 2, 1)
+            scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
+            _build(mats, levels, range(head, maxlen), maxlen, scale, ch, sh, u, edges)
+            sums, cut = _kernel_sums(u, edges)
+            node_aa = 0.0
+            node_ab = 0.0
+            for part_c, part_aa, part_ab in zip(sums[0::3], sums[1::3], sums[2::3]):
+                node_aa += 2.0 * part_c + 4.0 * part_aa
+                node_ab += 4.0 * part_ab
+            s_aa.append(node_aa)
+            s_ab.append(node_ab)
+            pruned += 2 * sum(cut[0::3]) + 4 * (sum(cut[1::3]) + sum(cut[2::3]))
+    return s_aa, s_ab, pruned
 
 
 def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
@@ -352,13 +419,35 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
     Lower bound (2/pi)(t + partial AA sum), at least 2t/pi; upper bound
     (2/pi) sinh(t/2) (2 - partial AB sum), at most (4/pi) sinh(t/2).
     Raising the word length cap tightens both sides monotonically.
+
+    Total over positive finite t:
+    - The upper end is inf where sinh(t/2) leaves the double range (t
+      above about 1420). There e^(t/2) is inf in the kernel, and every
+      word holding an A letter is pruned.
+    - Below _FLAT_T = 1e-8 the bracket is the word length 0 one, which
+      holds at every t. Every coset term there is below half an ulp of
+      the analytic ends (the largest, an AB term near t^2 / 24, against
+      2), and below about 2.2e-16 e^(t/2) rounds to 1: A is then the
+      identity in floating point and the kernel sums are garbage.
+    - Below 2^-1020, where halving t would round in the subnormal range,
+      2 sinh(t/2) is taken as t, which it equals to double precision.
     """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
     _check_word_length(max_word_length, 0)
-    s_aa, s_ab, pruned = _coset_sums(t, max_word_length)
+    if t < _FLAT_T:
+        s_aa, s_ab, pruned = 0.0, 0.0, 0
+    else:
+        (s_aa,), (s_ab,), pruned = _coset_sums([t], max_word_length)
     lower = (2.0 / math.pi) * (t + s_aa)
-    upper = (2.0 / math.pi) * math.sinh(0.5 * t) * (2.0 - s_ab)
+    if t < _TINY_T:
+        upper = (2.0 / math.pi) * t
+    else:
+        try:
+            sinh_half = math.sinh(0.5 * t)
+        except OverflowError:
+            sinh_half = math.inf
+        upper = (2.0 / math.pi) * sinh_half * (2.0 - s_ab)
     if lower > upper:
         raise RuntimeError("truncation bracket collapsed, bounds crossed")
     return Bracket(
@@ -379,6 +468,11 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     yields the distance lower bound and vice versa. At word length 0 the
     two sides are the analytic envelope integrals; positive lengths
     tighten them toward each other.
+
+    The coset sums of the nodes that adaptive_simpson announces are
+    computed in one _coset_sums call per announcement, at most four
+    nodes (y = 0 is a closed form), and each t once across both sides;
+    the integrands only read them back.
     """
     _check_word_length(max_word_length, 0)
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
@@ -386,20 +480,22 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)
-    cache: dict[float, tuple[float, float, int]] = {}
+    cache: dict[float, tuple[float, float]] = {}
+    pruned = 0
 
-    def sums(tt: float) -> tuple[float, float, int]:
-        got = cache.get(tt)
-        if got is None:
-            got = _coset_sums(tt, max_word_length)
-            cache[tt] = got
-        return got
+    def prefetch(ys: list[float]) -> None:
+        nonlocal pruned
+        ts = [tt for tt in dict.fromkeys(y * y for y in ys if y != 0.0) if tt not in cache]
+        if ts:
+            s_aa, s_ab, cut = _coset_sums(ts, max_word_length)
+            cache.update(zip(ts, zip(s_aa, s_ab)))
+            pruned += cut
 
     def f_lower(y: float) -> float:
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        _, s_ab, _ = sums(tt)
+        s_ab = cache[tt][1]
         q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - s_ab)
         return 4.0 * y / math.sqrt(q_hi)
 
@@ -407,18 +503,17 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
         if y == 0.0:
             return 2.0 * SQRT_2PI
         tt = y * y
-        s_aa, _, _ = sums(tt)
+        s_aa = cache[tt][0]
         q_lo = (2.0 / math.pi) * (tt + s_aa)
         return 4.0 * y / math.sqrt(q_lo)
 
     half = 0.5 * quad_tol
-    v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half)
-    v_hi, e_hi, n_hi = adaptive_simpson(f_upper, 0.0, y_top, half)
+    v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half, prefetch=prefetch)
+    v_hi, e_hi, n_hi = adaptive_simpson(f_upper, 0.0, y_top, half, prefetch=prefetch)
     lo = v_lo - e_lo
     hi = v_hi + e_hi
     if lo > hi:
         raise RuntimeError("distance bracket collapsed, bounds crossed")
-    pruned = sum(c for _, _, c in cache.values())
     return Bracket(
         lo,
         hi,

@@ -39,8 +39,9 @@ def test_kernel_matches_full_tree():
     # t log-uniform in (1e-4, 6), L in 0..11
     cases = _cases(600, 2024)
     assert sum(t > T0 for t, _ in cases) > 50
+    alone = {}
     for t, L in cases:
-        s_aa, s_ab, pruned = _coset_sums(t, L)
+        (s_aa,), (s_ab,), pruned = _coset_sums([t], L)
         o_aa, o_ab, o_pruned = oracles.coset_sums(t, L)
         assert pruned == o_pruned, (t, L)
         if t <= T0:
@@ -48,6 +49,26 @@ def test_kernel_matches_full_tree():
         else:
             assert _ulps(t + o_aa, t + s_aa) <= 4.0, (t, L)
             assert _ulps(2.0 - o_ab, 2.0 - s_ab) <= 4.0, (t, L)
+        alone[t, L] = (s_aa, s_ab, pruned)
+    # The same cases in blocks of 1-6 nodes of equal L, some t repeated:
+    # each node's sums are its sums alone, and the pruned counts add up.
+    rng = random.Random(2025)
+    by_length: dict[int, list[float]] = {}
+    for t, L in cases:
+        by_length.setdefault(L, []).append(t)
+    blocks = 0
+    for L, ts in by_length.items():
+        while ts:
+            k = rng.randint(1, 6)
+            repeat = k > 1 and rng.random() < 0.3
+            block, ts = ts[: k - repeat], ts[k - repeat :]
+            if repeat:
+                block.insert(rng.randrange(len(block) + 1), rng.choice(block))
+            s_aa, s_ab, pruned = _coset_sums(block, L)
+            assert [(a, b) for a, b in zip(s_aa, s_ab)] == [alone[t, L][:2] for t in block], (block, L)
+            assert pruned == sum(alone[t, L][2] for t in block), (block, L)
+            blocks += 1
+    assert blocks > 150
 
 
 @pytest.mark.parametrize("L", [0, 3, 8, 10])

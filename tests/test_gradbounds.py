@@ -321,3 +321,10 @@ class TestLargeLengths:
             except ValueError:
                 continue
             assert isinstance(v, float) and v >= 0.0
+
+    @given(ell=st.floats(min_value=0.0, max_value=1e-300, exclude_min=True))
+    @settings(deadline=None, max_examples=300)
+    def test_tiny_lengths_give_the_universal_bound(self, ell):
+        # the envelopes vanish, leaving 2 ell / pi, subnormal ell included
+        assert grad_sq_upper_systole(ell) == 2.0 * ell / math.pi
+        assert grad_sq_upper_separating(ell) == 2.0 * ell / math.pi

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpstrata.gradbounds import EPS2, F_pair, L0
+from wpstrata.toruscoset import grad_sq_bracket
 from wpstrata.integrals import (
     SQRT_2PI,
     V3,
@@ -112,6 +113,43 @@ class TestAdaptiveSimpson:
         with pytest.raises(RuntimeError, match="failed to converge"):
             adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)
         assert time.perf_counter() - start < 2.0
+
+
+def _delta11_integrand(side: str, L: int):
+    # delta11_bracket's two integrands, read off grad_sq_bracket
+    def f(y: float) -> float:
+        if y == 0.0:
+            return 2.0 * SQRT_2PI
+        br = grad_sq_bracket(y * y, L)
+        return 4.0 * y / math.sqrt(br.hi if side == "lower" else br.lo)
+
+    return f
+
+
+class TestSimpsonPrefetch:
+    CASES = [
+        (math.sin, 0.0, 2.5, 1e-10),
+        (lambda x: x**3 - 2.0 * x, 0.0, 2.0, 1e-10),
+        (_delta11_integrand("lower", 3), 0.0, math.sqrt(T0), 5e-8),
+        (_delta11_integrand("upper", 3), 0.0, math.sqrt(T0), 5e-8),
+    ]
+
+    @pytest.mark.parametrize("f, a, b, tol", CASES, ids=["sin", "cubic", "delta11-lower", "delta11-upper"])
+    def test_announces_every_node_before_use(self, f, a, b, tol):
+        announced: list[float] = []
+        seen: list[float] = []
+
+        def recorded(x: float) -> float:
+            assert x in announced, x
+            seen.append(x)
+            return f(x)
+
+        got = adaptive_simpson(recorded, a, b, tol, prefetch=announced.extend)
+        assert got == adaptive_simpson(f, a, b, tol)
+        # every announced node is evaluated, once: none is wasted
+        assert sorted(announced) == sorted(seen)
+        assert len(set(seen)) == len(seen) == got[2]
+        assert announced[:5] == [a, b, 0.5 * (a + b), 0.5 * (a + 0.5 * (a + b)), 0.5 * (0.5 * (a + b) + b)]
 
 
 class TestBaselineK:

@@ -8,8 +8,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpstrata.hyp2 import GeodesicH2, INF, UValue, compose_many, translate_geodesic, translation_length, u_value
+from wpstrata import toruscoset
 from wpstrata.riera import riera_R
 from wpstrata.toruscoset import (
     MAX_WORD_LENGTH,
@@ -304,7 +307,7 @@ class TestGradBracket:
         for t in (0.05, 0.5, 1.0, T0, 4.0):
             p = holonomy(t)
             for L in range(6):
-                s_aa, s_ab, pruned = _coset_sums(t, L)
+                (s_aa,), (s_ab,), pruned = _coset_sums([t], L)
                 sums = {"AA": 0.0, "AB": 0.0}
                 cut = 0
                 for kind in sums:
@@ -326,6 +329,24 @@ class TestGradBracket:
     def test_budget_keys(self):
         br = grad_sq_bracket(1.0, 6)
         assert set(br.error_budget) == {"pruned_terms", "pruned_kernel_bound"}
+
+    @given(
+        t=st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+        L=st.integers(min_value=0, max_value=6),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_total_over_positive_floats(self, t, L):
+        # a bracket, its upper end possibly inf; RuntimeWarnings are errors
+        br = grad_sq_bracket(t, L)
+        assert math.isfinite(br.lo) and 0.0 < br.lo <= br.hi
+
+    def test_extreme_lengths(self):
+        tiny = grad_sq_bracket(5e-324, 4)
+        assert tiny.lo == tiny.hi == 5e-324
+        assert grad_sq_bracket(1e-300, 4).hi == (2.0 / math.pi) * 1e-300
+        huge = grad_sq_bracket(1500.0, 4)
+        assert huge.hi == math.inf and huge.lo >= (2.0 / math.pi) * 1500.0
+        assert grad_sq_bracket(1419.0, 4).hi < math.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -384,6 +405,22 @@ class TestDistanceBracket:
         br = delta11_bracket(L, 1e-6)
         parts = br.error_budget["truncation"] + br.error_budget["quadrature"]
         assert math.isclose(parts, br.width, rel_tol=0.0, abs_tol=1e-14)
+
+    def test_one_kernel_call_per_announcement(self, monkeypatch):
+        calls: list[list[float]] = []
+        kernel = toruscoset._coset_sums
+
+        def counted(ts, maxlen):
+            calls.append(list(ts))
+            return kernel(ts, maxlen)
+
+        monkeypatch.setattr(toruscoset, "_coset_sums", counted)
+        br = delta11_bracket(10, 1e-8)
+        nodes = [t for ts in calls for t in ts]
+        assert all(1 <= len(ts) <= 4 for ts in calls)
+        assert len(set(nodes)) == len(nodes)  # no t computed twice
+        assert 4 * len(calls) < 1.1 * len(nodes)  # nearly all calls are full
+        assert len(nodes) <= br.error_budget["evals"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
