@@ -101,6 +101,17 @@ def adaptive_simpson(
     RuntimeError if the subdivision cap is hit before the estimate
     converges or if the integrand stops being finite. tol = inf accepts
     every interval at depth 3.
+
+    prefetch, if given, is called with a list of nodes before f is asked
+    for any of them, so that a caller can evaluate them together. It is
+    first called with the five root nodes a, b, the midpoint and the two
+    quarter points, and then, each time a panel is split, with the four
+    quarter points of its two halves, which the two child panels
+    evaluate first. The nodes are computed by the same expressions as
+    the ones f then sees, so they are the same floats. Every node f sees
+    has been announced, and every announced node is evaluated unless f
+    raises. The order of evaluation and every sum are unchanged, so
+    (value, error_bound, evals) is bit for bit the same as without it.
     """
     if not a < b:
         raise ValueError("requires a < b")

@@ -59,6 +59,26 @@ MAX_WORD_LENGTH = 14 the deepest array holds about 800k columns, about
 25 MB (the full tree's held 3.2M, about 100 MB), and the u values of
 all levels about 1.2M, about 10 MB.
 
+_coset_sums takes a block of k nodes, the t values that
+adaptive_simpson announces together (see delta11_bracket). Each short
+word length costs a few dozen numpy calls whatever its size, about
+0.07 ms, so it is built once for the whole block: one (2, 2, k, n)
+array, whose ch, sh and A scalings are (k, 1) columns, and one (k, m)
+array of u values. A word length is built this way while
+k * (its columns) <= _BLOCK_COLUMNS = 2 * 3^7; at L = 10 and k = 4 that
+is lengths 1..7. From the first longer length on, each node continues
+alone from its row of the last block level, with the same 3-D arrays
+and the same _kernel_sums as a single node, into its own u array of one
+node's size, which starts with a copy of its block row. Every product
+and sum is the same rounded operation in the same order as for the node
+alone, so the sums match it bit for bit. Deep lengths are not blocked:
+there the work is per column, and k times larger arrays load the C
+heap (D7 in ROADMAP.md). Blocking every length at L = 10 doubled the
+minor page faults of a 20-s delta11-l10 benchmark run (111.5k against
+56.2k) and raised its peak RSS by 1.9 MB; larger per-call arrays are
+also what makes the heap trim and regrow on every call in some
+processes. Split this way, no array is larger than a single node's.
+
 The u formulas use det = 1 exactly, u_AA = |1 + 2 w01 w10| and
 u_AB = |w01 w11 - w00 w10|, never the determinant of the assembled
 product, whose cancellation at extreme parameters is catastrophic.
@@ -278,14 +298,17 @@ def _kernel_sums(u: np.ndarray, edges: list[int]) -> tuple[list[float], list[int
     if cross.any():
         passes.append((cross, _crossing_terms))
     for mask, terms in passes:
-        where = np.flatnonzero(mask)
-        values = terms(u[where])
-        cuts = np.searchsorted(where, edges).tolist()  # kept terms before each edge
-        for seg, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-            if stop - start == 1:  # the chain's segments
-                sums[seg] += float(values[start])
-            elif stop > start:
-                sums[seg] += float(np.add.reduce(values[start:stop]))
+        values = terms(u[mask])
+        stop = 0
+        for seg, (a, b) in enumerate(zip(edges, edges[1:])):
+            if b - a == 1:  # one term, as in every chain segment: no numpy call
+                start, stop = stop, stop + bool(mask[a])
+                if stop > start:
+                    sums[seg] += float(values[start])
+            else:
+                start, stop = stop, stop + int(np.count_nonzero(mask[a:b]))
+                if stop > start:
+                    sums[seg] += float(np.add.reduce(values[start:stop]))
             kept[seg] += stop - start
     return sums, [b - a - k for a, b, k in zip(edges, edges[1:], kept)]
 
@@ -360,9 +383,14 @@ def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[flo
     """Partial AA and nonidentity AB kernel sums through length maxlen at
     each t of ts, over the quarter tree, and the pruned count of them all.
 
-    The leading word lengths are built once for the whole block, the
-    rest node by node; see the module docstring. Each node's sums are
-    bit for bit those of the node alone.
+    ts is a sequence, one node or a block; delta11_bracket passes the
+    nodes of each adaptive_simpson announcement that it has not summed
+    yet, at most four. The leading word lengths are built once for the
+    whole block, the rest node by node; see the module docstring. Each
+    node's sums are bit for bit those of the node alone, repeats and
+    order included. The kernel arithmetic runs under one np.errstate:
+    at extreme t entries overflow to inf or nan, and those u values are
+    pruned by design.
     """
     k = len(ts)
     if maxlen == 0:

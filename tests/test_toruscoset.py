@@ -408,19 +408,30 @@ class TestDistanceBracket:
 
     def test_one_kernel_call_per_announcement(self, monkeypatch):
         calls: list[list[float]] = []
+        read: set[float] = set()
         kernel = toruscoset._coset_sums
+        simpson = toruscoset.adaptive_simpson
 
         def counted(ts, maxlen):
             calls.append(list(ts))
             return kernel(ts, maxlen)
 
+        def watched(f, *args, **kwargs):
+            def g(y):
+                if y != 0.0:
+                    read.add(y * y)
+                return f(y)
+
+            return simpson(g, *args, **kwargs)
+
         monkeypatch.setattr(toruscoset, "_coset_sums", counted)
-        br = delta11_bracket(10, 1e-8)
+        monkeypatch.setattr(toruscoset, "adaptive_simpson", watched)
+        delta11_bracket(10, 1e-8)
         nodes = [t for ts in calls for t in ts]
         assert all(1 <= len(ts) <= 4 for ts in calls)
         assert len(set(nodes)) == len(nodes)  # no t computed twice
-        assert 4 * len(calls) < 1.1 * len(nodes)  # nearly all calls are full
-        assert len(nodes) <= br.error_budget["evals"]
+        assert set(nodes) == read  # the nodes summed are the nodes read
+        assert 4 * len(calls) < 1.1 * len(nodes)  # nearly every call is full
 
     def test_validation(self):
         with pytest.raises(ValueError):
