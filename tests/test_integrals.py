@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpstrata.gradbounds import EPS2, F_pair, L0
-from wpstrata.toruscoset import grad_sq_bracket
 from wpstrata.integrals import (
     SQRT_2PI,
     V3,
@@ -30,6 +29,7 @@ from wpstrata.integrals import (
     strata_separation,
     thin_pair_sum,
 )
+from wpstrata.toruscoset import grad_sq_bracket
 
 T0 = 2.0 * math.asinh(1.0)
 
