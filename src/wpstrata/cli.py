@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_DOWN, Decimal
 
 import numpy as np
 
@@ -66,7 +67,34 @@ from .toruscoset import (
     u_of_coset,
 )
 
-_REFINED_PAPER = (6.59576, 6.63283)
+# Every published decimal, in output order: record name -> (published
+# string, rule, provenance). _reproduces reads each one outward, to five
+# places:
+# - "enclosure", "(a, b)": lo truncates to a and hi rounds up to b;
+# - "window", "[a, b]": the bracket lies inside, with 1e-5 of slack on
+#   each side;
+# - "lower", "a": lo >= a;
+# - "trunc", "a": the midpoint truncates to a, leading zeros ignored.
+_PUBLISHED = {
+    "delta11_elementary": ("(6.57252, 6.65603)", "enclosure", "paper"),
+    "delta11_refined": ("[6.59576, 6.63283]", "window", "paper"),
+    "hsum_thin_pair": ("7.61138", "lower", "paper"),
+    "h_0_2eps2": ("3.27466", "trunc", "paper"),
+    "hs_0_4eps2": ("4.63108", "trunc", "paper"),
+    "w1_3678": ("10.76596", "lower", "paper"),
+    "w2_2420": ("10.09656", "lower", "paper"),
+    "delta04_sqrt2": ("(9.29495, 9.41305)", "enclosure", "paper"),
+    "two_delta11": ("13.145", "lower", "paper"),
+    "gap_genus": ("0.95535", "lower", "paper"),
+    "gap_sphere": ("0.68351", "lower", "paper"),
+    "lipschitz_sys": ("2.00423", "trunc", "paper"),
+    "c_min_ratio": ("0.94", "lower", "paper"),
+    "pa_case_i2": ("1.06205", "lower", "paper"),
+    "pa_case_i1": ("1.56949", "lower", "paper"),
+    "pa_general": ("0.78474", "lower", "paper"),
+    # the published string drops the leading zero
+    "brock_bromberg_11": (".53724", "trunc", "derived"),
+}
 
 
 @dataclass(frozen=True)
@@ -79,144 +107,66 @@ class ConstantRecord:
     status: str
 
 
+# Both round the exact binary value of x, so a float an ulp past a
+# decimal is never read as that decimal.
 def _trunc_str(x: float, places: int = 5) -> str:
     """Decimal truncation toward zero, as a fixed-point string."""
-    if x < 0.0:
-        return "-" + _trunc_str(-x, places)
-    s = f"{x:.{places + 8}f}"
-    dot = s.index(".")
-    return s[: dot + 1 + places]
+    return str(Decimal(x).quantize(Decimal(1).scaleb(-places), ROUND_DOWN))
 
 
 def _ceil_str(x: float, places: int = 5) -> str:
-    scale = 10.0**places
-    i = math.ceil(x * scale)
-    return f"{i / scale:.{places}f}"
+    """Decimal rounding toward +inf, as a fixed-point string."""
+    return str(Decimal(x).quantize(Decimal(1).scaleb(-places), ROUND_CEILING))
 
 
-def _record(name: str, value, paper: str, provenance: str, status: str) -> ConstantRecord:
-    if isinstance(value, Bracket):
-        lo, hi = value.lo, value.hi
-    else:
-        lo = hi = float(value)
-    return ConstantRecord(name, lo, hi, paper, provenance, status)
-
-
-def _status_enclosure(br: Bracket, paper_lo: str, paper_hi: str) -> str:
-    ok = _trunc_str(br.lo) == paper_lo and _ceil_str(br.hi) == paper_hi
-    return "reproduced" if ok else "mismatch"
-
-
-def _status_within(br: Bracket, paper_lo: float, paper_hi: float) -> str:
-    ok = paper_lo - 1e-5 <= br.lo and br.hi <= paper_hi + 1e-5
-    return "reproduced" if ok else "mismatch"
-
-
-def _status_lower(lo: float, paper: str) -> str:
-    return "reproduced" if lo >= float(paper) else "mismatch"
-
-
-def _status_trunc(value: float, paper: str, places: int = 5) -> str:
-    return "reproduced" if _trunc_str(value, places) == paper else "mismatch"
+def _reproduces(name: str, lo: float, hi: float) -> bool:
+    """Whether [lo, hi] reproduces the published decimal of `name`,
+    read outward by its rule in _PUBLISHED."""
+    paper, rule, _ = _PUBLISHED[name]
+    if rule == "lower":
+        return Decimal(lo) >= Decimal(paper)  # exact: float(paper) may round up or down
+    if rule == "trunc":
+        return _trunc_str(0.5 * (lo + hi)).lstrip("0") == paper.lstrip("0")
+    a, b = paper[1:-1].split(", ")
+    if rule == "enclosure":
+        return _trunc_str(lo) == a and _ceil_str(hi) == b
+    if rule == "window":
+        return float(a) - 1e-5 <= lo and hi <= float(b) + 1e-5
+    raise ValueError(f"unknown comparison rule {rule!r}")
 
 
 def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> list[ConstantRecord]:
     """Recompute every named constant and classify it against its
     published decimals."""
-    records: list[ConstantRecord] = []
-
     elementary = delta11_bracket(0, min(tol, 1e-9))
-    records.append(
-        _record(
-            "delta11_elementary",
-            elementary,
-            "(6.57252, 6.65603)",
-            "paper",
-            _status_enclosure(elementary, "6.57252", "6.65603"),
-        )
-    )
-
-    refined = delta11_bracket(max_word_length, 1e-6)
-    records.append(
-        _record(
-            "delta11_refined",
-            refined,
-            "[6.59576, 6.63283]",
-            "paper",
-            _status_within(refined, *_REFINED_PAPER),
-        )
-    )
-
     pair = thin_pair_sum(tol)
-    records.append(
-        _record("hsum_thin_pair", pair, "7.61138", "paper", _status_lower(pair.lo, "7.61138"))
-    )
-
-    h2 = integral_H(0.0, 2.0 * EPS2, "plain", tol)
-    records.append(
-        _record("h_0_2eps2", h2, "3.27466", "paper", _status_trunc(h2.midpoint, "3.27466"))
-    )
-
-    hs4 = integral_H(0.0, 4.0 * EPS2, "separating", tol)
-    records.append(
-        _record("hs_0_4eps2", hs4, "4.63108", "paper", _status_trunc(hs4.midpoint, "4.63108"))
-    )
-
-    w1 = W1(3.678, tol)
-    records.append(_record("w1_3678", w1, "10.76596", "paper", _status_lower(w1.lo, "10.76596")))
     w2 = W2(2.420, tol)
-    records.append(_record("w2_2420", w2, "10.09656", "paper", _status_lower(w2.lo, "10.09656")))
-
-    delta04 = elementary.scaled(math.sqrt(2.0))
-    records.append(
-        _record(
-            "delta04_sqrt2",
-            delta04,
-            "(9.29495, 9.41305)",
-            "paper",
-            _status_enclosure(delta04, "9.29495", "9.41305"),
-        )
-    )
-
-    doubled = elementary.scaled(2.0)
-    records.append(
-        _record("two_delta11", doubled, "13.145", "paper", _status_lower(doubled.lo, "13.145"))
-    )
-
-    gap_genus = pair.lo - elementary.hi
-    records.append(
-        _record("gap_genus", gap_genus, "0.95535", "paper", _status_lower(gap_genus, "0.95535"))
-    )
-    gap_sphere = w2.lo - math.sqrt(2.0) * elementary.hi
-    records.append(
-        _record("gap_sphere", gap_sphere, "0.68351", "paper", _status_lower(gap_sphere, "0.68351"))
-    )
-
-    lip = math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
-    records.append(
-        _record("lipschitz_sys", lip, "2.00423", "paper", _status_trunc(lip, "2.00423"))
-    )
-
-    grid = np.logspace(-3.0, 2.0, 61)
-    c_min = min(c_ratio(float(t), tol) for t in grid)
-    records.append(_record("c_min_ratio", c_min, "0.94", "paper", _status_lower(c_min, "0.94")))
-
     pa = pa_translation_bounds(tol)
-    records.append(
-        _record("pa_case_i2", pa.case_i2, "1.06205", "paper", _status_lower(pa.case_i2, "1.06205"))
-    )
-    records.append(
-        _record("pa_case_i1", pa.case_i1, "1.56949", "paper", _status_lower(pa.case_i1, "1.56949"))
-    )
-    records.append(
-        _record("pa_general", pa.general, "0.78474", "paper", _status_lower(pa.general, "0.78474"))
-    )
-
-    bb = brock_bromberg_compare(1, 1)
-    # the published string drops the leading zero, so strip ours too
-    bb_status = "reproduced" if _trunc_str(bb).lstrip("0") == ".53724" else "mismatch"
-    records.append(_record("brock_bromberg_11", bb, ".53724", "derived", bb_status))
-
+    values = {
+        "delta11_elementary": elementary,
+        "delta11_refined": delta11_bracket(max_word_length, 1e-6),
+        "hsum_thin_pair": pair,
+        "h_0_2eps2": integral_H(0.0, 2.0 * EPS2, "plain", tol),
+        "hs_0_4eps2": integral_H(0.0, 4.0 * EPS2, "separating", tol),
+        "w1_3678": W1(3.678, tol),
+        "w2_2420": w2,
+        "delta04_sqrt2": elementary.scaled(math.sqrt(2.0)),
+        "two_delta11": elementary.scaled(2.0),
+        "gap_genus": pair.lo - elementary.hi,
+        "gap_sphere": w2.lo - math.sqrt(2.0) * elementary.hi,
+        "lipschitz_sys": math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0))),
+        "c_min_ratio": min(c_ratio(float(t), tol) for t in np.logspace(-3.0, 2.0, 61)),
+        "pa_case_i2": pa.case_i2,
+        "pa_case_i1": pa.case_i1,
+        "pa_general": pa.general,
+        "brock_bromberg_11": brock_bromberg_compare(1, 1),
+    }
+    records = []
+    for name, (paper, _, provenance) in _PUBLISHED.items():
+        value = values[name]
+        lo, hi = (value.lo, value.hi) if isinstance(value, Bracket) else (float(value),) * 2
+        status = "reproduced" if _reproduces(name, lo, hi) else "mismatch"
+        records.append(ConstantRecord(name, lo, hi, paper, provenance, status))
     return records
 
 
@@ -242,12 +192,20 @@ def _render_records_json(records: list[ConstantRecord]) -> str:
 
 
 def _render_records_csv(records: list[ConstantRecord]) -> str:
+    rows = [["name", "lo", "hi", "paper", "status"]]
+    rows += [[r.name, repr(r.lo), repr(r.hi), r.paper, r.status] for r in records]
+    return _csv_text(rows)
+
+
+def _csv_text(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "lo", "hi", "paper", "status"])
-    for r in records:
-        writer.writerow([r.name, repr(r.lo), repr(r.hi), r.paper, r.status])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _render(records: list[ConstantRecord], fmt: str) -> str:
+    # looked up at call time, so a swapped module attribute is the one called
+    return globals()[f"_render_records_{fmt}"](records)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -260,30 +218,19 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     records = compute_constant_records(args.tol, args.max_word_length)
-    if args.format == "json":
-        text = _render_records_json(records)
-    elif args.format == "csv":
-        text = _render_records_csv(records)
-    else:
-        text = _render_records_text(records)
-    _emit(text, args.out)
+    _emit(_render(records, args.format), args.out)
     ok = all(r.status == "reproduced" for r in records if r.provenance == "paper")
     return 0 if ok else 1
 
 
 def cmd_delta11(args: argparse.Namespace) -> int:
     br = delta11_bracket(args.max_word_length, args.tol)
-    plo, phi = _REFINED_PAPER
+    window = _PUBLISHED["delta11_refined"][0]
+    plo, phi = (float(x) for x in window[1:-1].split(", "))
     consistent = not (br.hi < plo or br.lo > phi)
     status = "consistent" if consistent else "inconsistent"
-    rec = ConstantRecord("delta11", br.lo, br.hi, f"[{plo}, {phi}]", "paper", status)
-    if args.format == "json":
-        text = _render_records_json([rec])
-    elif args.format == "csv":
-        text = _render_records_csv([rec])
-    else:
-        text = _render_records_text([rec])
-    _emit(text, args.out)
+    rec = ConstantRecord("delta11", br.lo, br.hi, window, "paper", status)
+    _emit(_render([rec], args.format), args.out)
     return 0 if consistent else 1
 
 
@@ -357,11 +304,8 @@ def _plot_hsys_ratio(samples: int, tol: float) -> tuple[str, str]:
     ts = np.logspace(-3.0, 2.0, samples)
     values = [c_ratio(float(t), tol) for t in ts]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "value"])
-    for t, v in zip(ts, values):
-        writer.writerow([repr(float(t)), repr(v)])
+    rows = [[repr(float(t)), repr(v)] for t, v in zip(ts, values)]
+    sidecar = _csv_text([["t", "value"]] + rows)
 
     xmin, xmax = -3.0, 2.0
     ymin, ymax = 0.93, 1.01
@@ -374,7 +318,7 @@ def _plot_hsys_ratio(samples: int, tol: float) -> tuple[str, str]:
     ]
     parts.append(_svg_polyline(pts, "#4682b4"))
     parts.append("</svg>")
-    return "\n".join(parts) + "\n", buf.getvalue()
+    return "\n".join(parts) + "\n", sidecar
 
 
 def _plot_h_vs_k(samples: int, tol: float) -> tuple[str, str]:
@@ -385,11 +329,8 @@ def _plot_h_vs_k(samples: int, tol: float) -> tuple[str, str]:
         hs.append(integral_H(0.0, float(t), "plain", tol).midpoint)
         ks.append(integral_K(0.0, float(t)))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "H", "K"])
-    for t, h, k in zip(ts, hs, ks):
-        writer.writerow([repr(float(t)), repr(h), repr(k)])
+    rows = [[repr(float(t)), repr(h), repr(k)] for t, h, k in zip(ts, hs, ks)]
+    sidecar = _csv_text([["t", "H", "K"]] + rows)
 
     xmin, xmax = 0.0, 10.0
     ymin, ymax = 0.0, 8.0
@@ -408,7 +349,7 @@ def _plot_h_vs_k(samples: int, tol: float) -> tuple[str, str]:
         '<text x="640" y="100" font-family="monospace" font-size="13" fill="#d2691e">K</text>'
     )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n", buf.getvalue()
+    return "\n".join(parts) + "\n", sidecar
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -563,13 +504,12 @@ def _verify_quadrature_nesting() -> None:
 
 def _verify_elementary_digits() -> None:
     br = delta11_bracket(0, 1e-9)
-    _check(_trunc_str(br.lo) == "6.57252", "elementary lower digits off")
-    _check(_ceil_str(br.hi) == "6.65603", "elementary upper digits off")
+    _check(_reproduces("delta11_elementary", br.lo, br.hi), "elementary digits off")
 
 
 def _verify_lipschitz() -> None:
     lip = math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
-    _check(_trunc_str(lip) == "2.00423", "lipschitz constant digits off")
+    _check(_reproduces("lipschitz_sys", lip, lip), "lipschitz constant digits off")
 
 
 def _brute_force_cosets(max_word_length: int) -> dict[str, set[tuple[int, ...]]]:
@@ -645,24 +585,22 @@ def _verify_auv_bound() -> None:
 
 def _verify_refined_delta11() -> None:
     br = delta11_bracket(8, 1e-6)
-    _check(
-        _REFINED_PAPER[0] - 1e-5 <= br.lo and br.hi <= _REFINED_PAPER[1] + 1e-5,
-        "refined bracket leaves published interval",
-    )
+    _check(_reproduces("delta11_refined", br.lo, br.hi), "refined bracket leaves published window")
     _check(br.width <= 0.04, "refined bracket too wide")
 
 
 def _verify_c_min() -> None:
-    values = [c_ratio(float(t), 1e-7) for t in np.logspace(-3.0, 2.0, 61)]
-    _check(min(values) >= 0.94, "systole ratio dips under 0.94")
-    _check(min(values) >= math.sqrt(2.0 / math.pi), "systole ratio under sqrt(2/pi)")
+    c_min = min(c_ratio(float(t), 1e-7) for t in np.logspace(-3.0, 2.0, 61))
+    _check(_reproduces("c_min_ratio", c_min, c_min), "systole ratio dips under its floor")
+    _check(c_min >= math.sqrt(2.0 / math.pi), "systole ratio under sqrt(2/pi)")
 
 
 def _verify_pa_sane() -> None:
     pa = pa_translation_bounds(1e-8)
     _check(pa.case_i2 > 1.06, "case i2 bound implausibly low")
     _check(pa.case_i1 > 1.56, "case i1 bound implausibly low")
-    _check(_trunc_str(pa.general) == "0.78474", "general bound digits off")
+    # stricter than the table's lower rule: the digits themselves
+    _check(_trunc_str(pa.general) == _PUBLISHED["pa_general"][0], "general bound digits off")
 
 
 def _verify_square_symmetry() -> None:

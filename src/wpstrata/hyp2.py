@@ -111,10 +111,6 @@ class MoebiusMap:
     def inverse(self) -> MoebiusMap:
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def renormalized(self) -> MoebiusMap:
-        s = math.sqrt(abs(self.det()))
-        return MoebiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
-
 
 def compose_many(maps: Iterable[MoebiusMap]) -> MoebiusMap:
     """Left-to-right product with periodic determinant renormalization.

@@ -116,7 +116,7 @@ _BLOCK_COLUMNS = 2 * 3**7
 
 # grad_sq_bracket sums no cosets below _FLAT_T, and takes 2 sinh(t/2)
 # as t below _TINY_T, under which halving t would round; see there.
-_FLAT_T = 1e-8
+_FLAT_T = 1e-6
 _TINY_T = 2.0**-1020
 
 _REL_TOL = 1e-12
@@ -452,11 +452,15 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
     - The upper end is inf where sinh(t/2) leaves the double range (t
       above about 1420). There e^(t/2) is inf in the kernel, and every
       word holding an A letter is pruned.
-    - Below _FLAT_T = 1e-8 the bracket is the word length 0 one, which
-      holds at every t. Every coset term there is below half an ulp of
-      the analytic ends (the largest, an AB term near t^2 / 24, against
-      2), and below about 2.2e-16 e^(t/2) rounds to 1: A is then the
-      identity in floating point and the kernel sums are garbage.
+    - Below _FLAT_T = 1e-6 the bracket is the word length 0 one, which
+      holds at every t. The AB sum there is under t^2 / 12, so it would
+      move the upper end by under 5e-14 relative, and the AA sum moves
+      the lower end by less. The kernel's rounding is no smaller there:
+      e^(t/2) is within 5e-7 of 1 and the u values of long words
+      cancel, so the summed ends crossed by a few ulp at t up to about
+      5e-7, and at t = 4.5e-8, L = 10 the AB sum came out 0.0186
+      against a true value near 2e-16. Below about 2.2e-16 e^(t/2)
+      rounds to 1: A is then the identity in floating point.
     - Below 2^-1020, where halving t would round in the subnormal range,
       2 sinh(t/2) is taken as t, which it equals to double precision.
     """

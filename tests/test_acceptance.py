@@ -16,17 +16,7 @@ import time
 
 import pytest
 
-from wpstrata.cli import (
-    _verify_bracket_nesting,
-    _verify_brute_force,
-    _verify_commutator,
-    _verify_cor_grid,
-    _verify_grid_inequalities,
-    _verify_h_limits,
-    _verify_mobius_invariance,
-    _verify_quadrature_nesting,
-    compute_constant_records,
-)
+from wpstrata.cli import _ALL_CHECKS, _ceil_str, _trunc_str, compute_constant_records
 from wpstrata.gradbounds import EPS2, G_of, L0
 from wpstrata.integrals import (
     V3,
@@ -40,23 +30,14 @@ from wpstrata.integrals import (
 from wpstrata.toruscoset import delta11_bracket
 
 
-def _trunc(x: float, places: int = 5) -> str:
-    s = f"{x:.{places + 8}f}"
-    return s[: s.index(".") + 1 + places]
-
-
-def _ceil5(x: float) -> str:
-    return f"{math.ceil(x * 1e5) / 1e5:.5f}"
-
-
 def test_c1_elementary_interval_digits():
     """Word-length-zero interval reproduces the published pair of decimals."""
     br = delta11_bracket(0, 1e-9)
     closed_hi = 4.0 * math.sqrt(math.pi * math.asinh(1.0))
     assert abs(br.hi - closed_hi) < 1e-8
-    assert _trunc(br.lo) == "6.57252"
+    assert _trunc_str(br.lo) == "6.57252"
     # the published upper end is the outward ceiling of the closed form
-    assert _ceil5(br.hi) == "6.65603"
+    assert _ceil_str(br.hi) == "6.65603"
     assert br.hi <= 6.65603
 
 
@@ -75,13 +56,13 @@ def test_c3_separation_route_values():
     """Thin-pair sum, both separating routes, and the scaled intervals."""
     pair = thin_pair_sum(1e-8)
     assert pair.lo >= 7.61138
-    assert _trunc(pair.midpoint) == "7.61138"
+    assert _trunc_str(pair.midpoint) == "7.61138"
     assert W1(3.678, 1e-8).lo >= 10.76596
     assert W2(2.420, 1e-8).lo >= 10.09656
     elementary = delta11_bracket(0, 1e-9)
     delta04 = elementary.scaled(math.sqrt(2.0))
-    assert _trunc(delta04.lo) == "9.29495"
-    assert _ceil5(delta04.hi) == "9.41305"
+    assert _trunc_str(delta04.lo) == "9.29495"
+    assert _ceil_str(delta04.hi) == "9.41305"
     assert elementary.scaled(2.0).lo > 13.145
 
 
@@ -96,11 +77,11 @@ def test_c4_route_gaps_positive():
 def test_c5_auxiliary_decimals():
     """Threshold integrals, the Lipschitz value, and the ratio floor."""
     h2 = integral_H(0.0, 2.0 * EPS2, "plain", 1e-8)
-    assert _trunc(h2.midpoint) == "3.27466"
+    assert _trunc_str(h2.midpoint) == "3.27466"
     hs4 = integral_H(0.0, 4.0 * EPS2, "separating", 1e-8)
-    assert _trunc(hs4.midpoint) == "4.63108"
+    assert _trunc_str(hs4.midpoint) == "4.63108"
     lip = math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
-    assert _trunc(lip) == "2.00423"
+    assert _trunc_str(lip) == "2.00423"
     import numpy as np
 
     c_min = min(
@@ -160,16 +141,11 @@ def test_c6_point_pushing_floors():
     assert records["pa_general"].status == "reproduced"
 
 
-def test_c7_invariant_battery():
-    """Structural invariants: group actions, enumeration, nesting, grids."""
-    _verify_mobius_invariance()
-    _verify_commutator()
-    _verify_brute_force()
-    _verify_bracket_nesting()
-    _verify_grid_inequalities()
-    _verify_cor_grid()
-    _verify_h_limits()
-    _verify_quadrature_nesting()
+@pytest.mark.parametrize("check", [fn for _, fn in _ALL_CHECKS], ids=[n for n, _ in _ALL_CHECKS])
+def test_c7_invariant_battery(check):
+    """Every check of `verify all`: group actions, enumeration, nesting,
+    grids, and the published decimals they read."""
+    check()
 
 
 def test_c8_comparison_value_documented():
@@ -180,5 +156,5 @@ def test_c8_comparison_value_documented():
     want = 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi))
     assert math.isclose(rec.lo, want, rel_tol=1e-12)
     # the computed decimal genuinely differs; the record must say so
-    assert _trunc(rec.lo).lstrip("0") != rec.paper
+    assert _trunc_str(rec.lo).lstrip("0") != rec.paper
     assert rec.status == "mismatch"

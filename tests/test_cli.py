@@ -68,6 +68,78 @@ class TestRecords:
             assert r.paper
 
 
+class TestComparisonRule:
+    """_reproduces and its digit helpers on literal cases, each rule
+    under a stub entry rather than a published one."""
+
+    def test_trunc_toward_zero(self):
+        assert cli._trunc_str(1.234569) == "1.23456"
+        assert cli._trunc_str(0.999999) == "0.99999"
+        assert cli._trunc_str(2.0) == "2.00000"
+        assert cli._trunc_str(-1.234569) == "-1.23456"
+        assert cli._trunc_str(-1e-7) == "-0.00000"
+        # an ulp under a decimal that is no float truncates below it
+        assert cli._trunc_str(math.nextafter(2.81783, 0.0)) == "2.81782"
+
+    def test_ceil_at_and_past_a_decimal(self):
+        assert cli._ceil_str(0.5) == "0.50000"
+        assert cli._ceil_str(math.nextafter(0.5, 1.0)) == "0.50001"
+        assert cli._ceil_str(1.234561) == "1.23457"
+        assert cli._ceil_str(-1.234569) == "-1.23456"
+        assert cli._ceil_str(math.nextafter(2.81783, 3.0)) == "2.81784"
+
+    def _rule(self, monkeypatch, paper, rule):
+        monkeypatch.setitem(cli._PUBLISHED, "stub", (paper, rule, "paper"))
+        return lambda lo, hi: cli._reproduces("stub", lo, hi)
+
+    def test_enclosure(self, monkeypatch):
+        ok = self._rule(monkeypatch, "(1.23456, 2.34567)", "enclosure")
+        assert ok(1.234569, 2.345661)
+        assert not ok(1.234559, 2.345661)  # lo truncates below
+        assert not ok(1.234569, 2.345671)  # hi rounds up past
+
+    def test_window_slack_at_both_edges(self, monkeypatch):
+        ok = self._rule(monkeypatch, "[1.00000, 2.00000]", "window")
+        assert ok(1.0 - 1e-5, 2.0 + 1e-5)
+        assert not ok(math.nextafter(1.0 - 1e-5, 0.0), 1.5)
+        assert not ok(1.5, math.nextafter(2.0 + 1e-5, 3.0))
+
+    def test_lower(self, monkeypatch):
+        ok = self._rule(monkeypatch, "0.94", "lower")
+        assert ok(0.95, 5.0)
+        # the float nearest 0.94 lies below it; the next one up does not
+        assert not ok(0.94, 5.0)
+        assert ok(math.nextafter(0.94, 1.0), 5.0)
+
+    def test_trunc_of_the_midpoint(self, monkeypatch):
+        ok = self._rule(monkeypatch, "3.27466", "trunc")
+        assert ok(3.274659, 3.274671)  # neither end alone truncates to it
+        assert not ok(3.274649, 3.274659)
+
+    @pytest.mark.parametrize("paper", [".53724", "0.53724"])
+    def test_trunc_ignores_leading_zeros(self, monkeypatch, paper):
+        ok = self._rule(monkeypatch, paper, "trunc")
+        assert ok(0.537249, 0.537249)
+        assert not ok(0.537251, 0.537251)
+
+    def test_every_published_string_parses_under_its_rule(self):
+        decimal = r"-?\d*\.\d+"
+        forms = {
+            "enclosure": rf"\(({decimal}), ({decimal})\)",
+            "window": rf"\[({decimal}), ({decimal})\]",
+            "lower": rf"({decimal})",
+            "trunc": rf"({decimal})",
+        }
+        assert list(cli._PUBLISHED) == EXPECTED_NAMES
+        for name, (paper, rule, provenance) in cli._PUBLISHED.items():
+            m = re.fullmatch(forms[rule], paper)
+            assert m, (name, paper, rule)
+            ends = [float(x) for x in m.groups()]
+            assert ends == sorted(ends)
+            assert provenance in ("paper", "derived")
+            assert isinstance(cli._reproduces(name, ends[0], ends[-1]), bool)
+
+
 class TestConstantsCommand:
     def test_text_output_and_exit(self, capsys):
         rc = main(["constants"])

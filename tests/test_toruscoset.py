@@ -340,6 +340,26 @@ class TestGradBracket:
         br = grad_sq_bracket(t, L)
         assert math.isfinite(br.lo) and 0.0 < br.lo <= br.hi
 
+    @pytest.mark.parametrize(
+        "t, L",
+        [
+            (1.0131311941731873e-07, 2),
+            (1.8075158291944812e-07, 4),
+            (4.859171052867774e-07, 8),
+            (4.500054144738812e-08, 10),
+        ],
+    )
+    def test_tiny_lengths_once_crossed(self, t, L):
+        # kernel rounding crossed the summed ends here; below _FLAT_T
+        # the word length 0 bracket is returned
+        assert grad_sq_bracket(t, L) == grad_sq_bracket(t, 0)
+
+    @pytest.mark.parametrize("L", [2, 4, 10])
+    def test_total_on_a_tiny_log_grid(self, L):
+        for t in np.logspace(-9.0, -5.0, 161):
+            br = grad_sq_bracket(float(t), L)
+            assert br.lo <= br.hi
+
     def test_extreme_lengths(self):
         tiny = grad_sq_bracket(5e-324, 4)
         assert tiny.lo == tiny.hi == 5e-324
