@@ -4,127 +4,9 @@ integrals, and strata-distance brackets.
 Every quantity with a decimal name in the public API comes with a
 rigorous enclosure: series tails are bounded explicitly, quadrature
 error is budgeted, and truncated sums only ever move a bound in the
-safe direction.
+safe direction. Names are imported from their submodules
+(wpstrata.integrals, wpstrata.toruscoset, ...); the package root
+re-exports nothing.
 """
 
-from __future__ import annotations
-
-from .gradbounds import (
-    EPS2,
-    EPS2_IDENTITY,
-    L0,
-    F_pair,
-    G_of,
-    collar_radius_separating,
-    collar_radius_simple,
-    grad_sq_upper_separating,
-    grad_sq_upper_single,
-    grad_sq_upper_systole,
-    r_sys,
-    solve_L0,
-    u_factor,
-    v_factor,
-)
-from .hyp2 import (
-    INF,
-    GeodesicH2,
-    MoebiusMap,
-    UValue,
-    axis_of,
-    collar_area,
-    compose_many,
-    mobius_apply,
-    translate_geodesic,
-    translation_length,
-    u_value,
-)
-from .integrals import (
-    V3,
-    Bracket,
-    PATranslationBounds,
-    SeparationVerdict,
-    W1,
-    W2,
-    adaptive_simpson,
-    brock_bromberg_compare,
-    c_ratio,
-    calibrate_eps2,
-    gap_constants,
-    integral_H,
-    integral_K,
-    lobachevsky,
-    pa_translation_bounds,
-    strata_separation,
-    thin_pair_sum,
-)
-from .riera import SeriesEval, a_from_collar_length, a_hat, a_of_T, a_stable, riera_R
-from .toruscoset import (
-    CosetWord,
-    RectTorusPoint,
-    delta11_bracket,
-    enumerate_cosets,
-    grad_sq_bracket,
-    holonomy,
-    identity_coset,
-    u_of_coset,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "EPS2",
-    "EPS2_IDENTITY",
-    "F_pair",
-    "G_of",
-    "GeodesicH2",
-    "INF",
-    "L0",
-    "MoebiusMap",
-    "PATranslationBounds",
-    "RectTorusPoint",
-    "SeparationVerdict",
-    "SeriesEval",
-    "UValue",
-    "V3",
-    "W1",
-    "W2",
-    "Bracket",
-    "CosetWord",
-    "a_from_collar_length",
-    "a_hat",
-    "a_of_T",
-    "a_stable",
-    "adaptive_simpson",
-    "axis_of",
-    "brock_bromberg_compare",
-    "c_ratio",
-    "calibrate_eps2",
-    "collar_area",
-    "collar_radius_separating",
-    "collar_radius_simple",
-    "compose_many",
-    "delta11_bracket",
-    "enumerate_cosets",
-    "gap_constants",
-    "grad_sq_bracket",
-    "grad_sq_upper_separating",
-    "grad_sq_upper_single",
-    "grad_sq_upper_systole",
-    "holonomy",
-    "identity_coset",
-    "integral_H",
-    "integral_K",
-    "lobachevsky",
-    "mobius_apply",
-    "pa_translation_bounds",
-    "r_sys",
-    "riera_R",
-    "solve_L0",
-    "strata_separation",
-    "thin_pair_sum",
-    "translate_geodesic",
-    "translation_length",
-    "u_factor",
-    "u_value",
-    "v_factor",
-]

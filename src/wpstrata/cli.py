@@ -793,6 +793,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except AssertionError as exc:
             failed += 1
             sys.stdout.write(f"FAIL {name}: {exc}\n")
+        except Exception as exc:
+            failed += 1
+            sys.stdout.write(f"FAIL {name}: {type(exc).__name__}: {exc}\n")
         else:
             sys.stdout.write(f"ok {name}\n")
     sys.stdout.write(f"{len(checks) - failed} passed, {failed} failed\n")

@@ -168,14 +168,18 @@ def grad_sq_upper_separating(ell: float) -> float:
     return (2.0 * ell / math.pi) * (1.0 + (F_pair(half, half) if half > 0.0 else 0.0))
 
 
-def solve_L0(tol: float = 1e-13) -> float:
+_L0_TOL = 1e-13
+
+
+def solve_L0() -> float:
     """Length where the systole collar regimes meet.
 
     Unique root of sinh(t/4) sinh(t/2) = 1, located by bisection on
-    [1, 4]. The product is strictly increasing, so the bracket is safe.
+    [1, 4] down to a bracket of _L0_TOL. The product is strictly
+    increasing, so the bracket is safe.
     """
     lo, hi = 1.0, 4.0
-    while hi - lo > tol:
+    while hi - lo > _L0_TOL:
         mid = 0.5 * (lo + hi)
         if math.sinh(0.25 * mid) * math.sinh(0.5 * mid) >= 1.0:
             hi = mid

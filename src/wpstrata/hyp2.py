@@ -25,9 +25,6 @@ INF = math.inf
 # equal, which makes the configuration tangent and therefore invalid.
 TANGENCY_TOL = 1e-12
 
-# Long matrix products drift away from det = 1; renormalize this often.
-RENORM_EVERY = 32
-
 _DET_TOL = 1e-6
 
 
@@ -113,7 +110,7 @@ class MoebiusMap:
 
 
 def compose_many(maps: Iterable[MoebiusMap]) -> MoebiusMap:
-    """Left-to-right product with periodic determinant renormalization.
+    """Left-to-right product, renormalized to det = 1 once at the end.
 
     Accumulates raw entries so only the final map is validated; long
     products would otherwise trip the determinant check on rounding
@@ -122,12 +119,9 @@ def compose_many(maps: Iterable[MoebiusMap]) -> MoebiusMap:
     overflows.
     """
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for k, m in enumerate(maps, start=1):
+    for m in maps:
         a, b = a * m.a + b * m.c, a * m.b + b * m.d
         c, d = c * m.a + d * m.c, c * m.b + d * m.d
-        if k % RENORM_EVERY == 0:
-            s = _unit_scale(a * d - b * c)
-            a, b, c, d = a * s, b * s, c * s, d * s
     s = _unit_scale(a * d - b * c)
     return MoebiusMap(a * s, b * s, c * s, d * s)
 

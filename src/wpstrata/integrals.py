@@ -30,6 +30,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Per-point slack for the truncated collar profile series inside F.
 _SERIES_SLACK = 1.5e-14
 
+# Subdivision cap of adaptive_simpson, and the bisection width at which
+# calibrate_eps2 stops.
+_MAX_DEPTH = 48
+_CALIBRATE_XTOL = 1e-12
+
 
 def _merge_budgets(b1: dict[str, float], b2: dict[str, float]) -> dict[str, float]:
     out = dict(b1)
@@ -89,7 +94,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float,
-    max_depth: int = 48,
     prefetch: Callable[[list[float]], None] | None = None,
 ) -> tuple[float, float, int]:
     """Adaptive Simpson rule with a Richardson error estimate.
@@ -98,9 +102,9 @@ def adaptive_simpson(
     difference |S2 - S1| / 15 fits inside a length-proportional share of
     tol, and at least three times. Returns (value, error_bound, evals);
     raises ValueError unless a < b and tol > 0 (a NaN tol included), and
-    RuntimeError if the subdivision cap is hit before the estimate
-    converges or if the integrand stops being finite. tol = inf accepts
-    every interval at depth 3.
+    RuntimeError if the subdivision cap _MAX_DEPTH is hit before the
+    estimate converges or if the integrand stops being finite. tol = inf
+    accepts every interval at depth 3.
 
     prefetch, if given, is called with a list of nodes before f is asked
     for any of them, so that a caller can evaluate them together. It is
@@ -148,7 +152,7 @@ def adaptive_simpson(
             value += sl + sr
             err += e
             return
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise RuntimeError("adaptive quadrature failed to converge")
         if prefetch is not None:
             # The points each half evaluates first, by the same expressions.
@@ -466,7 +470,7 @@ def brock_bromberg_compare(g: int, n: int) -> float:
     return 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi * chi))
 
 
-def calibrate_eps2(target: float = 7.611385, xtol: float = 1e-12) -> float:
+def calibrate_eps2(target: float = 7.611385) -> float:
     """Solve H(0, 4e) + H(0, 2e) = target for the threshold e.
 
     The sum is strictly increasing in e with slope about 3.34, so
@@ -485,7 +489,7 @@ def calibrate_eps2(target: float = 7.611385, xtol: float = 1e-12) -> float:
     hi = lo + 1e-5
     if pair_sum(lo) > target or pair_sum(hi) < target:
         raise ValueError("target out of reach of the calibration interval")
-    while hi - lo > xtol:
+    while hi - lo > _CALIBRATE_XTOL:
         mid = 0.5 * (lo + hi)
         if pair_sum(mid) < target:
             lo = mid

@@ -224,16 +224,18 @@ def _a_closed(T: float) -> float:
     )
 
 
-def _a_of_u(u: float, tol: float = 1e-14) -> float:
-    """Collar profile at series argument u in (0, 1), branch-switched."""
+def _a_of_u(u: float) -> float:
+    """Collar profile at series argument u in (0, 1), branch-switched;
+    the series runs at a_hat's default tol."""
     if u <= _A_SERIES_UMAX:
-        ev = a_hat(u, tol)
+        ev = a_hat(u)
         return ev.value + 0.5 * ev.tail_bound
     return _a_closed(-math.log(u))
 
 
-def a_of_T(T: float, tol: float = 1e-14) -> float:
-    """Collar profile a(T) = a_hat(e^-T), by the series alone.
+def a_of_T(T: float) -> float:
+    """Collar profile a(T) = a_hat(e^-T), by the series alone at a_hat's
+    default tol.
 
     Strictly decreasing from a logarithmic blowup at T = 0 to the limit
     8/3, and pinched by 8/3 <= a(T) <= 8/3 - 2 log(1 - e^-2T). The term
@@ -243,11 +245,11 @@ def a_of_T(T: float, tol: float = 1e-14) -> float:
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    ev = a_hat(math.exp(-T), tol)
+    ev = a_hat(math.exp(-T))
     return ev.value + 0.5 * ev.tail_bound
 
 
-def a_stable(T: float, tol: float = 1e-14) -> float:
+def a_stable(T: float) -> float:
     """Collar profile a(T) over the full range of T.
 
     Same value as a_of_T but evaluated by the closed form below the
@@ -256,10 +258,10 @@ def a_stable(T: float, tol: float = 1e-14) -> float:
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    return _a_of_u(math.exp(-T), tol)
+    return _a_of_u(math.exp(-T))
 
 
-def a_from_collar_length(t: float, tol: float = 1e-14) -> float:
+def a_from_collar_length(t: float) -> float:
     """Collar profile of a simple closed geodesic of length t.
 
     The collar half-width r of such a geodesic satisfies
@@ -271,4 +273,4 @@ def a_from_collar_length(t: float, tol: float = 1e-14) -> float:
     if t <= 0.0:
         raise ValueError("length must be positive")
     th = math.tanh(0.25 * t)
-    return _a_of_u(th * th, tol)
+    return _a_of_u(th * th)

@@ -273,44 +273,37 @@ def _disjoint_terms(u: np.ndarray) -> np.ndarray:
     return r
 
 
-def _crossing_terms(u: np.ndarray) -> np.ndarray:
-    return u * np.log((1.0 + u) / np.maximum(1.0 - u, 1e-300)) - 2.0
-
-
 def _kernel_sums(u: np.ndarray, edges: list[int]) -> tuple[list[float], list[int]]:
     """Sums of R(u) over the kept terms of each segment of u, and the
     pruned count of each; segment i is u[edges[i] : edges[i + 1]].
 
-    Disjoint terms use the log1p form. Values at or beyond PRUNE_U and
+    Terms use the disjoint log1p form. Values at or beyond PRUNE_U and
     non finite values are pruned; both only arise for far cosets whose
-    true kernel term is below _PRUNED_TERM_BOUND. A crossing value
-    (never observed off the identity coset) is kept with its negative
-    kernel value, which can only slacken the affected bound. One mask
-    and one log1p pass serve all segments; each segment then sums its
-    run of the compressed terms on its own.
+    true kernel term is below _PRUNED_TERM_BOUND. Values at or below 1
+    are pruned too: no nonidentity coset crosses the first axis, so they
+    only come from rounding, where u - 1 of the chain rounds away (t
+    above about 38.8). Every kernel term is positive, so a pruned term
+    only loosens its bound. One mask and one log1p pass serve all
+    segments; each segment then sums its run of the compressed terms on
+    its own.
     """
     sums = [0.0] * (len(edges) - 1)
-    kept = [0] * (len(edges) - 1)
-    disj = u > 1.0
-    disj &= u < PRUNE_U  # u >= 0, so this also drops inf and nan
-    passes = [(disj, _disjoint_terms)]
-    cross = u <= 1.0
-    if cross.any():
-        passes.append((cross, _crossing_terms))
-    for mask, terms in passes:
-        values = terms(u[mask])
-        stop = 0
-        for seg, (a, b) in enumerate(zip(edges, edges[1:])):
-            if b - a == 1:  # one term, as in every chain segment: no numpy call
-                start, stop = stop, stop + bool(mask[a])
-                if stop > start:
-                    sums[seg] += float(values[start])
-            else:
-                start, stop = stop, stop + int(np.count_nonzero(mask[a:b]))
-                if stop > start:
-                    sums[seg] += float(np.add.reduce(values[start:stop]))
-            kept[seg] += stop - start
-    return sums, [b - a - k for a, b, k in zip(edges, edges[1:], kept)]
+    cut = [0] * (len(edges) - 1)
+    mask = u > 1.0
+    mask &= u < PRUNE_U  # this also drops inf and nan
+    values = _disjoint_terms(u[mask])
+    stop = 0
+    for seg, (a, b) in enumerate(zip(edges, edges[1:])):
+        if b - a == 1:  # one term, as in every chain segment: no numpy call
+            start, stop = stop, stop + bool(mask[a])
+            if stop > start:
+                sums[seg] = float(values[start])
+        else:
+            start, stop = stop, stop + int(np.count_nonzero(mask[a:b]))
+            if stop > start:
+                sums[seg] = float(np.add.reduce(values[start:stop]))
+        cut[seg] = b - a - (stop - start)
+    return sums, cut
 
 
 def _u_of(w: np.ndarray, aa: tuple[tuple[int, int], ...], ab: tuple[tuple[int, int], ...], u: np.ndarray) -> None:
@@ -463,6 +456,11 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
       rounds to 1: A is then the identity in floating point.
     - Below 2^-1020, where halving t would round in the subnormal range,
       2 sinh(t/2) is taken as t, which it equals to double precision.
+    - From t of about 38.8 on, u = cosh(l s) of a chain word B^l rounds
+      to 1, first for B itself and then, as t grows, for longer l. Those
+      terms are dropped and counted in pruned_terms; at L = 1 the lower
+      end is then 2t/pi. The budget's pruned_kernel_bound covers only
+      the terms pruned at u >= PRUNE_U.
     """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")

@@ -264,6 +264,16 @@ class TestVerifyCommand:
         assert rc == 0
         assert "18 passed" in out
 
+    def test_raising_check_is_reported_and_the_run_goes_on(self, monkeypatch, capsys):
+        def raises() -> None:
+            raise ValueError("commutator error 1e-9")
+
+        monkeypatch.setattr(cli, "_FAST_CHECKS", [("raises", raises), ("passes", lambda: None)])
+        rc = main(["verify", "fast"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out == "FAIL raises: ValueError: commutator error 1e-9\nok passes\n1 passed, 1 failed\n"
+
 
 # (check, grid size): both grids run F_pair on every pair w >= z of
 # logspace(-4, log10 40, size).

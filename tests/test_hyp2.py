@@ -78,7 +78,8 @@ class TestMoebius:
 
     def test_compose_many_determinant_drift(self):
         # bounded (elliptic) factors keep the product conditioned, so
-        # drift is purely from rounding and renormalization must hold it
+        # drift is purely from rounding and the final renormalization
+        # must hold it
         rng = np.random.default_rng(7)
         maps = []
         for th in rng.uniform(0.0, math.pi, size=500):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpstrata import integrals
 from wpstrata.gradbounds import EPS2, F_pair, L0
 from wpstrata.integrals import (
     SQRT_2PI,
@@ -83,13 +84,11 @@ class TestAdaptiveSimpson:
         with pytest.raises(RuntimeError):
             adaptive_simpson(lambda x: float("nan"), 0.0, 1.0, 1e-8)
 
-    def test_depth_cap(self):
+    def test_depth_cap(self, monkeypatch):
         # a near-singular spike cannot converge in two levels
+        monkeypatch.setattr(integrals, "_MAX_DEPTH", 2)
         with pytest.raises(RuntimeError):
-            adaptive_simpson(
-                lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-14), 0.0, 1.0, 1e-12,
-                max_depth=2,
-            )
+            adaptive_simpson(lambda x: 1.0 / math.sqrt(abs(x - 0.3) + 1e-14), 0.0, 1.0, 1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +107,7 @@ class TestAdaptiveSimpson:
 
     def test_noise_fails_fast(self):
         # noise at every scale: no interval converges, and the depth-first
-        # recursion reaches max_depth on its first branch
+        # recursion reaches _MAX_DEPTH on its first branch
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="failed to converge"):
             adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)

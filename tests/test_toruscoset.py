@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -33,24 +32,6 @@ T0 = 2.0 * math.asinh(1.0)
 AA_COUNTS = [2, 2, 10, 26, 82, 242, 730, 2186]
 AB_COUNTS = [0, 4, 8, 28, 80, 244, 728, 2188]
 
-_INVERSE = {0: 1, 1: 0, 2: 3, 3: 2}
-
-
-def _reduced_words(maxlen: int) -> list[tuple[int, ...]]:
-    # every freely reduced word over A, A^-1, B, B^-1 up to maxlen
-    out: list[tuple[int, ...]] = []
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(maxlen):
-        nxt = []
-        for w in frontier:
-            for letter in range(4):
-                if w and _INVERSE[w[-1]] == letter:
-                    continue
-                nxt.append(w + (letter,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
 
 def _exact_u(point: RectTorusPoint, word: CosetWord) -> float:
     # u from the translated axis endpoints in exact rational arithmetic
@@ -69,17 +50,6 @@ def _exact_u(point: RectTorusPoint, word: CosetWord) -> float:
     return float(abs(p + q) / abs(p - q))
 
 
-def _strip(word: tuple[int, ...], kind: str) -> tuple[int, ...]:
-    # shortest element of the double coset containing the word
-    i, j = 0, len(word)
-    while i < j and word[i] in (0, 1):
-        i += 1
-    tail = (0, 1) if kind == "AA" else (2, 3)
-    while j > i and word[j - 1] in tail:
-        j -= 1
-    return word[i:j]
-
-
 class TestEnumeration:
     def test_frozen_level_counts(self):
         for kind, counts in (("AA", AA_COUNTS), ("AB", AB_COUNTS)):
@@ -89,17 +59,6 @@ class TestEnumeration:
                 got[len(w) - 1] += 1
             assert got == counts
             assert len(words) == sum(counts)
-
-    def test_brute_force_agreement(self):
-        # independent route: strip coset factors off every reduced word
-        for kind in ("AA", "AB"):
-            brute = set()
-            for w in _reduced_words(9):
-                s = _strip(w, kind)
-                if s and len(s) <= 5:
-                    brute.add(s)
-            canon = {w.letters for w in enumerate_cosets(kind, 5)}
-            assert brute == canon
 
     def test_sorted_by_length_then_lex(self):
         words = enumerate_cosets("AA", 4)
@@ -367,6 +326,20 @@ class TestGradBracket:
         huge = grad_sq_bracket(1500.0, 4)
         assert huge.hi == math.inf and huge.lo >= (2.0 / math.pi) * 1500.0
         assert grad_sq_bracket(1419.0, 4).hi < math.inf
+
+    def test_chain_rounded_to_one_is_pruned(self):
+        # Above t ~ 38.8 the chain's u = cosh(s) rounds to 1. Its term is
+        # pruned, not read as a crossing (689.5 instead of about 36.6), so
+        # the lower end stays under the exact length 1 partial value.
+        mp = pytest.importorskip("mpmath")
+        t = 40.0
+        with mp.workdps(50):
+            u = mp.cosh(2 * mp.asinh(1 / mp.sinh(mp.mpf(t) / 2)))
+            exact = float(2 / mp.pi * (t + 2 * (u * mp.log((u + 1) / (u - 1)) - 2)))
+        br = grad_sq_bracket(t, 1)
+        assert br.lo <= exact
+        assert br.lo == (2.0 / math.pi) * t
+        assert br.error_budget["pruned_terms"] == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
