@@ -134,18 +134,33 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
+    # Each hyperbolic function of a length is taken once; on the
+    # diagonal the second length reuses the first one's.
+    same = l_alpha == l_beta
     try:
         sa = math.sinh(0.5 * l_alpha)
-        sb = math.sinh(0.5 * l_beta)
+        sb = sa if same else math.sinh(0.5 * l_beta)
     except OverflowError:
         return math.inf
-    u = math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta)
-    if u < 1.0:
-        return _a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
-    # Saturated: pair each decay factor with its sinh (products near 2/3
-    # and 1/2), so that subnormal factors cannot underflow the product.
-    av = _a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
-    return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+    ta = math.tanh(0.25 * l_alpha)
+    u = ta * ta if same else ta * math.tanh(0.25 * l_beta)
+    if not u < 1.0:
+        # Saturated: pair each decay factor with its sinh (products near
+        # 2/3 and 1/2), so that subnormal factors cannot underflow the
+        # product.
+        av = _a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
+        return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+    # u_factor and v_factor by their formulas, on the cosh above. u < 1
+    # keeps l_alpha under 77; v_factor keeps its own branches for l_beta
+    # past 700 and for l_beta / 2 underflowing to 0.
+    ca = math.cosh(0.5 * l_alpha)
+    uf = (2.0 * ca + 1.0) / (3.0 * (ca + 1.0) ** 2)
+    if sb != 0.0 and l_beta <= 700.0:
+        cb = ca if same else math.cosh(0.5 * l_beta)
+        vf = 1.0 / (math.atan(1.0 / sb) * cb * cb + sb)
+    else:
+        vf = v_factor(l_beta)
+    return _a_of_u(u) * uf * vf * sa * sb * sb
 
 
 def grad_sq_upper_single(ell: float) -> float:

@@ -122,27 +122,25 @@ def adaptive_simpson(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    n_evals = 0
-
-    def fe(x: float) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        v = f(x)
-        if not math.isfinite(v):
-            raise RuntimeError(f"integrand not finite at {x!r}")
-        return v
-
+    isfinite = math.isfinite
     inv_len = 1.0 / (b - a)
     value = 0.0
     err = 0.0
+    n_evals = 0
 
     def rec(x0: float, f0: float, x2: float, f2: float, fm: float, s: float, depth: int) -> None:
-        nonlocal value, err
+        nonlocal value, err, n_evals
         xm = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)
-        fl = fe(xl)
-        fr = fe(xr)
+        # Each node is evaluated and checked in place, left before right.
+        n_evals += 2
+        fl = f(xl)
+        if not isfinite(fl):
+            raise RuntimeError(f"integrand not finite at {xl!r}")
+        fr = f(xr)
+        if not isfinite(fr):
+            raise RuntimeError(f"integrand not finite at {xr!r}")
         sl = (xm - x0) * (f0 + 4.0 * fl + fm) / 6.0
         sr = (x2 - xm) * (fm + 4.0 * fr + f2) / 6.0
         e = abs(sl + sr - s) / 15.0
@@ -163,9 +161,14 @@ def adaptive_simpson(
     if prefetch is not None:
         xm = 0.5 * (a + b)
         prefetch([a, b, xm, 0.5 * (a + xm), 0.5 * (xm + b)])
-    fa = fe(a)
-    fb = fe(b)
-    fm = fe(0.5 * (a + b))
+    root = []
+    for x in (a, b, 0.5 * (a + b)):
+        n_evals += 1
+        v = f(x)
+        if not isfinite(v):
+            raise RuntimeError(f"integrand not finite at {x!r}")
+        root.append(v)
+    fa, fb, fm = root
     s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
     rec(a, fa, b, fb, fm, s0, 0)
     return value, err, n_evals
@@ -428,9 +431,10 @@ def lobachevsky(theta: float) -> float:
     """Lobachevsky function -int_0^theta log|2 sin u| du for |theta| <= pi/2.
 
     Evaluated by the series theta (1 - log(2 theta)) +
-    sum_n zeta(2n) theta^(2n+1) / (n (2n+1) pi^(2n)).
+    sum_n zeta(2n) theta^(2n+1) / (n (2n+1) pi^(2n)). Raises ValueError
+    outside that range, NaN included.
     """
-    if abs(theta) > 0.5 * math.pi + 1e-15:
+    if not abs(theta) <= 0.5 * math.pi + 1e-15:
         raise ValueError("argument must lie in [-pi/2, pi/2]")
     if theta == 0.0:
         return 0.0

@@ -16,12 +16,15 @@ comfortably inside their stable ranges; they agree to a few ulps there.
 
 a_hat fixes its term count n from the tail bound before it sums
 anything, in a constant number of steps, so a count over the cap raises
-at once. With x = u^2 the sum then takes one of two regimes, chosen by
-n alone. Up to 64 terms, which covers every production call (at most 30
-below the switch point), a scalar loop runs over the precomputed
-numerators and denominators of the coefficients, so each term rounds
-as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has; the moment sums
-below never touch it, so every production value keeps its bits.
+at once. a_hat only checks its arguments and wraps the result in a
+SeriesEval; the count and the sum live in _series, which the collar
+profile _a_of_u calls directly with plain floats in and out. With
+x = u^2 the sum takes one of two regimes, chosen by n alone. Up to 64
+terms, which covers every production call (at most 30 below the switch
+point), a scalar loop runs over the precomputed numerators and
+denominators of the coefficients, so each term rounds as
+8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has; the moment sums below
+never touch it, so every production value keeps its bits.
 Longer sums, reached only by the series-only a_of_T at small T, go in
 blocks of K = 2^15 terms against one power table x^k = exp(k log x),
 k < K, built inside the call, never at import. The partial fractions
@@ -80,6 +83,13 @@ EIGHT_THIRDS = 8.0 / 3.0
 # numerator and denominator: each term rounds as 8 (n + 1) u^(2n) / den.
 _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))
 
+# log n for the term count, n < _SHORT_TERMS; n = 0 reads log 1.
+_LOG_N = (0.0,) + tuple(math.log(n) for n in range(1, _SHORT_TERMS))
+
+# a_hat's default tol and its log, for the collar profile.
+_TOL = 1e-14
+_LOG_TOL = math.log(_TOL)
+
 
 class SeriesEval(NamedTuple):
     """Partial sum of a positive series with a certified tail bound.
@@ -111,7 +121,7 @@ def riera_R(u: UValue) -> float:
     return x * math.log1p(2.0 / (x - 1.0)) - 2.0
 
 
-def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
+def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     """Partial sum of sum_n 8 (n+1) / ((2n+1)(2n+3)) u^(2n).
 
     Sums the first n terms, where the tail bound 2 u^(2n) / (n (1 - u^2))
@@ -123,25 +133,33 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     happens only for u so close to 1 that the sum is astronomically
     large anyway.
 
-    Counts up to _SHORT_TERMS (every production call) run a scalar loop
-    over the coefficient fractions _COEF, rounding each term as the
-    formula above does; that path is the only one production reaches,
-    so it keeps its bits. Longer sums go to _long_sum in blocks of
-    K = _BLOCK terms against one power table x^k = exp(k log x),
-    x = u^2, built per call: block m0 adds x^m0 times either
-    dot(c, table), where c_m = 2/(2m+1) + 2/(2m+3) is one reciprocal and
-    a shifted add, or, for a full block from m0 = 8K on, the moment sum
-    (2 / a) sum_{j < 21} (-2K / a)^j M_j for a = 2 m0 + 1 and 2 m0 + 3.
-    Cutting that after 21 terms leaves under 2^-63 of the block.
+    The checked wrapper of _series, which the collar profile _a_of_u
+    calls directly at the default tol, so a_hat and production share one
+    term count and one sum. Counts up to _SHORT_TERMS (every production
+    call) run a scalar loop over the coefficient fractions _COEF,
+    rounding each term as the formula above does. Longer sums go to
+    _long_sum in blocks of K = _BLOCK terms against one power table
+    x^k = exp(k log x), x = u^2, built per call: block m0 adds x^m0
+    times either dot(c, table), where c_m = 2/(2m+1) + 2/(2m+3) is one
+    reciprocal and a shifted add, or, for a full block from m0 = 8K on,
+    the moment sum (2 / a) sum_{j < 21} (-2K / a)^j M_j for
+    a = 2 m0 + 1 and 2 m0 + 3. Cutting that after 21 terms leaves under
+    2^-63 of the block.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    return SeriesEval(*_series(u, tol, math.log(tol)))
+
+
+def _series(u: float, tol: float = _TOL, log_tol: float = _LOG_TOL) -> tuple[float, float, int]:
+    """(value, tail_bound, terms_used) of a_hat(u, tol), unchecked;
+    log_tol is math.log(tol)."""
     x = u * u
     if x == 0.0:
         # Below the denormal floor the n = 0 term is the whole sum.
-        return SeriesEval(EIGHT_THIRDS, 0.0, 1)
+        return EIGHT_THIRDS, 0.0, 1
 
     rem = 1.0 - x
     log_x = math.log(x)
@@ -152,18 +170,18 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     # satisfies it again, above the least by about 1 / (n |log x|) of the
     # first step's undershoot. One check of the bound itself absorbs the
     # rounding of the estimate. A tol of 2 / rem or more needs one term.
-    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - _LN2
+    # log n comes from _LOG_N, the same floats as math.log(n), and a
+    # count under 2 adds log 1 = 0.
+    log_c = (log_tol if tol * rem < 2.0 else math.log(2.0 / rem)) + math.log(rem) - _LN2
     n = math.ceil(log_c / log_x)
-    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
-    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
+    n = math.ceil((log_c + (_LOG_N[n] if 0 <= n < _SHORT_TERMS else math.log(max(n, 1)))) / log_x)
+    n = math.ceil((log_c + (_LOG_N[n] if 0 <= n < _SHORT_TERMS else math.log(max(n, 1)))) / log_x)
     if n < 1:
         n = 1
     if n > _MAX_TERMS:
         raise RuntimeError("series tolerance not reached within term cap")
-    tail = 2.0 * math.exp(n * log_x) / (n * rem)
-    if tail > tol:
+    if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
-        tail = 2.0 * math.exp(n * log_x) / (n * rem)
 
     if n <= _SHORT_TERMS:
         total = 0.0
@@ -171,9 +189,9 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
         for num, den in _COEF[:n]:
             total += num * p / den
             p *= x
-        return SeriesEval(total, 2.0 * p / (n * rem), n)
+        return total, 2.0 * p / (n * rem), n
 
-    return SeriesEval(_long_sum(n, log_x), tail, n)
+    return _long_sum(n, log_x), 2.0 * math.exp(n * log_x) / (n * rem), n
 
 
 def _long_sum(n: int, log_x: float) -> float:
@@ -218,18 +236,21 @@ def _long_sum(n: int, log_x: float) -> float:
 
 def _a_closed(T: float) -> float:
     # e^(2T) R(cosh T); cancellation-free only for small T, where
-    # log(coth(T/2)) is large.
-    return math.exp(2.0 * T) * (
-        2.0 * math.cosh(T) * math.log(1.0 / math.tanh(0.5 * T)) - 2.0
-    )
+    # log(coth(T/2)) is large. inf once coth(T/2) overflows, and where
+    # T/2 underflows to 0.
+    try:
+        coth = 1.0 / math.tanh(0.5 * T)
+    except ZeroDivisionError:
+        return math.inf
+    return math.exp(2.0 * T) * (2.0 * math.cosh(T) * math.log(coth) - 2.0)
 
 
 def _a_of_u(u: float) -> float:
     """Collar profile at series argument u in (0, 1), branch-switched;
     the series runs at a_hat's default tol."""
     if u <= _A_SERIES_UMAX:
-        ev = a_hat(u)
-        return ev.value + 0.5 * ev.tail_bound
+        value, tail, _ = _series(u)
+        return value + 0.5 * tail
     return _a_closed(-math.log(u))
 
 
@@ -243,7 +264,7 @@ def a_of_T(T: float) -> float:
     under about 3.7e-7 need more than the cap and raise RuntimeError
     before any term is summed.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("T must be positive")
     ev = a_hat(math.exp(-T))
     return ev.value + 0.5 * ev.tail_bound
@@ -254,11 +275,14 @@ def a_stable(T: float) -> float:
 
     Same value as a_of_T but evaluated by the closed form below the
     switch point T = 0.51, so arbitrarily small positive T stays cheap
-    and accurate.
+    and accurate. Where e^-T rounds to 1 (T under about 5.6e-17) the
+    closed form takes T itself; it is inf once the logarithmic blowup
+    overflows (T under about 1.1e-308). Raises ValueError unless T > 0.
     """
-    if T <= 0.0:
+    if not T > 0.0:
         raise ValueError("T must be positive")
-    return _a_of_u(math.exp(-T))
+    u = math.exp(-T)
+    return _a_of_u(u) if u < 1.0 else _a_closed(T)
 
 
 def a_from_collar_length(t: float) -> float:
@@ -268,9 +292,14 @@ def a_from_collar_length(t: float) -> float:
     e^-r = tanh(t/4), so the series argument is tanh(t/4)^2 exactly and
     no inverse hyperbolic solve is needed. Stable down to tiny t, where
     the value approaches 8/3 quadratically, and through large t via the
-    closed-form branch.
+    closed-form branch. Where tanh(t/4)^2 rounds to 1 (t above about
+    76.2) the closed form takes T = 4 e^(-t/2), which equals
+    -log(tanh(t/4)^2) to double precision there; the value, about
+    t - 2 - 2 log 2, reads inf once coth(T/2) overflows or T underflows
+    (t above about 1420, and t = inf). Raises ValueError unless t > 0.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("length must be positive")
     th = math.tanh(0.25 * t)
-    return _a_of_u(th * th)
+    u = th * th
+    return _a_of_u(u) if u < 1.0 else _a_closed(4.0 * math.exp(-0.5 * t))

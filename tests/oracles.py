@@ -6,22 +6,32 @@ for bit where the tests say so. delta11_sides is the quadrature of
 delta11_bracket on top of it, returning each side's (value, err,
 evals).
 
-Three more are kept verbatim for the same reason: long_sum_direct, the
+More are kept verbatim for the same reason: long_sum_direct, the
 one-dot-per-block long series that riera._long_sum now sums from
 moments far out; F_pair, the interaction envelope before large lengths
 saturated; and brute_force_words, the two-pass brute-force coset
 enumeration that cli._brute_force_cosets does in one pass.
+
+The scalar path under integral_H is kept as it was before it was
+tuned, for bit-for-bit comparison: a_hat with its own term count and
+loop; a_closed, the closed form that raised where T/2 is 0; and a_of_u,
+the collar profile that builds a SeriesEval from a_hat;
+F_pair_by_factors, the saturating envelope on u_factor and v_factor;
+and adaptive_simpson with its per-node wrapper. The long series still
+goes to riera._long_sum, which long_sum_direct checks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
+from wpstrata import riera
 from wpstrata.gradbounds import _csch, u_factor, v_factor
-from wpstrata.integrals import SQRT_2PI, adaptive_simpson
-from wpstrata.riera import _BLOCK, _a_of_u
+from wpstrata.integrals import _MAX_DEPTH, SQRT_2PI
+from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, SeriesEval
 from wpstrata.toruscoset import PRUNE_U
 
 
@@ -150,13 +160,141 @@ def long_sum_direct(n: int, log_x: float) -> float:
     return total
 
 
+def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
+    """riera.a_hat with its own term count and its own scalar loop."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError("series argument must satisfy 0 <= u < 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    x = u * u
+    if x == 0.0:
+        return SeriesEval(8.0 / 3.0, 0.0, 1)
+
+    rem = 1.0 - x
+    log_x = math.log(x)
+    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - math.log(2.0)
+    n = math.ceil(log_c / log_x)
+    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
+    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
+    if n < 1:
+        n = 1
+    if n > 40_000_000:
+        raise RuntimeError("series tolerance not reached within term cap")
+    tail = 2.0 * math.exp(n * log_x) / (n * rem)
+    if tail > tol:
+        n += 1
+        tail = 2.0 * math.exp(n * log_x) / (n * rem)
+
+    if n <= 64:
+        total = 0.0
+        p = 1.0
+        for m in range(n):
+            total += 8.0 * (m + 1) * p / ((2.0 * m + 1.0) * (2.0 * m + 3.0))
+            p *= x
+        return SeriesEval(total, 2.0 * p / (n * rem), n)
+
+    return SeriesEval(riera._long_sum(n, log_x), tail, n)
+
+
+def a_closed(T: float) -> float:
+    """Closed-form collar profile; raises ZeroDivisionError where T/2 is 0."""
+    return math.exp(2.0 * T) * (
+        2.0 * math.cosh(T) * math.log(1.0 / math.tanh(0.5 * T)) - 2.0
+    )
+
+
+def a_of_u(u: float) -> float:
+    """Collar profile at series argument u in (0, 1), through a_hat."""
+    if u <= _A_SERIES_UMAX:
+        ev = a_hat(u)
+        return ev.value + 0.5 * ev.tail_bound
+    return a_closed(-math.log(u))
+
+
+def F_pair_by_factors(l_alpha: float, l_beta: float) -> float:
+    """The saturating interaction envelope on u_factor and v_factor."""
+    if l_alpha <= 0.0 or l_beta <= 0.0:
+        raise ValueError("lengths must be positive")
+    if l_alpha > l_beta:
+        raise ValueError("requires l_alpha <= l_beta")
+    try:
+        sa = math.sinh(0.5 * l_alpha)
+        sb = math.sinh(0.5 * l_beta)
+    except OverflowError:
+        return math.inf
+    u = math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta)
+    if u < 1.0:
+        return a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
+    av = a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
+    return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+
+
+def adaptive_simpson(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float,
+    prefetch: Callable[[list[float]], None] | None = None,
+) -> tuple[float, float, int]:
+    """integrals.adaptive_simpson, every node through one checked wrapper."""
+    if not a < b:
+        raise ValueError("requires a < b")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    n_evals = 0
+
+    def fe(x: float) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        v = f(x)
+        if not math.isfinite(v):
+            raise RuntimeError(f"integrand not finite at {x!r}")
+        return v
+
+    inv_len = 1.0 / (b - a)
+    value = 0.0
+    err = 0.0
+
+    def rec(x0: float, f0: float, x2: float, f2: float, fm: float, s: float, depth: int) -> None:
+        nonlocal value, err
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = fe(xl)
+        fr = fe(xr)
+        sl = (xm - x0) * (f0 + 4.0 * fl + fm) / 6.0
+        sr = (x2 - xm) * (fm + 4.0 * fr + f2) / 6.0
+        e = abs(sl + sr - s) / 15.0
+        if e <= tol * (x2 - x0) * inv_len and depth >= 3:
+            value += sl + sr
+            err += e
+            return
+        if depth >= _MAX_DEPTH:
+            raise RuntimeError("adaptive quadrature failed to converge")
+        if prefetch is not None:
+            prefetch([0.5 * (x0 + xl), 0.5 * (xl + xm), 0.5 * (xm + xr), 0.5 * (xr + x2)])
+        rec(x0, f0, xm, fm, fl, sl, depth + 1)
+        rec(xm, fm, x2, f2, fr, sr, depth + 1)
+
+    if prefetch is not None:
+        xm = 0.5 * (a + b)
+        prefetch([a, b, xm, 0.5 * (a + xm), 0.5 * (xm + b)])
+    fa = fe(a)
+    fb = fe(b)
+    fm = fe(0.5 * (a + b))
+    s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+    rec(a, fa, b, fb, fm, s0, 0)
+    return value, err, n_evals
+
+
 def F_pair(l_alpha: float, l_beta: float) -> float:
     """The interaction envelope as it was before large lengths saturated."""
     if l_alpha <= 0.0 or l_beta <= 0.0:
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
-    av = _a_of_u(math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta))
+    av = a_of_u(math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta))
     sa = math.sinh(0.5 * l_alpha)
     sb = math.sinh(0.5 * l_beta)
     return av * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb

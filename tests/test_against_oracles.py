@@ -3,14 +3,19 @@
 The quarter-tree coset kernel against the full-tree kernel; the
 moment-summed long series against one dot product per block; the
 saturating F_pair against the one that raised; the one-pass brute-force
-cosets against the two-pass enumeration.
+cosets against the two-pass enumeration; and the scalar path under
+integral_H (collar series, envelope, Simpson rule) against the one that
+built a SeriesEval per collar profile, called u_factor and v_factor and
+checked each node in a wrapper, bit for bit.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -18,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpstrata import cli, toruscoset
+from wpstrata import cli, gradbounds, integrals, toruscoset
 from wpstrata.gradbounds import F_pair
-from wpstrata.riera import _BLOCK, _long_sum, a_hat
+from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, _a_of_u, _long_sum, a_hat
 from wpstrata.toruscoset import CosetWord, _coset_sums, enumerate_cosets, holonomy, u_of_coset
 
 T0 = 2.0 * math.asinh(1.0)
@@ -153,3 +158,111 @@ def test_brute_force_one_pass_matches_two_passes(L):
     got = cli._brute_force_cosets(L)
     for kind in ("AA", "AB"):
         assert got[kind] == oracles.brute_force_words(kind, L)
+
+
+# Series arguments: a dense sweep up to the switch point, the edges where
+# u^2 underflows to 0 and where the branch switches, and the closed-form
+# side up to 1.
+_U_EDGES = [
+    0.0,
+    5e-324,
+    1e-170,
+    math.nextafter(1.49e-154, 0.0),
+    1.5e-154,
+    math.nextafter(_A_SERIES_UMAX, 0.0),
+    _A_SERIES_UMAX,
+    math.nextafter(_A_SERIES_UMAX, 1.0),
+    0.9,
+    math.nextafter(1.0, 0.0),
+]
+_U_GRID = [float(u) for u in np.linspace(0.0, _A_SERIES_UMAX, 20001)] + _U_EDGES
+
+
+def test_collar_profile_matches_a_hat_route():
+    for u in _U_GRID:
+        assert _a_of_u(u) == oracles.a_of_u(u), u
+
+
+@given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(deadline=None, max_examples=300)
+def test_collar_profile_matches_a_hat_route_on_draws(u):
+    assert _a_of_u(u) == oracles.a_of_u(u)
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-6, 1e-29, 2.5, math.inf])
+def test_a_hat_matches_its_own_count(tol):
+    # tol = 2.5 and inf need one term; 1e-29 takes the long sum from
+    # u ~ 0.4 on. The last edge, next to 1, is over the term cap.
+    for u in _U_GRID[::40] + _U_EDGES[:-1] + [0.95, 0.99]:
+        assert a_hat(u, tol) == oracles.a_hat(u, tol), u
+
+
+_LENGTH_EDGES = [
+    5e-324,
+    1e-300,
+    76.2462,
+    math.nextafter(76.2462, 0.0),
+    76.25,
+    699.9,
+    700.0,
+    math.nextafter(700.0, 1e3),
+    1420.9,
+    1421.0,
+    1421.2,
+]
+_LENGTH_GRID = [float(x) for x in np.geomspace(1e-12, 1.5e3, 400)] + _LENGTH_EDGES
+
+
+def _same(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def test_f_pair_matches_factored_envelope():
+    lengths = sorted(_LENGTH_GRID)
+    for i, la in enumerate(lengths):
+        for lb in lengths[i::3] + [la]:
+            assert _same(F_pair(la, lb), oracles.F_pair_by_factors(la, lb)), (la, lb)
+
+
+@given(l_alpha=_POSITIVE, l_beta=_POSITIVE, diagonal=st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_f_pair_matches_factored_envelope_on_draws(l_alpha, l_beta, diagonal):
+    l_alpha, l_beta = sorted((l_alpha, l_alpha if diagonal else l_beta))
+    assert _same(F_pair(l_alpha, l_beta), oracles.F_pair_by_factors(l_alpha, l_beta))
+
+
+def _h_sweep_draws(seed: int) -> list[tuple[float, float, str, float]]:
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.HSweep().inputs(seed)
+
+
+def _use_former_scalar_path(m: pytest.MonkeyPatch) -> None:
+    """The oracle Simpson rule, envelope and collar profile, by the module
+    attributes production calls them through."""
+    m.setattr(integrals, "adaptive_simpson", oracles.adaptive_simpson)
+    m.setattr(toruscoset, "adaptive_simpson", oracles.adaptive_simpson)
+    m.setattr(integrals, "F_pair", oracles.F_pair_by_factors)
+    m.setattr(gradbounds, "_a_of_u", oracles.a_of_u)
+
+
+def test_integral_h_matches_former_scalar_path(monkeypatch):
+    # Every 25th benchmark draw of seed 1: 271 of its 6765, all three
+    # variants, a from 0 to 4 EPS2, b up to 12, tol from 1e-12 to 1e-7.
+    draws = _h_sweep_draws(1)[::25]
+    got = [integrals.integral_H(*x) for x in draws]
+    with monkeypatch.context() as m:
+        _use_former_scalar_path(m)
+        want = [integrals.integral_H(*x) for x in draws]
+    for x, g, w in zip(draws, got, want):
+        assert (g.lo, g.hi, g.error_budget) == (w.lo, w.hi, w.error_budget), x
+
+
+def test_delta11_matches_former_simpson_rule(monkeypatch):
+    got = toruscoset.delta11_bracket(0, 1e-9)
+    with monkeypatch.context() as m:
+        _use_former_scalar_path(m)
+        want = toruscoset.delta11_bracket(0, 1e-9)
+    assert (got.lo, got.hi, got.error_budget) == (want.lo, want.hi, want.error_budget)

@@ -1,9 +1,15 @@
-"""The library names that the benchmark under perfbench/ reads.
+"""The library names that the benchmark under perfbench/ reads, and the
+constants it pins.
 
 perfbench/ loads wpstrata through module attributes, and its tracer
 skips a name it cannot find, so a renamed or removed name would first
 show as a broken or silently empty benchmark run. These tests load its
 two library-facing modules by path and check every such name here.
+
+The constants workload holds every record to the seed commit's output:
+bare values bit for bit, enclosures meeting, statuses equal. A changed
+bit would first show as an incorrect benchmark run; the last test here
+applies the workload's own check instead.
 """
 
 from __future__ import annotations
@@ -52,3 +58,10 @@ def test_microbenchmark_names(layers):
     toruscoset.grad_sq_bracket(1.0, 2)
     integrals.integral_H(0.0, 4.0 * gradbounds.EPS2, "plain", 1e-6)
 
+
+
+def test_constants_keep_the_seed_records():
+    constants = _load("workloads").WORKLOADS["constants"]
+    verdict, widths = constants.summary(None, constants.op(None))
+    assert verdict == "ok"
+    assert len(widths) == len(constants.WIDTH_RECORDS)

@@ -445,10 +445,76 @@ class TestLobachevsky:
         with pytest.raises(ValueError):
             lobachevsky(2.0)
 
+    def test_nan_rejected(self):
+        # NaN used to pass the range check and never end the series
+        with pytest.raises(ValueError):
+            lobachevsky(math.nan)
+
     @given(theta=st.floats(min_value=1e-6, max_value=1.5))
     @settings(deadline=None)
     def test_positive_on_open_interval(self, theta):
         assert lobachevsky(theta) > 0.0
+
+
+# Lengths and tolerances for the totality tests: every float up to 1e4,
+# NaN and -inf included, as for integral_H, and tolerances in [1e-10, 1].
+# The separating routes run at their default tol: below about 5e-11 a
+# leg past t = 120 hits the steps of F_pair where tanh(t/4)^2 is within
+# ulps of 1 (ROADMAP D12), and the quadrature raises RuntimeError.
+_LENGTHS = st.floats(max_value=1e4)
+_TOLS = st.floats(min_value=1e-10, max_value=1.0)
+
+
+def _finite(br: Bracket) -> bool:
+    return math.isfinite(br.lo) and math.isfinite(br.hi)
+
+
+class TestTotality:
+    """Each public function returns a finite value or raises ValueError."""
+
+    @given(theta=st.floats())
+    @settings(deadline=None, max_examples=200)
+    def test_lobachevsky(self, theta):
+        try:
+            v = lobachevsky(theta)
+        except ValueError:
+            assert not abs(theta) <= 0.5 * math.pi + 1e-15
+            return
+        assert math.isfinite(v) and abs(v) < 0.51
+
+    @pytest.mark.parametrize("route", [W1, W2])
+    @given(length=_LENGTHS)
+    @settings(deadline=None, max_examples=15)
+    def test_separating_routes(self, route, length):
+        try:
+            br = route(length)
+        except ValueError:
+            return
+        assert length > 0.0 and _finite(br) and br.lo > 0.0
+
+    @given(t=_LENGTHS, tol=_TOLS)
+    @settings(deadline=None, max_examples=15)
+    def test_c_ratio(self, t, tol):
+        try:
+            v = c_ratio(t, tol)
+        except ValueError:
+            return
+        assert math.isfinite(v) and 0.9 < v < 1.1
+
+    @given(
+        k=st.integers(min_value=-2, max_value=8),
+        surface_class=st.sampled_from(["has-genus", "punctured-sphere", "torus"]),
+        lo=st.floats(min_value=-1e6, max_value=1e6),
+        width=st.floats(min_value=0.0, max_value=1e6),
+        tol=_TOLS,
+    )
+    @settings(deadline=None, max_examples=15)
+    def test_strata_separation(self, k, surface_class, lo, width, tol):
+        try:
+            v = strata_separation(k, surface_class, Bracket(lo, lo + width), tol)
+        except ValueError:
+            return
+        assert _finite(v.value) and v.kind in ("exact", "lower-bound")
 
 
 class TestComparisonValue:

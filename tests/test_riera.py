@@ -21,6 +21,9 @@ from wpstrata.riera import (
 
 EIGHT_THIRDS = 8.0 / 3.0
 
+# Every float, NaN and the infinities included.
+_ANY = st.floats()
+
 
 class TestKernel:
     def test_orthogonal_value(self):
@@ -211,3 +214,93 @@ class TestCollarLengthForm:
     def test_domain(self):
         with pytest.raises(ValueError):
             a_from_collar_length(0.0)
+
+
+class TestSeriesArgumentAtOne:
+    """Where e^-T or tanh(t/4)^2 rounds to 1 the closed form takes T
+    itself, a(T) = 2 log(2 / T) - 2 to double precision."""
+
+    @pytest.mark.parametrize("T", [1e-17, 5.5e-17])
+    def test_a_stable_below_the_rounding_of_e_minus_t(self, T):
+        assert math.exp(-T) == 1.0
+        assert math.isclose(a_stable(T), 2.0 * math.log(2.0 / T) - 2.0, rel_tol=1e-14)
+
+    def test_a_stable_where_t_halves_to_zero(self):
+        assert a_stable(5e-324) == math.inf
+
+    @pytest.mark.parametrize("t", [80.0, 200.0])
+    def test_collar_length_past_the_rounding_of_tanh(self, t):
+        # T = 4 e^(-t/2), so a = t - 2 - 2 log 2
+        assert math.tanh(0.25 * t) ** 2 == 1.0
+        assert math.isclose(a_from_collar_length(t), t - 2.0 - 2.0 * math.log(2.0), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("t", [2000.0, math.inf])
+    def test_collar_length_where_t_underflows(self, t):
+        assert a_from_collar_length(t) == math.inf
+
+    @pytest.mark.parametrize("fn", [a_stable, a_from_collar_length, a_of_T])
+    def test_nan_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(math.nan)
+
+
+class TestTotality:
+    """Each public function returns a finite value or its documented inf,
+    or raises ValueError."""
+
+    @given(u=st.one_of(_ANY, st.floats(min_value=0.0, max_value=0.999)), tol=_ANY)
+    @settings(deadline=None, max_examples=150)
+    def test_a_hat(self, u, tol):
+        try:
+            ev = a_hat(u, tol)
+        except ValueError:
+            assert not (0.0 <= u < 1.0 and tol > 0.0)
+            return
+        except RuntimeError as e:
+            # the documented term cap, only reached right next to u = 1
+            assert "term cap" in str(e) and u > 0.999
+            return
+        assert math.isfinite(ev.value) and ev.value >= EIGHT_THIRDS
+        assert 0.0 <= ev.tail_bound <= max(tol, 2.0) and ev.terms_used >= 1
+
+    @given(T=st.one_of(st.floats(min_value=1e-6), st.floats(max_value=0.0), st.just(math.nan)))
+    @settings(deadline=None, max_examples=30)
+    def test_a_of_T(self, T):
+        try:
+            v = a_of_T(T)
+        except ValueError:
+            assert not T > 0.0
+            return
+        assert math.isfinite(v) and v >= EIGHT_THIRDS
+
+    @given(T=_ANY)
+    @settings(deadline=None, max_examples=300)
+    def test_a_stable(self, T):
+        try:
+            v = a_stable(T)
+        except ValueError:
+            assert not T > 0.0
+            return
+        # inf once coth(T/2) overflows
+        assert v >= EIGHT_THIRDS and (math.isfinite(v) or T < 1.2e-308)
+
+    @given(t=_ANY)
+    @settings(deadline=None, max_examples=300)
+    def test_a_from_collar_length(self, t):
+        try:
+            v = a_from_collar_length(t)
+        except ValueError:
+            assert not t > 0.0
+            return
+        # inf once coth(T/2) overflows at T = 4 e^(-t/2)
+        assert v >= EIGHT_THIRDS and (math.isfinite(v) or t > 1419.0)
+
+    @given(x=_ANY, crossing=st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_riera_R(self, x, crossing):
+        try:
+            u = UValue(x, crossing)
+        except ValueError:
+            return
+        v = riera_R(u)
+        assert math.isfinite(v) and v >= -2.0
