@@ -5,7 +5,8 @@ certified bracket and compares against the published decimals,
 `delta11` reports the refined one-handle distance bracket, `plot`
 writes a deterministic SVG (plus CSV sidecar) for the two standard
 curves, and `verify` runs the invariant checks. Exit codes: 0 on
-success, 1 when a comparison or check fails, 2 on usage errors.
+success, 1 when a comparison or check fails, 2 on usage errors,
+including an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable
 from decimal import ROUND_CEILING, ROUND_DOWN, Decimal
 
 import numpy as np
@@ -135,6 +137,16 @@ def _reproduces(name: str, lo: float, hi: float) -> bool:
     raise ValueError(f"unknown comparison rule {rule!r}")
 
 
+def _lipschitz() -> float:
+    """sqrt(2 pi / (1 + G(L0/4, L0/4))), the systole's Lipschitz value."""
+    return math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
+
+
+def _c_min(tol: float) -> float:
+    """The least systole ratio on 61 log-spaced lengths in [1e-3, 1e2]."""
+    return min(c_ratio(float(t), tol) for t in np.logspace(-3.0, 2.0, 61))
+
+
 def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> list[ConstantRecord]:
     """Recompute every named constant and classify it against its
     published decimals."""
@@ -154,8 +166,8 @@ def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> lis
         "two_delta11": elementary.scaled(2.0),
         "gap_genus": pair.lo - elementary.hi,
         "gap_sphere": w2.lo - math.sqrt(2.0) * elementary.hi,
-        "lipschitz_sys": math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0))),
-        "c_min_ratio": min(c_ratio(float(t), tol) for t in np.logspace(-3.0, 2.0, 61)),
+        "lipschitz_sys": _lipschitz(),
+        "c_min_ratio": _c_min(tol),
         "pa_case_i2": pa.case_i2,
         "pa_case_i1": pa.case_i1,
         "pa_general": pa.general,
@@ -208,9 +220,10 @@ def _render(records: list[ConstantRecord], fmt: str) -> str:
     return globals()[f"_render_records_{fmt}"](records)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    # to stdout without a path; main turns an OSError into a usage error
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -218,7 +231,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     records = compute_constant_records(args.tol, args.max_word_length)
-    _emit(_render(records, args.format), args.out)
+    _write(args.out, _render(records, args.format))
     ok = all(r.status == "reproduced" for r in records if r.provenance == "paper")
     return 0 if ok else 1
 
@@ -230,139 +243,99 @@ def cmd_delta11(args: argparse.Namespace) -> int:
     consistent = not (br.hi < plo or br.lo > phi)
     status = "consistent" if consistent else "inconsistent"
     rec = ConstantRecord("delta11", br.lo, br.hi, window, "paper", status)
-    _emit(_render([rec], args.format), args.out)
+    _write(args.out, _render([rec], args.format))
     return 0 if consistent else 1
-
-
-def _svg_header(title: str) -> list[str]:
-    return [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600">',
-        '<rect width="800" height="600" fill="#ffffff"/>',
-        f'<text x="400" y="30" font-family="monospace" font-size="16" text-anchor="middle" fill="#222222">{title}</text>',
-    ]
 
 
 _PLOT_LEFT = 80.0
 _PLOT_RIGHT = 760.0
 _PLOT_TOP = 60.0
 _PLOT_BOTTOM = 540.0
+_BLUE = "#4682b4"
+_ORANGE = "#d2691e"
 
 
-def _px(v: float, vmin: float, vmax: float) -> float:
-    return _PLOT_LEFT + (v - vmin) * (_PLOT_RIGHT - _PLOT_LEFT) / (vmax - vmin)
+def _line_chart(
+    title: str, box: tuple[float, float, float, float], x_ticks: list[tuple[float, str]],
+    y_ticks: list[tuple[float, str]], xs: list[float], curves: list[tuple[str, list[float]]],
+    legend: tuple[tuple[str, str], ...] = (),
+) -> str:
+    """An 800 x 600 SVG: axes, (value, text) ticks, one polyline per
+    (color, ys) curve over xs in order, then one text per (text, color)
+    legend entry. box is (xmin, xmax, ymin, ymax)."""
+    xmin, xmax, ymin, ymax = box
 
+    def px(v: float) -> float:
+        return _PLOT_LEFT + (v - xmin) * (_PLOT_RIGHT - _PLOT_LEFT) / (xmax - xmin)
 
-def _py(v: float, vmin: float, vmax: float) -> float:
-    return _PLOT_BOTTOM - (v - vmin) * (_PLOT_BOTTOM - _PLOT_TOP) / (vmax - vmin)
+    def py(v: float) -> float:
+        return _PLOT_BOTTOM - (v - ymin) * (_PLOT_BOTTOM - _PLOT_TOP) / (ymax - ymin)
 
-
-def _svg_axes(
-    parts: list[str],
-    x_ticks: list[tuple[float, str]],
-    y_ticks: list[tuple[float, str]],
-    xmin: float,
-    xmax: float,
-    ymin: float,
-    ymax: float,
-) -> None:
-    parts.append(
-        f'<line x1="{_PLOT_LEFT:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{_PLOT_RIGHT:.2f}" '
-        f'y2="{_PLOT_BOTTOM:.2f}" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_PLOT_LEFT:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{_PLOT_LEFT:.2f}" '
-        f'y2="{_PLOT_TOP:.2f}" stroke="#333333" stroke-width="1"/>'
-    )
-    for v, label in x_ticks:
-        x = _px(v, xmin, xmax)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{x:.2f}" '
-            f'y2="{_PLOT_BOTTOM + 6:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 22:.2f}" font-family="monospace" '
-            f'font-size="12" text-anchor="middle" fill="#222222">{label}</text>'
-        )
-    for v, label in y_ticks:
-        y = _py(v, ymin, ymax)
-        parts.append(
-            f'<line x1="{_PLOT_LEFT - 6:.2f}" y1="{y:.2f}" x2="{_PLOT_LEFT:.2f}" '
-            f'y2="{y:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_PLOT_LEFT - 10:.2f}" y="{y + 4:.2f}" font-family="monospace" '
-            f'font-size="12" text-anchor="end" fill="#222222">{label}</text>'
-        )
-
-
-def _svg_polyline(points: list[tuple[float, float]], color: str) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>'
+    stroke = 'stroke="#333333" stroke-width="1"/>'
+    label = 'font-family="monospace" font-size="12"'
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600">',
+        '<rect width="800" height="600" fill="#ffffff"/>',
+        f'<text x="400" y="30" font-family="monospace" font-size="16" text-anchor="middle" fill="#222222">{title}</text>',
+        f'<line x1="{_PLOT_LEFT:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{_PLOT_RIGHT:.2f}" y2="{_PLOT_BOTTOM:.2f}" {stroke}',
+        f'<line x1="{_PLOT_LEFT:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{_PLOT_LEFT:.2f}" y2="{_PLOT_TOP:.2f}" {stroke}',
+    ]
+    for v, text in x_ticks:
+        x = px(v)
+        parts.append(f'<line x1="{x:.2f}" y1="{_PLOT_BOTTOM:.2f}" x2="{x:.2f}" y2="{_PLOT_BOTTOM + 6:.2f}" {stroke}')
+        parts.append(f'<text x="{x:.2f}" y="{_PLOT_BOTTOM + 22:.2f}" {label} text-anchor="middle" fill="#222222">{text}</text>')
+    for v, text in y_ticks:
+        y = py(v)
+        parts.append(f'<line x1="{_PLOT_LEFT - 6:.2f}" y1="{y:.2f}" x2="{_PLOT_LEFT:.2f}" y2="{y:.2f}" {stroke}')
+        parts.append(f'<text x="{_PLOT_LEFT - 10:.2f}" y="{y + 4:.2f}" {label} text-anchor="end" fill="#222222">{text}</text>')
+    for color, ys in curves:
+        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
+    for i, (text, color) in enumerate(legend):
+        parts.append(f'<text x="640" y="{80 + 20 * i}" font-family="monospace" font-size="13" fill="{color}">{text}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _plot_hsys_ratio(samples: int, tol: float) -> tuple[str, str]:
-    ts = np.logspace(-3.0, 2.0, samples)
-    values = [c_ratio(float(t), tol) for t in ts]
-
-    rows = [[repr(float(t)), repr(v)] for t, v in zip(ts, values)]
-    sidecar = _csv_text([["t", "value"]] + rows)
-
-    xmin, xmax = -3.0, 2.0
-    ymin, ymax = 0.93, 1.01
-    parts = _svg_header("systole ratio H_sys(0, t) / K(0, t)")
-    x_ticks = [(k, lbl) for k, lbl in zip(range(-3, 3), ["0.001", "0.01", "0.1", "1", "10", "100"])]
-    y_ticks = [(0.93 + 0.02 * k, f"{0.93 + 0.02 * k:.2f}") for k in range(5)]
-    _svg_axes(parts, x_ticks, y_ticks, xmin, xmax, ymin, ymax)
-    pts = [
-        (_px(math.log10(float(t)), xmin, xmax), _py(v, ymin, ymax)) for t, v in zip(ts, values)
-    ]
-    parts.append(_svg_polyline(pts, "#4682b4"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n", sidecar
+    ts = np.logspace(-3.0, 2.0, samples).tolist()
+    values = [c_ratio(t, tol) for t in ts]
+    svg = _line_chart(
+        "systole ratio H_sys(0, t) / K(0, t)",
+        (-3.0, 2.0, 0.93, 1.01),
+        list(zip(range(-3, 3), ["0.001", "0.01", "0.1", "1", "10", "100"])),
+        [(0.93 + 0.02 * k, f"{0.93 + 0.02 * k:.2f}") for k in range(5)],
+        [math.log10(t) for t in ts],
+        [(_BLUE, values)],
+    )
+    return svg, _csv_text([["t", "value"]] + [[repr(t), repr(v)] for t, v in zip(ts, values)])
 
 
 def _plot_h_vs_k(samples: int, tol: float) -> tuple[str, str]:
-    ts = np.linspace(0.0, 10.0, samples)
-    hs = [0.0]
-    ks = [0.0]
-    for t in ts[1:]:
-        hs.append(integral_H(0.0, float(t), "plain", tol).midpoint)
-        ks.append(integral_K(0.0, float(t)))
-
-    rows = [[repr(float(t)), repr(h), repr(k)] for t, h, k in zip(ts, hs, ks)]
-    sidecar = _csv_text([["t", "H", "K"]] + rows)
-
-    xmin, xmax = 0.0, 10.0
-    ymin, ymax = 0.0, 8.0
-    parts = _svg_header("H(0, t) against the baseline K(0, t)")
-    x_ticks = [(2.0 * k, f"{2 * k:d}") for k in range(6)]
-    y_ticks = [(2.0 * k, f"{2 * k:d}") for k in range(5)]
-    _svg_axes(parts, x_ticks, y_ticks, xmin, xmax, ymin, ymax)
-    pts_h = [(_px(float(t), xmin, xmax), _py(h, ymin, ymax)) for t, h in zip(ts, hs)]
-    pts_k = [(_px(float(t), xmin, xmax), _py(k, ymin, ymax)) for t, k in zip(ts, ks)]
-    parts.append(_svg_polyline(pts_k, "#d2691e"))
-    parts.append(_svg_polyline(pts_h, "#4682b4"))
-    parts.append(
-        '<text x="640" y="80" font-family="monospace" font-size="13" fill="#4682b4">H</text>'
+    ts = np.linspace(0.0, 10.0, samples).tolist()
+    hs = [0.0] + [integral_H(0.0, t, "plain", tol).midpoint for t in ts[1:]]
+    ks = [0.0] + [integral_K(0.0, t) for t in ts[1:]]
+    ticks = [(2.0 * k, str(2 * k)) for k in range(6)]
+    svg = _line_chart(
+        "H(0, t) against the baseline K(0, t)",
+        (0.0, 10.0, 0.0, 8.0),
+        ticks,
+        ticks[:5],
+        ts,
+        [(_ORANGE, ks), (_BLUE, hs)],
+        legend=(("H", _BLUE), ("K", _ORANGE)),
     )
-    parts.append(
-        '<text x="640" y="100" font-family="monospace" font-size="13" fill="#d2691e">K</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n", sidecar
+    rows = [[repr(t), repr(h), repr(k)] for t, h, k in zip(ts, hs, ks)]
+    return svg, _csv_text([["t", "H", "K"]] + rows)
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    if args.which == "hsys-ratio":
-        svg, sidecar = _plot_hsys_ratio(args.samples, args.tol)
-    else:
-        svg, sidecar = _plot_h_vs_k(args.samples, args.tol)
+    plot = _plot_hsys_ratio if args.which == "hsys-ratio" else _plot_h_vs_k
+    svg, sidecar = plot(args.samples, args.tol)
     out = args.out or "plot.svg"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
     csv_path = out[: out.rfind(".")] + ".csv" if "." in out.rsplit("/", 1)[-1] else out + ".csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(sidecar)
+    _write(out, svg)
+    _write(csv_path, sidecar)
     sys.stdout.write(f"wrote {out} and {csv_path}\n")
     return 0
 
@@ -508,7 +481,7 @@ def _verify_elementary_digits() -> None:
 
 
 def _verify_lipschitz() -> None:
-    lip = math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
+    lip = _lipschitz()
     _check(_reproduces("lipschitz_sys", lip, lip), "lipschitz constant digits off")
 
 
@@ -590,7 +563,7 @@ def _verify_refined_delta11() -> None:
 
 
 def _verify_c_min() -> None:
-    c_min = min(c_ratio(float(t), 1e-7) for t in np.logspace(-3.0, 2.0, 61))
+    c_min = _c_min(1e-7)
     _check(_reproduces("c_min_ratio", c_min, c_min), "systole ratio dips under its floor")
     _check(c_min >= math.sqrt(2.0 / math.pi), "systole ratio under sqrt(2/pi)")
 
@@ -802,26 +775,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def _tolerance(text: str) -> float:
-    """argparse type: a finite positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+def _checked(cast: Callable[[str], Any], ok: Callable[[Any], bool], want: str) -> Callable[[str], Any]:
+    """argparse type: cast the text, then require ok(value). argparse
+    reports a text that cast refuses as "invalid <cast> value"."""
+
+    def check(text: str) -> Any:
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    check.__name__ = cast.__name__
+    return check
 
 
-def _word_length(text: str) -> int:
-    """argparse type: an int in 0..MAX_WORD_LENGTH."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value <= MAX_WORD_LENGTH:
-        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_WORD_LENGTH}, got {value}")
-    return value
+_tol = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and positive")
+_word_length = _checked(int, lambda n: 0 <= n <= MAX_WORD_LENGTH, f"in 0..{MAX_WORD_LENGTH}")
+_samples = _checked(int, lambda n: 16 <= n <= 100000, "in 16..100000")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -831,24 +801,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("constants", help="recompute and compare the named constants")
-    pc.add_argument("--tol", type=_tolerance, default=1e-8, help="bracket width target")
-    pc.add_argument("--max-word-length", type=_word_length, default=8)
-    pc.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    pc.add_argument("--out", help="write to this path instead of stdout")
-    pc.set_defaults(fn=cmd_constants)
-
-    pd = sub.add_parser("delta11", help="refined one-handle distance bracket")
-    pd.add_argument("--tol", type=_tolerance, default=1e-6, help="quadrature tolerance")
-    pd.add_argument("--max-word-length", type=_word_length, default=8)
-    pd.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    pd.add_argument("--out", help="write to this path instead of stdout")
-    pd.set_defaults(fn=cmd_delta11)
+    for name, fn, help_, tol, tol_help in (
+        ("constants", cmd_constants, "recompute and compare the named constants", 1e-8, "bracket width target"),
+        ("delta11", cmd_delta11, "refined one-handle distance bracket", 1e-6, "quadrature tolerance"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--tol", type=_tol, default=tol, help=tol_help)
+        p.add_argument("--max-word-length", type=_word_length, default=8)
+        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        p.add_argument("--out", help="write to this path instead of stdout")
+        p.set_defaults(fn=fn)
 
     pp = sub.add_parser("plot", help="write a deterministic SVG plus CSV sidecar")
     pp.add_argument("which", choices=("hsys-ratio", "h-vs-k"))
-    pp.add_argument("--samples", type=int, default=64)
-    pp.add_argument("--tol", type=_tolerance, default=1e-6)
+    pp.add_argument("--samples", type=_samples, default=64, help="points per curve, 16..100000")
+    pp.add_argument("--tol", type=_tol, default=1e-6)
     pp.add_argument("--out", help="SVG output path (default plot.svg)")
     pp.set_defaults(fn=cmd_plot)
 
@@ -862,9 +829,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fn is cmd_plot and args.samples < 16:
-        parser.error("--samples must be at least 16")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # an output that cannot be written
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

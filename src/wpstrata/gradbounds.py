@@ -50,7 +50,7 @@ def collar_radius_simple(ell: float) -> float:
     collar_radius_simple(ell)) == ell / 2; the fixed point of that
     pairing is ell = 2 arcsinh(1).
     """
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValueError("length must be positive")
     return math.asinh(_csch(0.5 * ell))
 
@@ -58,7 +58,7 @@ def collar_radius_simple(ell: float) -> float:
 def collar_radius_separating(ell: float) -> float:
     """Collar half-width 2 arcsinh(1 / sinh(ell / 4)) of a separating
     curve, never below the simple one."""
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValueError("length must be positive")
     return 2.0 * math.asinh(_csch(0.25 * ell))
 
@@ -68,7 +68,7 @@ def u_factor(ell: float) -> float:
 
     Equals 1/4 at ell = 0, strictly decreasing, below (4/3) e^(-ell/2).
     """
-    if ell < 0.0:
+    if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
     if ell > 700.0:
         # (c + 1)^2 would overflow; relative error ~ 3 e^-(ell/2) here,
@@ -83,7 +83,7 @@ def v_factor(ell: float) -> float:
 
     Tends to 2/pi as ell -> 0, strictly decreasing, below e^(-ell/2).
     """
-    if ell < 0.0:
+    if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
     if ell > 700.0:
         return math.exp(-0.5 * ell)
@@ -105,7 +105,7 @@ def G_of(r: float, s: float) -> float:
     grow without bound as r + s -> 0 and saturate to inf once
     1 / tanh((r + s) / 2) overflows.
     """
-    if r <= 0.0 or s <= 0.0:
+    if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")
     u = math.exp(-(r + s))
     av = _a_of_u(u) if u < 1.0 else _a_closed(r + s)
@@ -127,10 +127,10 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     T = log1p(2 / expm1(l_alpha/2)) + log1p(2 / expm1(l_beta/2)), which
     there equals 2 (e^-(l_alpha/2) + e^-(l_beta/2)) to double precision.
     Where sinh(l_beta/2) leaves the double range (l_beta above about
-    1421) the value is inf, so an integrand 1 / sqrt(1 + F) is exactly
+    1421, or inf) the value is inf, so an integrand 1 / sqrt(1 + F) is exactly
     0; F is past 1e300 well before that.
     """
-    if l_alpha <= 0.0 or l_beta <= 0.0:
+    if not (l_alpha > 0.0 and l_beta > 0.0):
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
@@ -147,17 +147,22 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     if not u < 1.0:
         # Saturated: pair each decay factor with its sinh (products near
         # 2/3 and 1/2), so that subnormal factors cannot underflow the
-        # product.
+        # product. An infinite l_beta has sinh inf, as past 1421.
+        if sb == math.inf:
+            return math.inf
         av = _a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
         return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
     # u_factor and v_factor by their formulas, on the cosh above. u < 1
     # keeps l_alpha under 77; v_factor keeps its own branches for l_beta
-    # past 700 and for l_beta / 2 underflowing to 0.
+    # past 700 and for l_beta / 2 underflowing to 0; an infinite l_beta
+    # reads inf, as above.
     ca = math.cosh(0.5 * l_alpha)
     uf = (2.0 * ca + 1.0) / (3.0 * (ca + 1.0) ** 2)
     if sb != 0.0 and l_beta <= 700.0:
         cb = ca if same else math.cosh(0.5 * l_beta)
         vf = 1.0 / (math.atan(1.0 / sb) * cb * cb + sb)
+    elif sb == math.inf:
+        return math.inf
     else:
         vf = v_factor(l_beta)
     return _a_of_u(u) * uf * vf * sa * sb * sb
@@ -166,7 +171,7 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
 def grad_sq_upper_single(ell: float) -> float:
     """Upper bound (2 ell / pi)(1 + F_pair(ell, ell)) for the squared
     gradient of a simple nonseparating length."""
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValueError("length must be positive")
     return (2.0 * ell / math.pi) * (1.0 + F_pair(ell, ell))
 
@@ -177,7 +182,7 @@ def grad_sq_upper_separating(ell: float) -> float:
     Never above grad_sq_upper_single at the same length. Where ell / 2
     underflows to 0, F takes its limit 0 and the bound is 2 ell / pi.
     """
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValueError("length must be positive")
     half = 0.5 * ell
     return (2.0 * ell / math.pi) * (1.0 + (F_pair(half, half) if half > 0.0 else 0.0))
@@ -213,7 +218,7 @@ def r_sys(t: float) -> float:
     L0, the linear branch above, and the function has its one local
     minimum at the crossing.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("length must be positive")
     return max(0.25 * t, collar_radius_simple(t))
 
@@ -227,7 +232,7 @@ def grad_sq_upper_systole(ell: float) -> float:
     about 1.1e-308, where the collar radius 1 / sinh(ell / 2) overflows
     to inf and G_of(inf, inf) is 0.
     """
-    if ell <= 0.0:
+    if not ell > 0.0:
         raise ValueError("length must be positive")
     r = r_sys(ell)
     return (2.0 * ell / math.pi) * (1.0 + G_of(r, r))

@@ -196,9 +196,15 @@ def _systole_envelope(t: float) -> float:
     return G_of(r, r)
 
 
+def _separating_envelope(t: float) -> float:
+    # F's limit 0 where t / 2 underflows, as in grad_sq_upper_separating
+    half = 0.5 * t
+    return F_pair(half, half) if half > 0.0 else 0.0
+
+
 _VARIANTS: dict[str, Callable[[float], float]] = {
     "plain": lambda t: F_pair(t, t),
-    "separating": lambda t: F_pair(0.5 * t, 0.5 * t),
+    "separating": _separating_envelope,
     "systole": _systole_envelope,
 }
 
@@ -213,7 +219,9 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     of the systole envelope at t = L0, where the range is split. The
     bracket width comes out at or below tol. Raises ValueError if
     sqrt(a) and sqrt(b) round to the same double, where the
-    substitution cannot resolve the range.
+    substitution cannot resolve the range. F tends to 0 as t -> 0, so
+    the integrand takes its y = 0 value sqrt(2 pi) wherever y^2
+    underflows to 0.
     """
     _check_range(a, b, strict=True)
     if not tol > 0.0:
@@ -224,9 +232,10 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
         raise ValueError(f"unknown variant {variant!r}") from None
 
     def f(y: float) -> float:
-        if y == 0.0:
+        t = y * y
+        if t == 0.0:
             return SQRT_2PI
-        return SQRT_2PI / math.sqrt(1.0 + envelope(y * y))
+        return SQRT_2PI / math.sqrt(1.0 + envelope(t))
 
     ya = math.sqrt(a)
     yb = math.sqrt(b)
@@ -264,9 +273,25 @@ def c_ratio(t: float, tol: float = 1e-7) -> float:
     Tends to 1 at both ends of the t range and dips to its global
     minimum just above 0.94 near t = 4.35.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     return integral_H(0.0, t, "systole", tol).midpoint / integral_K(0.0, t)
+
+
+# Past t = 2842, sinh(t/4) overflows, F_pair(t/2, t/2) is inf and the
+# separating integrand is exactly 0: H_sep(0, inf) = H_sep(0, 2842).
+_SEPARATING_FLAT = 2842.0
+
+
+def _route(length: float, other: float, tol: float) -> Bracket:
+    # H_sep(0, length) + H_sep(0, other), each leg to tol / 2. The second
+    # leg underflows to 0 past a length of about 2980 and adds nothing;
+    # it is inf below about 2.2e-308, where csch(length / 4) overflows.
+    first = integral_H(0.0, length, "separating", 0.5 * tol)
+    if other == 0.0:
+        return first
+    end = _SEPARATING_FLAT if other == math.inf else other
+    return first + integral_H(0.0, end, "separating", 0.5 * tol)
 
 
 def W1(length: float, tol: float = 1e-7) -> Bracket:
@@ -275,12 +300,9 @@ def W1(length: float, tol: float = 1e-7) -> Bracket:
     H_sep(0, L) + H_sep(0, 8 arcsinh(1 / sinh(L / 4))), the second leg
     being four separating collar radii.
     """
-    if length <= 0.0:
+    if not length > 0.0:
         raise ValueError("length must be positive")
-    other = 4.0 * collar_radius_separating(length)
-    return integral_H(0.0, length, "separating", 0.5 * tol) + integral_H(
-        0.0, other, "separating", 0.5 * tol
-    )
+    return _route(length, 4.0 * collar_radius_separating(length), tol)
 
 
 def W2(length: float, tol: float = 1e-7) -> Bracket:
@@ -290,14 +312,10 @@ def W2(length: float, tol: float = 1e-7) -> Bracket:
     4 arcsinh(1 / sinh(L / 2))); the second leg mixes the separating
     collar radii of L and 2L.
     """
-    if length <= 0.0:
+    if not length > 0.0:
         raise ValueError("length must be positive")
-    other = 2.0 * (
-        collar_radius_separating(length) + collar_radius_separating(2.0 * length)
-    )
-    return integral_H(0.0, length, "separating", 0.5 * tol) + integral_H(
-        0.0, other, "separating", 0.5 * tol
-    )
+    other = 2.0 * (collar_radius_separating(length) + collar_radius_separating(2.0 * length))
+    return _route(length, other, tol)
 
 
 def thin_pair_sum(tol: float = 1e-7) -> Bracket:
@@ -469,8 +487,9 @@ def brock_bromberg_compare(g: int, n: int) -> float:
     if not isinstance(g, int) or not isinstance(n, int):
         raise TypeError("g and n must be ints")
     chi = 2 * g - 2 + n
-    if chi <= 0:
-        raise ValueError("requires 2g - 2 + n > 0")
+    # below 2^1020, 2 pi (2g - 2 + n) is a finite float
+    if not 0 < chi < 2**1020:
+        raise ValueError("requires 0 < 2g - 2 + n < 2**1020")
     return 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi * chi))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -16,6 +18,7 @@ import pytest
 import wpstrata
 from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
+from wpstrata.integrals import c_ratio, integral_H, integral_K
 
 EXPECTED_NAMES = [
     "delta11_elementary",
@@ -232,6 +235,37 @@ class TestPlotCommand:
         assert svg.count("<polyline ") == 2
         assert svg.rstrip().endswith("</svg>")
 
+    # sha256 of each SVG at --samples 16. Every coordinate is rounded
+    # to two places, so unlike the sidecars' full-precision floats these
+    # bytes should not move with the platform's libm.
+    @pytest.mark.parametrize(
+        "which, digest",
+        [
+            ("hsys-ratio", "cf1015255390f671c52bc096bb868969349ca749edd0f7a7780133bd2bf891d5"),
+            ("h-vs-k", "89348a061db28b6b366c4dc14681dcabb704abee0b45905c2698b42479000302"),
+        ],
+    )
+    def test_svg_bytes(self, tmp_path, capsys, which, digest):
+        path = tmp_path / "p.svg"
+        main(["plot", which, "--samples", "16", "--out", str(path)])
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_sidecar_values(self, tmp_path, capsys):
+        # the sidecars hold full-precision floats, so they are checked
+        # against the library by value rather than by bytes
+        main(["plot", "hsys-ratio", "--samples", "16", "--out", str(tmp_path / "r.svg")])
+        main(["plot", "h-vs-k", "--samples", "16", "--out", str(tmp_path / "k.svg")])
+        capsys.readouterr()
+        ratio = [[float(x) for x in line.split(",")] for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+        assert [t for t, _ in ratio] == np.logspace(-3.0, 2.0, 16).tolist()
+        assert all(v == c_ratio(t, 1e-6) for t, v in ratio)
+        hk = [[float(x) for x in line.split(",")] for line in (tmp_path / "k.csv").read_text().splitlines()[1:]]
+        assert [t for t, _, _ in hk] == np.linspace(0.0, 10.0, 16).tolist()
+        assert hk[0] == [0.0, 0.0, 0.0]
+        for t, h, k in hk[1:]:
+            assert h == integral_H(0.0, t, "plain", 1e-6).midpoint and k == integral_K(0.0, t)
+
     def test_default_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rc = main(["plot", "hsys-ratio", "--samples", "16"])
@@ -328,14 +362,70 @@ class TestUsage:
             ["constants", "--tol", "-1e-8"],
             ["constants", "--max-word-length", "40"],
             ["plot", "h-vs-k", "--tol", "nan"],
+            ["plot", "hsys-ratio", "--samples", "8"],
+            ["plot", "hsys-ratio", "--samples", "100001"],
+            ["plot", "hsys-ratio", "--samples", "abc"],
+            # an --out into a missing directory is refused when written
+            ["constants", "--max-word-length", "0", "--out", "{missing}"],
+            ["delta11", "--max-word-length", "0", "--out", "{missing}"],
+            ["plot", "hsys-ratio", "--samples", "16", "--out", "{missing}"],
         ],
     )
-    def test_bad_option_values_exit_2(self, argv, capsys):
-        # refused by the parser before any work is done
+    def test_bad_option_values_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        # refused with one error: line and no traceback: by the parser
+        # before any work is done, or, for --out, when it is written
+        monkeypatch.chdir(tmp_path)
+        argv = [a.replace("{missing}", str(tmp_path / "missing" / "x.svg")) for a in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert not (tmp_path / "missing").exists()
+
+    # Bad values for every value-taking option of every subcommand. --out
+    # takes any path; one that cannot be written is refused when it is
+    # written, after the work (test_bad_option_values_exit_2).
+    _BAD_VALUES = {
+        ("constants", "--tol"): ["abc", "0", "-1e-8", "nan", "inf", "1e999"],
+        ("constants", "--max-word-length"): ["-1", "15", "2.5", "abc"],
+        ("constants", "--format"): ["xml"],
+        ("delta11", "--tol"): ["abc", "0", "-1e-6", "nan", "-inf"],
+        ("delta11", "--max-word-length"): ["-3", "15", "1e3", ""],
+        ("delta11", "--format"): ["TEXT"],
+        ("plot", "which"): ["h-vs-t"],
+        ("plot", "--samples"): ["8", "15", "100001", "100000000000", "abc", "16.0"],
+        ("plot", "--tol"): ["nan", "0", "abc"],
+        ("verify", "suite"): ["slow"],
+    }
+
+    def test_every_option_is_checked_before_any_command_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(args):
+            raise AssertionError(f"{args.command} ran with {args}")
+
+        for name in [n for n in vars(cli) if n.startswith("cmd_")]:
+            monkeypatch.setattr(cli, name, refuse)
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = set()
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.nargs != 0:
+                    options.add((command, action.option_strings[0] if action.option_strings else action.dest))
+        assert options - {("constants", "--out"), ("delta11", "--out"), ("plot", "--out")} == set(self._BAD_VALUES)
+        positional = {"plot": ["hsys-ratio"]}
+        for (command, option), values in self._BAD_VALUES.items():
+            for value in values:
+                if option.startswith("--"):
+                    argv = [command] + positional.get(command, []) + [option, value]
+                else:
+                    argv = [command, value]
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2, argv
+                assert "error:" in capsys.readouterr().err
 
     def test_module_invocation(self, tmp_path):
         # the module runs standalone with the documented exit semantics;

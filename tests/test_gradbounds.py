@@ -279,9 +279,6 @@ class TestSystoleRadius:
         assert math.isclose(r_sys(L0), 0.25 * L0, rel_tol=1e-12)
 
 
-_POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
-
-
 class TestLargeLengths:
     """Large lengths saturate: a number, possibly inf, or ValueError."""
 
@@ -304,23 +301,32 @@ class TestLargeLengths:
         assert G_of(5e-324, 5e-324) == math.inf
         assert v_factor(5e-324) == 2.0 / math.pi
 
-    @given(x=_POSITIVE, y=_POSITIVE)
+    @given(x=st.floats(), y=st.floats())
     @settings(deadline=None, max_examples=300)
-    def test_total_over_positive_floats(self, x, y):
+    def test_total_over_every_float(self, x, y):
+        # NaN, negatives and +-inf included: a float >= 0, possibly inf,
+        # and ValueError exactly where an argument is out of the domain
         lo, hi = sorted((x, y))
+        both = x > 0.0 and y > 0.0
         calls = [
-            lambda: F_pair(lo, hi),
-            lambda: G_of(x, y),
-            lambda: grad_sq_upper_single(x),
-            lambda: grad_sq_upper_separating(x),
-            lambda: grad_sq_upper_systole(x),
+            (lambda: F_pair(lo, hi), both),
+            (lambda: G_of(x, y), both),
+            (lambda: collar_radius_simple(x), x > 0.0),
+            (lambda: collar_radius_separating(x), x > 0.0),
+            (lambda: u_factor(x), x >= 0.0),
+            (lambda: v_factor(x), x >= 0.0),
+            (lambda: r_sys(x), x > 0.0),
+            (lambda: grad_sq_upper_single(x), x > 0.0),
+            (lambda: grad_sq_upper_separating(x), x > 0.0),
+            (lambda: grad_sq_upper_systole(x), x > 0.0),
         ]
-        for call in calls:
+        for call, valid in calls:
             try:
                 v = call()
             except ValueError:
+                assert not valid
                 continue
-            assert isinstance(v, float) and v >= 0.0
+            assert valid and isinstance(v, float) and v >= 0.0
 
     @given(ell=st.floats(min_value=0.0, max_value=1e-300, exclude_min=True))
     @settings(deadline=None, max_examples=300)
@@ -328,3 +334,35 @@ class TestLargeLengths:
         # the envelopes vanish, leaving 2 ell / pi, subnormal ell included
         assert grad_sq_upper_systole(ell) == 2.0 * ell / math.pi
         assert grad_sq_upper_separating(ell) == 2.0 * ell / math.pi
+
+
+
+# (id, function, arguments, the function's own message)
+_NAN_CALLS = [
+    ("collar_radius_simple", collar_radius_simple, (math.nan,), "length must be positive"),
+    ("collar_radius_separating", collar_radius_separating, (math.nan,), "length must be positive"),
+    ("u_factor", u_factor, (math.nan,), "length must be nonnegative"),
+    ("v_factor", v_factor, (math.nan,), "length must be nonnegative"),
+    ("r_sys", r_sys, (math.nan,), "length must be positive"),
+    ("F_pair-first", F_pair, (math.nan, 1.0), "lengths must be positive"),
+    ("F_pair-second", F_pair, (1.0, math.nan), "lengths must be positive"),
+    ("G_of-first", G_of, (math.nan, 1.0), "collar radii must be positive"),
+    ("G_of-second", G_of, (1.0, math.nan), "collar radii must be positive"),
+    ("grad_sq_upper_single", grad_sq_upper_single, (math.nan,), "length must be positive"),
+    ("grad_sq_upper_separating", grad_sq_upper_separating, (math.nan,), "length must be positive"),
+    ("grad_sq_upper_systole", grad_sq_upper_systole, (math.nan,), "length must be positive"),
+]
+
+
+class TestNaN:
+    @pytest.mark.parametrize("fn, args, message", [c[1:] for c in _NAN_CALLS], ids=[c[0] for c in _NAN_CALLS])
+    def test_nan_rejected(self, fn, args, message):
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
+    def test_infinite_length_reads_inf(self):
+        # sinh(inf / 2) is out of range, as past 1421
+        assert F_pair(1.0, math.inf) == math.inf
+        assert F_pair(100.0, math.inf) == math.inf
+        assert F_pair(math.inf, math.inf) == math.inf
+        assert grad_sq_upper_single(math.inf) == math.inf

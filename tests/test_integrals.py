@@ -249,6 +249,16 @@ class TestIntegralH:
         with pytest.raises(ValueError):
             integral_H(1.0, math.nextafter(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "b, variant", [(1e-322, "plain"), (5e-324, "separating"), (5e-324, "systole"), (1e-300, "plain")]
+    )
+    def test_nodes_underflowing(self, b, variant):
+        # t = y^2 (t / 2 for "separating") is 0 at some nodes, where F
+        # takes its limit 0
+        br = integral_H(0.0, b, variant)
+        k = integral_K(0.0, b)
+        assert br.lo <= k <= br.hi and br.width <= 1e-7
+
     def test_large_lengths_saturate(self):
         # F_pair(t, t) is inf beyond t = 1421, so the integrand is 0 there
         # and the integral levels off
@@ -294,6 +304,10 @@ class TestEfficiencyRatio:
         with pytest.raises(ValueError):
             c_ratio(0.0)
 
+    def test_nodes_underflowing(self):
+        # every node's t = y^2 is 0: H_sys(0, t) = K(0, t)
+        assert c_ratio(5e-324) == 1.0
+
 
 class TestSeparatingRoutes:
     def test_w1_frozen(self):
@@ -317,6 +331,26 @@ class TestSeparatingRoutes:
             W1(0.0)
         with pytest.raises(ValueError):
             W2(-1.0)
+
+    @pytest.mark.parametrize("route", [W1, W2])
+    @pytest.mark.parametrize("length", [2960.0, 2970.0, 2980.0, 2990.0, 1e4])
+    def test_second_leg_underflowing(self, route, length):
+        # the second leg is subnormal or 0 here; the route is H_sep(0, L)
+        # and a vanishing second leg
+        br = route(length)
+        first = integral_H(0.0, length, "separating", 0.5e-7)
+        assert (br.lo, br.hi) == (first.lo, first.hi)  # under an ulp of the first leg
+        assert abs(br.midpoint - 7.5517563436) < 1e-7
+
+    @pytest.mark.parametrize("route", [W1, W2])
+    @pytest.mark.parametrize("length", [5e-324, 1e-320, 2e-308])
+    def test_second_leg_infinite(self, route, length):
+        # csch(L / 4) overflows and the second leg is inf: H_sep(0, inf)
+        br = route(length)
+        assert _finite(br) and abs(br.midpoint - 7.5517563436) < 1e-7
+
+    def test_zero_leg_adds_nothing(self):
+        assert W1(2990.0) == integral_H(0.0, 2990.0, "separating", 0.5e-7)
 
 
 class TestThinPairSum:
@@ -486,9 +520,11 @@ class TestTotality:
     @given(length=_LENGTHS)
     @settings(deadline=None, max_examples=15)
     def test_separating_routes(self, route, length):
+        # ValueError only for an invalid length: <= 0 or NaN
         try:
             br = route(length)
         except ValueError:
+            assert not length > 0.0
             return
         assert length > 0.0 and _finite(br) and br.lo > 0.0
 
@@ -498,6 +534,7 @@ class TestTotality:
         try:
             v = c_ratio(t, tol)
         except ValueError:
+            assert not t > 0.0
             return
         assert math.isfinite(v) and 0.9 < v < 1.1
 
@@ -513,6 +550,8 @@ class TestTotality:
         try:
             v = strata_separation(k, surface_class, Bracket(lo, lo + width), tol)
         except ValueError:
+            # an unknown class, k < 0, or odd k on the sphere
+            assert surface_class == "torus" or k < 0 or (surface_class == "punctured-sphere" and k % 2)
             return
         assert _finite(v.value) and v.kind in ("exact", "lower-bound")
 
@@ -544,3 +583,9 @@ class TestComparisonValue:
             brock_bromberg_compare(True, 1)
         with pytest.raises(TypeError):
             brock_bromberg_compare(1.0, 1)
+
+    def test_past_the_float_range(self):
+        # 2 pi (2g - 2 + n) would not convert to a float
+        with pytest.raises(ValueError):
+            brock_bromberg_compare(10**400, 1)
+        assert 0.0 < brock_bromberg_compare(2**1018, 1) < 1e-150
