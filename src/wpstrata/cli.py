@@ -6,7 +6,8 @@ certified bracket and compares against the published decimals,
 writes a deterministic SVG (plus CSV sidecar) for the two standard
 curves, and `verify` runs the invariant checks. Exit codes: 0 on
 success, 1 when a comparison or check fails, 2 on usage errors,
-including an --out that cannot be written.
+including an --out that cannot be written and a --tol below what the
+quadrature reaches.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from .integrals import (
     Bracket,
     W1,
     W2,
+    ConvergenceError,
     brock_bromberg_compare,
-    c_ratio,
+    c_ratios,
     integral_H,
     integral_K,
     pa_translation_bounds,
@@ -144,7 +146,7 @@ def _lipschitz() -> float:
 
 def _c_min(tol: float) -> float:
     """The least systole ratio on 61 log-spaced lengths in [1e-3, 1e2]."""
-    return min(c_ratio(float(t), tol) for t in np.logspace(-3.0, 2.0, 61))
+    return min(c_ratios(np.logspace(-3.0, 2.0, 61).tolist(), tol))
 
 
 def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> list[ConstantRecord]:
@@ -299,7 +301,7 @@ def _line_chart(
 
 def _plot_hsys_ratio(samples: int, tol: float) -> tuple[str, str]:
     ts = np.logspace(-3.0, 2.0, samples).tolist()
-    values = [c_ratio(t, tol) for t in ts]
+    values = c_ratios(ts, tol)
     svg = _line_chart(
         "systole ratio H_sys(0, t) / K(0, t)",
         (-3.0, 2.0, 0.93, 1.01),
@@ -833,6 +835,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except OSError as exc:  # an output that cannot be written
         parser.error(str(exc))
+    except ConvergenceError as exc:  # a --tol below what the quadrature reaches
+        parser.error(f"{exc} at --tol {args.tol!r}; try a larger --tol")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .gradbounds import EPS2, F_pair, G_of, L0, collar_radius_separating, r_sys
 
@@ -89,6 +89,10 @@ class Bracket:
         return Bracket(c * self.lo, c * self.hi, dict(self.error_budget))
 
 
+class ConvergenceError(RuntimeError):
+    """adaptive_simpson reached its subdivision cap before converging."""
+
+
 def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
@@ -101,10 +105,11 @@ def adaptive_simpson(
     Splits intervals depth first until the per-interval Richardson
     difference |S2 - S1| / 15 fits inside a length-proportional share of
     tol, and at least three times. Returns (value, error_bound, evals);
-    raises ValueError unless a < b and tol > 0 (a NaN tol included), and
-    RuntimeError if the subdivision cap _MAX_DEPTH is hit before the
-    estimate converges or if the integrand stops being finite. tol = inf
-    accepts every interval at depth 3.
+    raises ValueError unless a < b and tol > 0 (a NaN tol included),
+    ConvergenceError, a RuntimeError, if the subdivision cap _MAX_DEPTH
+    is hit before the estimate converges, and RuntimeError if the
+    integrand stops being finite. tol = inf accepts every interval at
+    depth 3. No reference to f or prefetch outlives the call.
 
     prefetch, if given, is called with a list of nodes before f is asked
     for any of them, so that a caller can evaluate them together. It is
@@ -151,26 +156,31 @@ def adaptive_simpson(
             err += e
             return
         if depth >= _MAX_DEPTH:
-            raise RuntimeError("adaptive quadrature failed to converge")
+            raise ConvergenceError("adaptive quadrature failed to converge")
         if prefetch is not None:
             # The points each half evaluates first, by the same expressions.
             prefetch([0.5 * (x0 + xl), 0.5 * (xl + xm), 0.5 * (xm + xr), 0.5 * (xr + x2)])
         rec(x0, f0, xm, fm, fl, sl, depth + 1)
         rec(xm, fm, x2, f2, fr, sr, depth + 1)
 
-    if prefetch is not None:
-        xm = 0.5 * (a + b)
-        prefetch([a, b, xm, 0.5 * (a + xm), 0.5 * (xm + b)])
-    root = []
-    for x in (a, b, 0.5 * (a + b)):
-        n_evals += 1
-        v = f(x)
-        if not isfinite(v):
-            raise RuntimeError(f"integrand not finite at {x!r}")
-        root.append(v)
-    fa, fb, fm = root
-    s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
-    rec(a, fa, b, fb, fm, s0, 0)
+    try:
+        if prefetch is not None:
+            xm = 0.5 * (a + b)
+            prefetch([a, b, xm, 0.5 * (a + xm), 0.5 * (xm + b)])
+        root = []
+        for x in (a, b, 0.5 * (a + b)):
+            n_evals += 1
+            v = f(x)
+            if not isfinite(v):
+                raise RuntimeError(f"integrand not finite at {x!r}")
+            root.append(v)
+        fa, fb, fm = root
+        s0 = (b - a) * (fa + 4.0 * fm + fb) / 6.0
+        rec(a, fa, b, fb, fm, s0, 0)
+    finally:
+        # rec reaches itself through its closure cell; emptying the cell
+        # frees rec, f and prefetch now rather than at a later gc pass
+        del rec
     return value, err, n_evals
 
 
@@ -208,35 +218,32 @@ _VARIANTS: dict[str, Callable[[float], float]] = {
     "systole": _systole_envelope,
 }
 
+# Where sinh overflows, F_pair is inf and the integrand exactly 0: for
+# "plain" from t = 1421 on, where sinh(t/2) does, and for "separating"
+# from t = 2842 on, where sinh(t/4) does. integral_H ends its range
+# there, H(a, b) = H(a, flat) for b past it.
+_FLAT = {"plain": 1421.0, "separating": 2842.0}
 
-def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) -> Bracket:
-    """Certified bracket for int_a^b dt / sqrt((2t/pi)(1 + F(t))).
 
-    variant picks the envelope F: "plain" uses F_pair(t, t),
-    "separating" uses F_pair(t/2, t/2), "systole" uses
-    G_of(r_sys(t), r_sys(t)). After t = y^2 the integrand is
-    sqrt(2 pi) / sqrt(1 + F(y^2)), smooth everywhere except for a kink
-    of the systole envelope at t = L0, where the range is split. The
-    bracket width comes out at or below tol. Raises ValueError if
-    sqrt(a) and sqrt(b) round to the same double, where the
-    substitution cannot resolve the range. F tends to 0 as t -> 0, so
-    the integrand takes its y = 0 value sqrt(2 pi) wherever y^2
-    underflows to 0.
-    """
-    _check_range(a, b, strict=True)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    try:
-        envelope = _VARIANTS[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
-
+def _integrand(envelope: Callable[[float], float]) -> Callable[[float], float]:
+    # sqrt(2 pi) / sqrt(1 + F(y^2)), at F's limit 0 where y^2 underflows
     def f(y: float) -> float:
         t = y * y
         if t == 0.0:
             return SQRT_2PI
         return SQRT_2PI / math.sqrt(1.0 + envelope(t))
 
+    return f
+
+
+def _bracket(f: Callable[[float], float], a: float, b: float, variant: str, tol: float) -> Bracket:
+    """The H bracket of integrand f over [a, b]; the caller has checked
+    the arguments as integral_H does.
+
+    The range runs in y = sqrt(t), cut at the systole kink or ended at
+    the variant's flat point. Each panel gets its length's share of
+    tol / 2, and the series slack is added per unit of y.
+    """
     ya = math.sqrt(a)
     yb = math.sqrt(b)
     if ya == yb:
@@ -246,8 +253,12 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
         yc = math.sqrt(L0)
         if ya < yc < yb:
             cuts = [ya, yc, yb]
+    else:
+        yc = math.sqrt(_FLAT[variant])
+        if ya < yc < yb:
+            cuts = [ya, yc]
 
-    span = yb - ya
+    span = cuts[-1] - ya
     half = 0.5 * tol
     value = 0.0
     quad_err = 0.0
@@ -267,31 +278,76 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     )
 
 
-def c_ratio(t: float, tol: float = 1e-7) -> float:
-    """Systole efficiency ratio H_sys(0, t) / K(0, t).
+def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) -> Bracket:
+    """Certified bracket for int_a^b dt / sqrt((2t/pi)(1 + F(t))).
 
-    Tends to 1 at both ends of the t range and dips to its global
-    minimum just above 0.94 near t = 4.35.
+    variant picks the envelope F: "plain" uses F_pair(t, t),
+    "separating" uses F_pair(t/2, t/2), "systole" uses
+    G_of(r_sys(t), r_sys(t)). After t = y^2 the integrand is
+    sqrt(2 pi) / sqrt(1 + F(y^2)), smooth everywhere except for a kink
+    of the systole envelope at t = L0, where the range is split. For
+    "plain" and "separating" the range ends at t = 1421 and 2842, past
+    which F is inf and the integrand exactly 0. The bracket width comes
+    out at or below tol. Raises ValueError if sqrt(a) and sqrt(b) round
+    to the same double, where the substitution cannot resolve the range.
+    F tends to 0 as t -> 0, so the integrand takes its y = 0 value
+    sqrt(2 pi) wherever y^2 underflows to 0.
     """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    return integral_H(0.0, t, "systole", tol).midpoint / integral_K(0.0, t)
+    _check_range(a, b, strict=True)
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    try:
+        envelope = _VARIANTS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+    return _bracket(_integrand(envelope), a, b, variant, tol)
 
 
-# Past t = 2842, sinh(t/4) overflows, F_pair(t/2, t/2) is inf and the
-# separating integrand is exactly 0: H_sep(0, inf) = H_sep(0, 2842).
-_SEPARATING_FLAT = 2842.0
+def c_ratios(ts: Iterable[float], tol: float = 1e-7) -> list[float]:
+    """Systole efficiency ratios H_sys(0, t) / K(0, t), one per t.
+
+    The ratio tends to 1 at both ends of the t range and dips to its
+    global minimum just above 0.94 near t = 4.35.
+
+    Every t shares one integrand, which keeps a table of the values it
+    has computed, node y -> value, for this call only. A node that
+    several brackets meet is evaluated once: above L0 every t integrates
+    the panel [0, sqrt(L0)], each at its own share of tol, and a looser
+    panel's nodes are among a tighter one's. Each ratio is bit for bit
+    the one that integral_H(0, t, "systole", tol) gives. Raises
+    ValueError unless every t is positive and finite and tol > 0.
+    """
+    ts = list(ts)
+    if not all(0.0 < t < math.inf for t in ts):
+        raise ValueError("every t must be positive and finite")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    integrand = _integrand(_systole_envelope)
+    table: dict[float, float] = {}
+
+    def f(y: float) -> float:
+        v = table.get(y)
+        if v is None:
+            v = table[y] = integrand(y)
+        return v
+
+    return [_bracket(f, 0.0, t, "systole", tol).midpoint / integral_K(0.0, t) for t in ts]
+
+
+def c_ratio(t: float, tol: float = 1e-7) -> float:
+    """Systole efficiency ratio H_sys(0, t) / K(0, t): c_ratios([t], tol)."""
+    return c_ratios([t], tol)[0]
 
 
 def _route(length: float, other: float, tol: float) -> Bracket:
     # H_sep(0, length) + H_sep(0, other), each leg to tol / 2. The second
     # leg underflows to 0 past a length of about 2980 and adds nothing;
-    # it is inf below about 2.2e-308, where csch(length / 4) overflows.
+    # it is inf below about 2.2e-308, where csch(length / 4) overflows,
+    # and then taken at the flat point, as integral_H takes any longer leg.
     first = integral_H(0.0, length, "separating", 0.5 * tol)
     if other == 0.0:
         return first
-    end = _SEPARATING_FLAT if other == math.inf else other
-    return first + integral_H(0.0, end, "separating", 0.5 * tol)
+    return first + integral_H(0.0, min(other, _FLAT["separating"]), "separating", 0.5 * tol)
 
 
 def W1(length: float, tol: float = 1e-7) -> Bracket:

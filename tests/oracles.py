@@ -19,6 +19,9 @@ the collar profile that builds a SeriesEval from a_hat;
 F_pair_by_factors, the saturating envelope on u_factor and v_factor;
 and adaptive_simpson with its per-node wrapper. The long series still
 goes to riera._long_sum, which long_sum_direct checks.
+
+c_ratios is the systole ratio sweep as it was before integrals.c_ratios
+shared one integrand across lengths: one integral_H per t.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from wpstrata import riera
 from wpstrata.gradbounds import _csch, u_factor, v_factor
-from wpstrata.integrals import _MAX_DEPTH, SQRT_2PI
+from wpstrata.integrals import _MAX_DEPTH, SQRT_2PI, integral_H, integral_K
 from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, SeriesEval
 from wpstrata.toruscoset import PRUNE_U
 
@@ -329,4 +332,14 @@ def brute_force_words(kind: str, max_word_length: int) -> set[tuple[int, ...]]:
                 if kind == "AB" and canon[-1] not in (0, 1):
                     continue
                 out.add(canon)
+    return out
+
+
+def c_ratios(ts: list[float], tol: float) -> list[float]:
+    """H_sys(0, t) / K(0, t) for each t, one integral_H at a time."""
+    out = []
+    for t in ts:
+        if not t > 0.0:
+            raise ValueError("t must be positive")
+        out.append(integral_H(0.0, t, "systole", tol).midpoint / integral_K(0.0, t))
     return out

@@ -6,7 +6,8 @@ saturating F_pair against the one that raised; the one-pass brute-force
 cosets against the two-pass enumeration; and the scalar path under
 integral_H (collar series, envelope, Simpson rule) against the one that
 built a SeriesEval per collar profile, called u_factor and v_factor and
-checked each node in a wrapper, bit for bit.
+checked each node in a wrapper, bit for bit; and the systole ratio sweep
+against one integral_H per length.
 """
 
 from __future__ import annotations
@@ -266,3 +267,39 @@ def test_delta11_matches_former_simpson_rule(monkeypatch):
         _use_former_scalar_path(m)
         want = toruscoset.delta11_bracket(0, 1e-9)
     assert (got.lo, got.hi, got.error_budget) == (want.lo, want.hi, want.error_budget)
+
+
+_C_MIN_GRID = np.logspace(-3.0, 2.0, 61).tolist()
+_PLOT_GRID = np.logspace(-3.0, 2.0, 64).tolist()
+
+
+@pytest.mark.parametrize(
+    "ts, tol", [(_C_MIN_GRID, 1e-8), (_C_MIN_GRID, 1e-7), (_PLOT_GRID, 1e-6)],
+    ids=["c_min-1e-8", "c_min-1e-7", "plot-1e-6"],
+)
+def test_c_ratios_match_the_per_length_loop(ts, tol):
+    # the grids of cli._c_min (constants at 1e-8, verify at 1e-7) and of
+    # the hsys-ratio plot at its default tol
+    assert integrals.c_ratios(ts, tol) == oracles.c_ratios(ts, tol)
+
+
+def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
+    nodes: list[float] = []
+    real = integrals._integrand
+
+    def recording(envelope):
+        g = real(envelope)
+
+        def f(y: float) -> float:
+            nodes.append(y)
+            return g(y)
+
+        return f
+
+    monkeypatch.setattr(integrals, "_integrand", recording)
+    want = oracles.c_ratios(_C_MIN_GRID, 1e-8)
+    per_length = list(nodes)
+    nodes.clear()
+    assert integrals.c_ratios(_C_MIN_GRID, 1e-8) == want
+    assert len(nodes) == len(set(nodes)) == len(set(per_length)) < len(per_length)
+    assert set(nodes) == set(per_length)

@@ -369,11 +369,16 @@ class TestUsage:
             ["constants", "--max-word-length", "0", "--out", "{missing}"],
             ["delta11", "--max-word-length", "0", "--out", "{missing}"],
             ["plot", "hsys-ratio", "--samples", "16", "--out", "{missing}"],
+            # a --tol the quadrature cannot reach is refused when it fails
+            ["constants", "--tol", "1e-300"],
+            ["delta11", "--tol", "1e-300", "--max-word-length", "0"],
+            ["plot", "h-vs-k", "--tol", "1e-300"],
         ],
     )
     def test_bad_option_values_exit_2(self, argv, tmp_path, capsys, monkeypatch):
         # refused with one error: line and no traceback: by the parser
-        # before any work is done, or, for --out, when it is written
+        # before any work is done, or, for --out and a --tol out of the
+        # quadrature's reach, when the command meets them
         monkeypatch.chdir(tmp_path)
         argv = [a.replace("{missing}", str(tmp_path / "missing" / "x.svg")) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -383,6 +388,15 @@ class TestUsage:
         assert "usage:" in err and "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert not (tmp_path / "missing").exists()
+
+    def test_other_runtime_errors_still_raise(self, monkeypatch):
+        # only the quadrature's non-convergence is a usage error
+        def crossed(*args):
+            raise RuntimeError("distance bracket collapsed, bounds crossed")
+
+        monkeypatch.setattr(cli, "delta11_bracket", crossed)
+        with pytest.raises(RuntimeError, match="bounds crossed"):
+            main(["delta11", "--max-word-length", "0"])
 
     # Bad values for every value-taking option of every subcommand. --out
     # takes any path; one that cannot be written is refused when it is

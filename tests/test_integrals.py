@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpstrata import integrals
+from wpstrata import integrals, toruscoset
 from wpstrata.gradbounds import EPS2, F_pair, L0
 from wpstrata.integrals import (
     SQRT_2PI,
@@ -21,6 +23,7 @@ from wpstrata.integrals import (
     adaptive_simpson,
     brock_bromberg_compare,
     c_ratio,
+    c_ratios,
     calibrate_eps2,
     gap_constants,
     integral_H,
@@ -30,7 +33,7 @@ from wpstrata.integrals import (
     strata_separation,
     thin_pair_sum,
 )
-from wpstrata.toruscoset import grad_sq_bracket
+from wpstrata.toruscoset import delta11_bracket, grad_sq_bracket
 
 T0 = 2.0 * math.asinh(1.0)
 
@@ -112,6 +115,30 @@ class TestAdaptiveSimpson:
         with pytest.raises(RuntimeError, match="failed to converge"):
             adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)
         assert time.perf_counter() - start < 2.0
+
+    def test_no_integrand_outlives_its_call(self, monkeypatch):
+        # the recursion's closure used to hold itself, and with it the
+        # integrand and all it captures, until a gen-2 collection
+        refs = []
+        real = integrals.adaptive_simpson
+
+        def watched(f, *args, **kwargs):
+            refs.append(weakref.ref(f))
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(integrals, "adaptive_simpson", watched)
+        monkeypatch.setattr(toruscoset, "adaptive_simpson", watched)
+        gc.collect()
+        gc.disable()
+        try:
+            integral_H(0.0, 5.0, "systole")
+            delta11_bracket(2, 1e-4)
+            c_ratios([0.5, 3.0, 5.0])
+            alive = [r() is not None for r in refs]
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert len(refs) == 9 and not any(alive) and freed == 0
 
 
 def _delta11_integrand(side: str, L: int):
@@ -267,6 +294,27 @@ class TestIntegralH:
         assert near.lo <= far.hi and far.lo <= near.hi + 1e-7
         assert integral_H(0.0, 1e4, "separating").width <= 1e-7
 
+    @pytest.mark.parametrize("variant, flat", [("plain", 1421.0), ("separating", 2842.0)])
+    @pytest.mark.parametrize("b", [1e12, 1e100, 1.7e308])
+    def test_range_ends_at_the_flat_point(self, variant, flat, b):
+        # F is inf past the flat point, so the integrand is exactly 0 there
+        assert integral_H(0.0, b, variant) == integral_H(0.0, flat, variant)
+
+    @given(t=st.floats(min_value=1421.0))
+    def test_plain_envelope_inf_past_its_flat_point(self, t):
+        # and the separating envelope F_pair(t/2, t/2) past t = 2842 with it
+        assert F_pair(t, t) == math.inf
+
+    def test_bits_at_the_flat_point(self):
+        # frozen before the range was ended there
+        br = integral_H(0.0, 1421.0, "plain")
+        assert (br.lo, br.hi) == (5.339898118491281, 5.3398981249636925)
+
+    def test_known_miss_below_the_flat_point(self):
+        # ROADMAP D9: H(0, 2000) >= H(0, 1000), yet the two brackets are
+        # disjoint, so one of them misses its value. Asserted as it stands.
+        assert integral_H(0.0, 2000.0).hi < integral_H(0.0, 1000.0).lo
+
     @given(
         a=st.floats(min_value=0.0, max_value=1e4),
         b=st.floats(min_value=0.0, max_value=1e4),
@@ -308,6 +356,20 @@ class TestEfficiencyRatio:
         # every node's t = y^2 is 0: H_sys(0, t) = K(0, t)
         assert c_ratio(5e-324) == 1.0
 
+    def test_sweep_of_nothing(self):
+        assert c_ratios([]) == []
+        with pytest.raises(ValueError):
+            c_ratios([], 0.0)
+
+    def test_sweep_repeats_and_order(self):
+        ts = [5.0, 0.5, 5.0, 3.0, 0.5]
+        assert c_ratios(ts, 1e-8) == [c_ratio(t, 1e-8) for t in ts]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, -0.0, math.inf, -math.inf])
+    def test_sweep_domain(self, bad):
+        with pytest.raises(ValueError):
+            c_ratios([1.0, bad])
+
 
 class TestSeparatingRoutes:
     def test_w1_frozen(self):
@@ -317,6 +379,11 @@ class TestSeparatingRoutes:
     def test_w2_frozen(self):
         br = W2(2.420, 1e-8)
         assert math.isclose(br.lo, 10.096569881448058, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("route", [W1, W2])
+    def test_past_the_flat_point(self, route):
+        # the first leg ends at t = 2842; the second one underflows to 0
+        assert route(1e10) == integral_H(0.0, 2842.0, "separating", 0.5e-7)
 
     def test_w2_near_optimal(self):
         minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
@@ -537,6 +604,18 @@ class TestTotality:
             assert not t > 0.0
             return
         assert math.isfinite(v) and 0.9 < v < 1.1
+
+    @given(ts=st.lists(st.one_of(_LENGTHS, st.just(math.inf)), max_size=4), tol=_TOLS)
+    @settings(deadline=None, max_examples=15)
+    def test_c_ratios(self, ts, tol):
+        # a repeated length gives the same ratio again
+        try:
+            got = c_ratios(ts + ts[:1], tol)
+        except ValueError:
+            assert not all(0.0 < t < math.inf for t in ts)
+            return
+        assert len(got) == len(ts) + min(len(ts), 1) and got[len(ts):] == got[:1]
+        assert all(math.isfinite(v) and 0.9 < v < 1.1 for v in got)
 
     @given(
         k=st.integers(min_value=-2, max_value=8),
