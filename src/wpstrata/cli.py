@@ -50,7 +50,9 @@ from .hyp2 import (
 from .integrals import (
     Bracket,
     W1,
+    W1_LENGTH,
     W2,
+    W2_LENGTH,
     ConvergenceError,
     brock_bromberg_compare,
     c_ratios,
@@ -154,7 +156,7 @@ def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> lis
     published decimals."""
     elementary = delta11_bracket(0, min(tol, 1e-9))
     pair = thin_pair_sum(tol)
-    w2 = W2(2.420, tol)
+    w2 = W2(W2_LENGTH, tol)
     pa = pa_translation_bounds(tol)
     values = {
         "delta11_elementary": elementary,
@@ -162,7 +164,7 @@ def compute_constant_records(tol: float = 1e-8, max_word_length: int = 8) -> lis
         "hsum_thin_pair": pair,
         "h_0_2eps2": integral_H(0.0, 2.0 * EPS2, "plain", tol),
         "hs_0_4eps2": integral_H(0.0, 4.0 * EPS2, "separating", tol),
-        "w1_3678": W1(3.678, tol),
+        "w1_3678": W1(W1_LENGTH, tol),
         "w2_2420": w2,
         "delta04_sqrt2": elementary.scaled(math.sqrt(2.0)),
         "two_delta11": elementary.scaled(2.0),
@@ -791,9 +793,12 @@ def _checked(cast: Callable[[str], Any], ok: Callable[[Any], bool], want: str) -
     return check
 
 
-_tol = _checked(float, lambda x: math.isfinite(x) and x > 0.0, "finite and positive")
+# a normal float: halving a subnormal tol can round it to 0
+_tol = _checked(float, lambda x: sys.float_info.min <= x < math.inf, f"finite and at least {sys.float_info.min!r}")
 _word_length = _checked(int, lambda n: 0 <= n <= MAX_WORD_LENGTH, f"in 0..{MAX_WORD_LENGTH}")
 _samples = _checked(int, lambda n: 16 <= n <= 100000, "in 16..100000")
+# the CSV sidecar takes the SVG path's extension, so .csv would be both
+_svg_out = _checked(str, lambda out: not out.endswith(".csv"), "a path not ending in .csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -818,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("which", choices=("hsys-ratio", "h-vs-k"))
     pp.add_argument("--samples", type=_samples, default=64, help="points per curve, 16..100000")
     pp.add_argument("--tol", type=_tol, default=1e-6)
-    pp.add_argument("--out", help="SVG output path (default plot.svg)")
+    pp.add_argument("--out", type=_svg_out, help="SVG output path (default plot.svg), not ending in .csv")
     pp.set_defaults(fn=cmd_plot)
 
     pv = sub.add_parser("verify", help="run the invariant checks")

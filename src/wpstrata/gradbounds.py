@@ -24,10 +24,9 @@ from .riera import _a_closed, _a_of_u
 # Thin part length threshold for the strata distance integrals.
 # Calibrated so that the paired integral H(0, 4 e) + H(0, 2 e) evaluates
 # to 7.611385 (see integrals.calibrate_eps2). Sits 2.62e-6 above the
-# collar identity value EPS2_IDENTITY = arcsinh(1), the self-dual point
-# of the simple collar radius.
+# collar identity value arcsinh(1), the self-dual point of the simple
+# collar radius.
 EPS2 = 0.8813761988109772
-EPS2_IDENTITY = math.asinh(1.0)
 
 
 def _csch(x: float) -> float:

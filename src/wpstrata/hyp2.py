@@ -58,9 +58,6 @@ class GeodesicH2:
         if _same_point(self.p, self.q):
             raise ValueError("geodesic needs two distinct ideal endpoints")
 
-    def endpoints(self) -> tuple[float, float]:
-        return (self.p, self.q)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GeodesicH2):
             return NotImplemented
@@ -83,13 +80,6 @@ class MoebiusMap:
         det = self.a * self.d - self.b * self.c
         if not math.isfinite(det) or abs(det - 1.0) > _DET_TOL:
             raise ValueError(f"determinant {det!r} is not 1 within {_DET_TOL}")
-
-    @classmethod
-    def identity(cls) -> MoebiusMap:
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
     def trace(self) -> float:
         return self.a + self.d

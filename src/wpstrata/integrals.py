@@ -12,8 +12,8 @@ K(a, b) = sqrt(2 pi b) - sqrt(2 pi a) is the closed form obtained by
 dropping F; it dominates H and the two agree as b -> 0. The remaining
 functions combine H brackets into distance lower bounds between thin
 strata: thin_pair_sum for the generic two-curve configuration, W1 and
-W2 for the separating routes, strata_separation and gap_constants for
-the per-configuration verdicts, and pa_translation_bounds for the
+W2 for the separating routes, strata_separation for the
+per-configuration verdicts, and pa_translation_bounds for the
 point-pushing translation lengths.
 """
 
@@ -218,11 +218,16 @@ _VARIANTS: dict[str, Callable[[float], float]] = {
     "systole": _systole_envelope,
 }
 
-# Where sinh overflows, F_pair is inf and the integrand exactly 0: for
-# "plain" from t = 1421 on, where sinh(t/2) does, and for "separating"
-# from t = 2842 on, where sinh(t/4) does. integral_H ends its range
-# there, H(a, b) = H(a, flat) for b past it.
-_FLAT = {"plain": 1421.0, "separating": 2842.0}
+# Flat point and value per variant: from the flat point on the integrand
+# is exactly the value, which _bracket adds in closed form. F_pair is inf
+# and the integrand 0 from t = 1421 ("plain", where sinh(t/2) overflows)
+# and from 2842 ("separating", sinh(t/4)); G_of(r_sys(t), r_sys(t)) is
+# exactly 0 from t of about 995.14 on, so the systole integrand is sqrt(2 pi).
+_FLAT = {"plain": (1421.0, 0.0), "separating": (2842.0, 0.0), "systole": (996.0, SQRT_2PI)}
+
+# The lengths at which the paper takes its two separating routes.
+W1_LENGTH = 3.678
+W2_LENGTH = 2.420
 
 
 def _integrand(envelope: Callable[[float], float]) -> Callable[[float], float]:
@@ -240,25 +245,24 @@ def _bracket(f: Callable[[float], float], a: float, b: float, variant: str, tol:
     """The H bracket of integrand f over [a, b]; the caller has checked
     the arguments as integral_H does.
 
-    The range runs in y = sqrt(t), cut at the systole kink or ended at
-    the variant's flat point. Each panel gets its length's share of
-    tol / 2, and the series slack is added per unit of y.
+    The range runs in y = sqrt(t), cut at the systole kink and ended at
+    the variant's flat point, past which the flat value times the rest
+    of the range is added. Each panel gets its length's share of tol / 2,
+    and the series slack is added per unit of y integrated.
     """
     ya = math.sqrt(a)
     yb = math.sqrt(b)
     if ya == yb:
         raise ValueError("range too narrow for the y = sqrt(t) substitution")
-    cuts = [ya, yb]
-    if variant == "systole":
-        yc = math.sqrt(L0)
-        if ya < yc < yb:
-            cuts = [ya, yc, yb]
-    else:
-        yc = math.sqrt(_FLAT[variant])
-        if ya < yc < yb:
-            cuts = [ya, yc]
+    t_flat, flat_value = _FLAT[variant]
+    y_flat = math.sqrt(t_flat)
+    y_end = y_flat if ya < y_flat < yb else yb
+    cuts = [ya, y_end]
+    yc = math.sqrt(L0)
+    if variant == "systole" and ya < yc < y_end:
+        cuts = [ya, yc, y_end]
 
-    span = cuts[-1] - ya
+    span = y_end - ya
     half = 0.5 * tol
     value = 0.0
     quad_err = 0.0
@@ -268,6 +272,7 @@ def _bracket(f: Callable[[float], float], a: float, b: float, variant: str, tol:
         value += v
         quad_err += e
         evals += n
+    value += flat_value * (yb - y_end)
 
     tail = _SERIES_SLACK * span
     total = quad_err + tail
@@ -285,9 +290,10 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     "separating" uses F_pair(t/2, t/2), "systole" uses
     G_of(r_sys(t), r_sys(t)). After t = y^2 the integrand is
     sqrt(2 pi) / sqrt(1 + F(y^2)), smooth everywhere except for a kink
-    of the systole envelope at t = L0, where the range is split. For
-    "plain" and "separating" the range ends at t = 1421 and 2842, past
-    which F is inf and the integrand exactly 0. The bracket width comes
+    of the systole envelope at t = L0, where the range is split. Past the
+    variant's flat point, t = 1421 ("plain"), 2842 ("separating") or 996
+    ("systole"), the integrand is exactly 0, 0 or sqrt(2 pi), and that
+    part of the range is added in closed form. The bracket width comes
     out at or below tol. Raises ValueError if sqrt(a) and sqrt(b) round
     to the same double, where the substitution cannot resolve the range.
     F tends to 0 as t -> 0, so the integrand takes its y = 0 value
@@ -347,7 +353,7 @@ def _route(length: float, other: float, tol: float) -> Bracket:
     first = integral_H(0.0, length, "separating", 0.5 * tol)
     if other == 0.0:
         return first
-    return first + integral_H(0.0, min(other, _FLAT["separating"]), "separating", 0.5 * tol)
+    return first + integral_H(0.0, min(other, _FLAT["separating"][0]), "separating", 0.5 * tol)
 
 
 def W1(length: float, tol: float = 1e-7) -> Bracket:
@@ -439,26 +445,14 @@ def strata_separation(
         return SeparationVerdict(k, surface_class, "exact", delta11.scaled(math.sqrt(2.0)))
     candidates = {
         "branch_2_delta11": delta11.scaled(2.0),
-        "branch_w1": W1(3.678, tol),
-        "branch_w2": W2(2.420, tol),
+        "branch_w1": W1(W1_LENGTH, tol),
+        "branch_w2": W2(W2_LENGTH, tol),
     }
     best_key = min(candidates, key=lambda key: candidates[key].lo)
     best = candidates[best_key]
     notes = {f"{key}_lo": br.lo for key, br in candidates.items() if key != best_key}
     value = Bracket(best.lo, best.hi, _merge_budgets(best.error_budget, notes))
     return SeparationVerdict(k, surface_class, "lower-bound", value)
-
-
-def gap_constants(delta11: Bracket, tol: float = 1e-7) -> tuple[float, float]:
-    """Certified gaps between the route pairs.
-
-    gap_genus = thin_pair_sum.lo - delta11.hi and
-    gap_sphere = W2(2.420).lo - sqrt(2) delta11.hi; both positive means
-    the exact routes beat the general ones strictly.
-    """
-    gap_genus = thin_pair_sum(tol).lo - delta11.hi
-    gap_sphere = W2(2.420, tol).lo - math.sqrt(2.0) * delta11.hi
-    return (gap_genus, gap_sphere)
 
 
 class PATranslationBounds(NamedTuple):

@@ -284,22 +284,3 @@ def a_stable(T: float) -> float:
     u = math.exp(-T)
     return _a_of_u(u) if u < 1.0 else _a_closed(T)
 
-
-def a_from_collar_length(t: float) -> float:
-    """Collar profile of a simple closed geodesic of length t.
-
-    The collar half-width r of such a geodesic satisfies
-    e^-r = tanh(t/4), so the series argument is tanh(t/4)^2 exactly and
-    no inverse hyperbolic solve is needed. Stable down to tiny t, where
-    the value approaches 8/3 quadratically, and through large t via the
-    closed-form branch. Where tanh(t/4)^2 rounds to 1 (t above about
-    76.2) the closed form takes T = 4 e^(-t/2), which equals
-    -log(tanh(t/4)^2) to double precision there; the value, about
-    t - 2 - 2 log 2, reads inf once coth(T/2) overflows or T underflows
-    (t above about 1420, and t = inf). Raises ValueError unless t > 0.
-    """
-    if not t > 0.0:
-        raise ValueError("length must be positive")
-    th = math.tanh(0.25 * t)
-    u = th * th
-    return _a_of_u(u) if u < 1.0 else _a_closed(4.0 * math.exp(-0.5 * t))

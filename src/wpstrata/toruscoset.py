@@ -64,17 +64,17 @@ adaptive_simpson announces together (see delta11_bracket). Each short
 word length costs a few dozen numpy calls whatever its size, about
 0.07 ms, so it is built once for the whole block: one (2, 2, k, n)
 array, whose ch, sh and A scalings are (k, 1) columns, and one (k, m)
-array of u values. A word length is built this way while
-k * (its columns) <= _BLOCK_COLUMNS = 2 * 3^7; at L = 10 and k = 4 that
-is lengths 1..7. From the first longer length on, each node continues
-alone from its row of the last block level, with the same 3-D arrays
-and the same _kernel_sums as a single node, into its own u array of one
-node's size, which starts with a copy of its block row. Every product
-and sum is the same rounded operation in the same order as for the node
-alone, so the sums match it bit for bit. Deep lengths are not blocked:
-there the work is per column, and k times larger arrays load the C
-heap (D7 in ROADMAP.md). Blocking every length at L = 10 doubled the
-minor page faults of a 20-s delta11-l10 benchmark run (111.5k against
+array of u values; a single node is a block of one. Length 1 is built
+this way, and so is every length while k * (its columns) <=
+_BLOCK_COLUMNS = 2 * 3^7; at L = 10 and k = 4 that is lengths 1..7.
+From the first longer length on, each node continues alone from its
+row of the last block level into its own u array of one node's size,
+which starts with a copy of its block row. Every product and sum is the
+same rounded operation in the same order whatever the block, so a
+node's sums match its sums alone bit for bit. Deep lengths are not
+blocked: there the work is per column, and k times larger arrays load
+the C heap (D7 in ROADMAP.md). Blocking every length at L = 10 doubled
+the minor page faults of a 20-s delta11-l10 benchmark run (111.5k against
 56.2k) and raised its peak RSS by 1.9 MB; larger per-call arrays are
 also what makes the heap trim and regrow on every call in some
 processes. Split this way, no array is larger than a single node's.
@@ -155,13 +155,6 @@ class CosetWord:
             raise ValueError("AA words end with a B letter")
         if self.kind == "AB" and last not in (0, 1):
             raise ValueError("AB words end with an A letter")
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -376,10 +369,10 @@ def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[flo
     """Partial AA and nonidentity AB kernel sums through length maxlen at
     each t of ts, over the quarter tree, and the pruned count of them all.
 
-    ts is a sequence, one node or a block; delta11_bracket passes the
-    nodes of each adaptive_simpson announcement that it has not summed
-    yet, at most four. The leading word lengths are built once for the
-    whole block, the rest node by node; see the module docstring. Each
+    ts is a nonempty sequence; delta11_bracket passes the nodes of each
+    adaptive_simpson announcement that it has not summed yet, at most
+    four. The leading word lengths are built once for the whole block,
+    the rest node by node; see the module docstring. Each
     node's sums are bit for bit those of the node alone, repeats and
     order included. The kernel arithmetic runs under one np.errstate:
     at extreme t entries overflow to inf or nan, and those u values are
@@ -398,30 +391,24 @@ def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[flo
     edges = [0]
     for nA, nB, na, nb in levels:
         edges += [edges[-1] + 1, edges[-1] + 1 + nB + nb, edges[-1] + 1 + nA + nB + na + nb]
-    head = 0  # levels built for the whole block
-    if k > 1:
-        while head < maxlen and k * _columns(levels, head, maxlen) <= _BLOCK_COLUMNS:
-            head += 1
+    head = 1  # levels built for the whole block, at least the word B
+    while head < maxlen and k * _columns(levels, head, maxlen) <= _BLOCK_COLUMNS:
+        head += 1
     nodes = [_node_entries(t) for t in ts]
     s_aa: list[float] = []
     s_ab: list[float] = []
     pruned = 0
     # Non-finite entries at extreme t are pruned below, by design.
     with np.errstate(over="ignore", invalid="ignore"):
-        if head:
-            e, sh, ch = (np.array(c).reshape(k, 1) for c in zip(*nodes))
-            scale = np.array([e, 1.0 / e]).reshape(1, 2, k, 1)
-            u_head = np.empty((k, edges[3 * head]))
-            block = _build(np.array([[ch, sh], [sh, ch]]), levels, range(head), maxlen, scale, ch, sh, u_head, edges)
+        e, sh, ch = (np.array(c).reshape(k, 1) for c in zip(*nodes))
+        scale = np.array([e, 1.0 / e]).reshape(1, 2, k, 1)
+        u_head = np.empty((k, edges[3 * head]))
+        block = _build(np.array([[ch, sh], [sh, ch]]), levels, range(head), maxlen, scale, ch, sh, u_head, edges)
         for i, (e, sh, ch) in enumerate(nodes):
             u = np.empty(edges[-1])
-            if head:
-                u[: edges[3 * head]] = u_head[i]
-                mats = block[:, :, i]
-            else:  # level 1 is the chain column alone: the word B
-                mats = np.array([[ch, sh], [sh, ch]]).reshape(2, 2, 1)
+            u[: edges[3 * head]] = u_head[i]
             scale = np.array([e, 1.0 / e]).reshape(1, 2, 1)  # A on the right
-            _build(mats, levels, range(head, maxlen), maxlen, scale, ch, sh, u, edges)
+            _build(block[:, :, i], levels, range(head, maxlen), maxlen, scale, ch, sh, u, edges)
             sums, cut = _kernel_sums(u, edges)
             node_aa = 0.0
             node_ab = 0.0
@@ -432,6 +419,31 @@ def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[flo
             s_ab.append(node_ab)
             pruned += 2 * sum(cut[0::3]) + 4 * (sum(cut[1::3]) + sum(cut[2::3]))
     return s_aa, s_ab, pruned
+
+
+def _grad_sq_ends(ts: Sequence[float], max_word_length: int) -> tuple[list[tuple[float, float]], int]:
+    """(lower, upper) of grad_sq_bracket at each positive finite t of ts,
+    the t from _FLAT_T on summed in one _coset_sums call, and the pruned
+    count of those sums."""
+    kernel_ts = [t for t in ts if t >= _FLAT_T]
+    s_aa, s_ab, pruned = _coset_sums(kernel_ts, max_word_length) if kernel_ts else ([], [], 0)
+    sums = zip(s_aa, s_ab)
+    ends = []
+    for t in ts:
+        node_aa, node_ab = next(sums) if t >= _FLAT_T else (0.0, 0.0)
+        lower = (2.0 / math.pi) * (t + node_aa)
+        if t < _TINY_T:
+            upper = (2.0 / math.pi) * t
+        else:
+            try:
+                sinh_half = math.sinh(0.5 * t)
+            except OverflowError:
+                sinh_half = math.inf
+            upper = (2.0 / math.pi) * sinh_half * (2.0 - node_ab)
+        if lower > upper:
+            raise RuntimeError("truncation bracket collapsed, bounds crossed")
+        ends.append((lower, upper))
+    return ends, pruned
 
 
 def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
@@ -465,21 +477,7 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
     _check_word_length(max_word_length, 0)
-    if t < _FLAT_T:
-        s_aa, s_ab, pruned = 0.0, 0.0, 0
-    else:
-        (s_aa,), (s_ab,), pruned = _coset_sums([t], max_word_length)
-    lower = (2.0 / math.pi) * (t + s_aa)
-    if t < _TINY_T:
-        upper = (2.0 / math.pi) * t
-    else:
-        try:
-            sinh_half = math.sinh(0.5 * t)
-        except OverflowError:
-            sinh_half = math.inf
-        upper = (2.0 / math.pi) * sinh_half * (2.0 - s_ab)
-    if lower > upper:
-        raise RuntimeError("truncation bracket collapsed, bounds crossed")
+    ((lower, upper),), pruned = _grad_sq_ends([t], max_word_length)
     return Bracket(
         lower,
         upper,
@@ -499,10 +497,10 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     two sides are the analytic envelope integrals; positive lengths
     tighten them toward each other.
 
-    The coset sums of the nodes that adaptive_simpson announces are
-    computed in one _coset_sums call per announcement, at most four
-    nodes (y = 0 is a closed form), and each t once across both sides;
-    the integrands only read them back.
+    The gradient bracket ends of the nodes that adaptive_simpson
+    announces are computed in one _grad_sq_ends call per announcement,
+    at most four nodes (y = 0 is a closed form), and each t once across
+    both sides; the integrands only read them back.
     """
     _check_word_length(max_word_length, 0)
     if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
@@ -510,32 +508,22 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)
-    cache: dict[float, tuple[float, float]] = {}
+    ends: dict[float, tuple[float, float]] = {}  # t -> _grad_sq_ends of t
     pruned = 0
 
     def prefetch(ys: list[float]) -> None:
         nonlocal pruned
-        ts = [tt for tt in dict.fromkeys(y * y for y in ys if y != 0.0) if tt not in cache]
+        ts = [tt for tt in dict.fromkeys(y * y for y in ys if y != 0.0) if tt not in ends]
         if ts:
-            s_aa, s_ab, cut = _coset_sums(ts, max_word_length)
-            cache.update(zip(ts, zip(s_aa, s_ab)))
+            node_ends, cut = _grad_sq_ends(ts, max_word_length)
+            ends.update(zip(ts, node_ends))
             pruned += cut
 
     def f_lower(y: float) -> float:
-        if y == 0.0:
-            return 2.0 * SQRT_2PI
-        tt = y * y
-        s_ab = cache[tt][1]
-        q_hi = (2.0 / math.pi) * math.sinh(0.5 * tt) * (2.0 - s_ab)
-        return 4.0 * y / math.sqrt(q_hi)
+        return 4.0 * y / math.sqrt(ends[y * y][1]) if y else 2.0 * SQRT_2PI
 
     def f_upper(y: float) -> float:
-        if y == 0.0:
-            return 2.0 * SQRT_2PI
-        tt = y * y
-        s_aa = cache[tt][0]
-        q_lo = (2.0 / math.pi) * (tt + s_aa)
-        return 4.0 * y / math.sqrt(q_lo)
+        return 4.0 * y / math.sqrt(ends[y * y][0]) if y else 2.0 * SQRT_2PI
 
     half = 0.5 * quad_tol
     v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half, prefetch=prefetch)

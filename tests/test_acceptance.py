@@ -16,13 +16,15 @@ import time
 
 import pytest
 
+from wpstrata import cli
 from wpstrata.cli import _ALL_CHECKS, _ceil_str, _trunc_str, compute_constant_records
-from wpstrata.gradbounds import EPS2, G_of, L0
+from wpstrata.gradbounds import EPS2
 from wpstrata.integrals import (
     V3,
     W1,
+    W1_LENGTH,
     W2,
-    gap_constants,
+    W2_LENGTH,
     integral_H,
     pa_translation_bounds,
     thin_pair_sum,
@@ -57,8 +59,8 @@ def test_c3_separation_route_values():
     pair = thin_pair_sum(1e-8)
     assert pair.lo >= 7.61138
     assert _trunc_str(pair.midpoint) == "7.61138"
-    assert W1(3.678, 1e-8).lo >= 10.76596
-    assert W2(2.420, 1e-8).lo >= 10.09656
+    assert W1(W1_LENGTH, 1e-8).lo >= 10.76596
+    assert W2(W2_LENGTH, 1e-8).lo >= 10.09656
     elementary = delta11_bracket(0, 1e-9)
     delta04 = elementary.scaled(math.sqrt(2.0))
     assert _trunc_str(delta04.lo) == "9.29495"
@@ -68,10 +70,9 @@ def test_c3_separation_route_values():
 
 def test_c4_route_gaps_positive():
     """Certified gaps between exact and general routes stay positive."""
-    elementary = delta11_bracket(0, 1e-9)
-    gap_genus, gap_sphere = gap_constants(elementary, 1e-8)
-    assert gap_genus >= 0.95535
-    assert gap_sphere >= 0.68351
+    by_name = {r.name: r for r in compute_constant_records(1e-8)}
+    assert by_name["gap_genus"].lo >= 0.95535
+    assert by_name["gap_sphere"].lo >= 0.68351
 
 
 def test_c5_auxiliary_decimals():
@@ -80,16 +81,8 @@ def test_c5_auxiliary_decimals():
     assert _trunc_str(h2.midpoint) == "3.27466"
     hs4 = integral_H(0.0, 4.0 * EPS2, "separating", 1e-8)
     assert _trunc_str(hs4.midpoint) == "4.63108"
-    lip = math.sqrt(2.0 * math.pi / (1.0 + G_of(0.25 * L0, 0.25 * L0)))
-    assert _trunc_str(lip) == "2.00423"
-    import numpy as np
-
-    c_min = min(
-        integral_H(0.0, float(t), "systole", 1e-8).midpoint
-        / (math.sqrt(2.0 * math.pi * float(t)))
-        for t in np.logspace(-3.0, 2.0, 61)
-    )
-    assert c_min >= 0.94
+    assert _trunc_str(cli._lipschitz()) == "2.00423"
+    assert cli._c_min(1e-8) >= 0.94
 
 
 def _plain_h_oracle(a: float, b: float) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from wpstrata.gradbounds import (
     EPS2,
-    EPS2_IDENTITY,
     L0,
     F_pair,
     G_of,
@@ -32,7 +31,7 @@ T0 = 2.0 * math.asinh(1.0)
 class TestCollarRadii:
     def test_self_dual_point(self):
         assert math.isclose(
-            collar_radius_simple(2.0 * EPS2_IDENTITY), EPS2_IDENTITY, rel_tol=1e-15
+            collar_radius_simple(2.0 * math.asinh(1.0)), math.asinh(1.0), rel_tol=1e-15
         )
 
     @given(ell=st.floats(min_value=1e-3, max_value=40.0))
@@ -93,8 +92,7 @@ class TestThreshold:
 
     def test_thin_threshold_constants(self):
         # the calibrated threshold sits just above the collar identity value
-        assert EPS2_IDENTITY == math.asinh(1.0)
-        gap = EPS2 - EPS2_IDENTITY
+        gap = EPS2 - math.asinh(1.0)
         assert 0.0 < gap < 1e-5
 
 

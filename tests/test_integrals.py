@@ -13,19 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpstrata import integrals, toruscoset
-from wpstrata.gradbounds import EPS2, F_pair, L0
+from wpstrata.gradbounds import EPS2, F_pair, G_of, L0, r_sys
 from wpstrata.integrals import (
     SQRT_2PI,
     V3,
     Bracket,
     W1,
+    W1_LENGTH,
     W2,
+    W2_LENGTH,
     adaptive_simpson,
     brock_bromberg_compare,
     c_ratio,
     c_ratios,
     calibrate_eps2,
-    gap_constants,
     integral_H,
     integral_K,
     lobachevsky,
@@ -305,6 +306,29 @@ class TestIntegralH:
         # and the separating envelope F_pair(t/2, t/2) past t = 2842 with it
         assert F_pair(t, t) == math.inf
 
+    @given(t=st.floats(min_value=996.0))
+    def test_systole_envelope_zero_past_its_flat_point(self, t):
+        # exactly 0 from t of about 995.14 on, so the integrand is sqrt(2 pi)
+        assert G_of(r_sys(t), r_sys(t)) == 0.0
+
+    @pytest.mark.parametrize("b", [1e20, 1e100, 1.7e308])
+    def test_systole_past_its_flat_point(self, b):
+        # the integral over the flat part is sqrt(2 pi) (sqrt(b) - sqrt(996))
+        flat = integral_H(0.0, 996.0, "systole")
+        br = integral_H(0.0, b, "systole")
+        assert br.error_budget == flat.error_budget
+        tail = SQRT_2PI * (math.sqrt(b) - math.sqrt(996.0))
+        assert math.isclose(br.midpoint, flat.midpoint + tail, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("b, lo, hi", [
+        (500.0, 55.71430238762536, 55.71430239558763),
+        (996.0, 78.77224423338886, 78.77224423950877),
+    ])
+    def test_systole_bits_up_to_its_flat_point(self, b, lo, hi):
+        # frozen before the systole range was ended at t = 996
+        br = integral_H(0.0, b, "systole")
+        assert (br.lo, br.hi) == (lo, hi)
+
     def test_bits_at_the_flat_point(self):
         # frozen before the range was ended there
         br = integral_H(0.0, 1421.0, "plain")
@@ -356,6 +380,12 @@ class TestEfficiencyRatio:
         # every node's t = y^2 is 0: H_sys(0, t) = K(0, t)
         assert c_ratio(5e-324) == 1.0
 
+    def test_past_the_systole_flat_point(self):
+        # past t = 996 H and K grow alike, so 1 - ratio is their fixed
+        # difference over K
+        gap = integral_K(0.0, 996.0) - integral_H(0.0, 996.0, "systole").midpoint
+        assert math.isclose(1.0 - c_ratio(1e20), gap / integral_K(0.0, 1e20), rel_tol=1e-3)
+
     def test_sweep_of_nothing(self):
         assert c_ratios([]) == []
         with pytest.raises(ValueError):
@@ -373,11 +403,11 @@ class TestEfficiencyRatio:
 
 class TestSeparatingRoutes:
     def test_w1_frozen(self):
-        br = W1(3.678, 1e-8)
+        br = W1(W1_LENGTH, 1e-8)
         assert math.isclose(br.lo, 10.765965090572596, abs_tol=1e-9)
 
     def test_w2_frozen(self):
-        br = W2(2.420, 1e-8)
+        br = W2(W2_LENGTH, 1e-8)
         assert math.isclose(br.lo, 10.096569881448058, abs_tol=1e-9)
 
     @pytest.mark.parametrize("route", [W1, W2])
@@ -391,7 +421,7 @@ class TestSeparatingRoutes:
             lambda L: -W2(L, 1e-7).lo, bounds=(1.5, 3.5), method="bounded",
             options={"xatol": 1e-6},
         )
-        assert -res.fun >= W2(2.420, 1e-7).lo - 1e-6
+        assert -res.fun >= W2(W2_LENGTH, 1e-7).lo - 1e-6
 
     def test_domains(self):
         with pytest.raises(ValueError):
@@ -466,11 +496,11 @@ class TestStrataSeparation:
     def test_sphere_many_crossings_picks_best(self):
         v = strata_separation(4, "punctured-sphere", DELTA11_ELEMENTARY, tol=1e-8)
         assert v.kind == "lower-bound"
-        w2 = W2(2.420, 1e-8)
+        w2 = W2(W2_LENGTH, 1e-8)
         assert v.value.lo == w2.lo
         notes = v.value.error_budget
         assert math.isclose(notes["branch_2_delta11_lo"], 2.0 * DELTA11_ELEMENTARY.lo)
-        assert math.isclose(notes["branch_w1_lo"], W1(3.678, 1e-8).lo)
+        assert math.isclose(notes["branch_w1_lo"], W1(W1_LENGTH, 1e-8).lo)
 
     def test_monotone_in_k(self):
         genus = [
@@ -495,17 +525,6 @@ class TestStrataSeparation:
             strata_separation(True, "has-genus", DELTA11_ELEMENTARY)
         with pytest.raises(ValueError):
             strata_separation(-1, "has-genus", DELTA11_ELEMENTARY)
-
-
-class TestGapConstants:
-    def test_frozen(self):
-        gap_genus, gap_sphere = gap_constants(DELTA11_ELEMENTARY, 1e-8)
-        assert math.isclose(gap_genus, 0.9553600152736097, abs_tol=1e-8)
-        assert math.isclose(gap_sphere, 0.6835290787341037, abs_tol=1e-8)
-
-    def test_both_positive(self):
-        gap_genus, gap_sphere = gap_constants(DELTA11_ELEMENTARY)
-        assert gap_genus > 0.95 and gap_sphere > 0.68
 
 
 class TestPointPushing:
@@ -595,13 +614,13 @@ class TestTotality:
             return
         assert length > 0.0 and _finite(br) and br.lo > 0.0
 
-    @given(t=_LENGTHS, tol=_TOLS)
+    @given(t=st.floats(), tol=_TOLS)
     @settings(deadline=None, max_examples=15)
     def test_c_ratio(self, t, tol):
         try:
             v = c_ratio(t, tol)
         except ValueError:
-            assert not t > 0.0
+            assert not 0.0 < t < math.inf
             return
         assert math.isfinite(v) and 0.9 < v < 1.1
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from wpstrata.hyp2 import UValue
 from wpstrata.riera import (
     SeriesEval,
-    a_from_collar_length,
     a_hat,
     a_of_T,
     a_stable,
@@ -195,30 +194,9 @@ class TestCollarProfile:
             a_of_T(-1.0)
 
 
-class TestCollarLengthForm:
-    def test_identity_with_profile(self):
-        t = 1.0
-        T = 2.0 * math.asinh(1.0 / math.sinh(0.5 * t))
-        assert a_from_collar_length(t) == a_of_T(T)
-
-    def test_short_curve_limit(self):
-        assert abs(a_from_collar_length(1e-8) - EIGHT_THIRDS) < 1e-10
-
-    def test_long_curve_growth(self):
-        # collar shrinks, so the profile value grows along the bound
-        v = a_from_collar_length(30.0)
-        T = 2.0 * math.asinh(1.0 / math.sinh(15.0))
-        hi = EIGHT_THIRDS - 2.0 * math.log1p(-math.exp(-2.0 * T))
-        assert EIGHT_THIRDS < v <= hi + 1e-12
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            a_from_collar_length(0.0)
-
-
 class TestSeriesArgumentAtOne:
-    """Where e^-T or tanh(t/4)^2 rounds to 1 the closed form takes T
-    itself, a(T) = 2 log(2 / T) - 2 to double precision."""
+    """Where e^-T rounds to 1 the closed form takes T itself,
+    a(T) = 2 log(2 / T) - 2 to double precision."""
 
     @pytest.mark.parametrize("T", [1e-17, 5.5e-17])
     def test_a_stable_below_the_rounding_of_e_minus_t(self, T):
@@ -228,17 +206,7 @@ class TestSeriesArgumentAtOne:
     def test_a_stable_where_t_halves_to_zero(self):
         assert a_stable(5e-324) == math.inf
 
-    @pytest.mark.parametrize("t", [80.0, 200.0])
-    def test_collar_length_past_the_rounding_of_tanh(self, t):
-        # T = 4 e^(-t/2), so a = t - 2 - 2 log 2
-        assert math.tanh(0.25 * t) ** 2 == 1.0
-        assert math.isclose(a_from_collar_length(t), t - 2.0 - 2.0 * math.log(2.0), rel_tol=1e-14)
-
-    @pytest.mark.parametrize("t", [2000.0, math.inf])
-    def test_collar_length_where_t_underflows(self, t):
-        assert a_from_collar_length(t) == math.inf
-
-    @pytest.mark.parametrize("fn", [a_stable, a_from_collar_length, a_of_T])
+    @pytest.mark.parametrize("fn", [a_stable, a_of_T])
     def test_nan_rejected(self, fn):
         with pytest.raises(ValueError):
             fn(math.nan)
@@ -283,17 +251,6 @@ class TestTotality:
             return
         # inf once coth(T/2) overflows
         assert v >= EIGHT_THIRDS and (math.isfinite(v) or T < 1.2e-308)
-
-    @given(t=_ANY)
-    @settings(deadline=None, max_examples=300)
-    def test_a_from_collar_length(self, t):
-        try:
-            v = a_from_collar_length(t)
-        except ValueError:
-            assert not t > 0.0
-            return
-        # inf once coth(T/2) overflows at T = 4 e^(-t/2)
-        assert v >= EIGHT_THIRDS and (math.isfinite(v) or t > 1419.0)
 
     @given(x=_ANY, crossing=st.booleans())
     @settings(deadline=None, max_examples=300)
