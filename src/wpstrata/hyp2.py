@@ -123,7 +123,10 @@ def _unit_scale(det: float) -> float:
 
 
 def mobius_apply(m: MoebiusMap, x: float) -> float:
-    """Image of a boundary point under the fractional linear action."""
+    """Image of a boundary point under the fractional linear action.
+
+    Returns a float of R u {+-oo}; raises ValueError for a NaN point.
+    """
     x = _boundary(x)
     if math.isinf(x):
         if m.c == 0.0:
@@ -132,7 +135,12 @@ def mobius_apply(m: MoebiusMap, x: float) -> float:
     den = m.c * x + m.d
     if den == 0.0:
         return INF
-    return (m.a * x + m.b) / den
+    w = (m.a * x + m.b) / den
+    if math.isnan(w):
+        # Both a x and c x overflowed; divide through by x instead.
+        den = m.c + m.d / x
+        return (m.a + m.b / x) / den if den else INF
+    return w
 
 
 def translate_geodesic(m: MoebiusMap, g: GeodesicH2) -> GeodesicH2:
@@ -142,23 +150,27 @@ def translate_geodesic(m: MoebiusMap, g: GeodesicH2) -> GeodesicH2:
 def axis_of(m: MoebiusMap) -> GeodesicH2:
     """Invariant geodesic of a hyperbolic element.
 
-    Requires |trace| > 2. Fixed points on the boundary solve
+    Requires |trace| > 2, else raises ValueError, as it does for a map
+    whose only fixed point is oo. Fixed points on the boundary solve
     c z^2 + (d - a) z - b = 0; the discriminant is trace^2 - 4 because
-    det = 1. The root pair is computed in the cancellation-free order.
+    det = 1. The roots are h / c and -b / h, h = ((a - d) + sign(a - d)
+    sqrt(trace^2 - 4)) / 2, which is free of cancellation and, taken in
+    halves, of overflow. A root beyond the double range reads oo.
     """
     tr = m.trace()
     if abs(tr) <= 2.0:
         raise ValueError("axis is defined only for hyperbolic maps, |trace| > 2")
     if m.c == 0.0:
+        if m.d == m.a:
+            raise ValueError("map fixes only oo; its determinant is not 1")
         # One endpoint is oo, the finite one solves (d - a) z = b.
         return GeodesicH2(m.b / (m.d - m.a), INF)
-    root = math.sqrt(tr * tr - 4.0)
-    z1 = (m.a - m.d + math.copysign(root, m.a - m.d)) / (2.0 * m.c)
-    if z1 == 0.0:
-        # Possible only when b = 0, where the other root is (a - d) / c.
-        return GeodesicH2(0.0, (m.a - m.d) / m.c)
-    # Root product is -b/c, so recover the second root by division.
-    return GeodesicH2(z1, -m.b / (m.c * z1))
+    disc = tr * tr - 4.0
+    # Past |trace| ~ 1.34e154 the square overflows; the -4 there is far
+    # below half an ulp of trace^2, so the root rounds to |trace|.
+    root = math.sqrt(disc) if disc < INF else abs(tr)
+    h = 0.5 * (m.a - m.d) + math.copysign(0.5 * root, m.a - m.d)
+    return GeodesicH2(h / m.c, -m.b / h)
 
 
 def translation_length(m: MoebiusMap) -> float:

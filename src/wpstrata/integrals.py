@@ -295,7 +295,9 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     ("systole"), the integrand is exactly 0, 0 or sqrt(2 pi), and that
     part of the range is added in closed form. The bracket width comes
     out at or below tol. Raises ValueError if sqrt(a) and sqrt(b) round
-    to the same double, where the substitution cannot resolve the range.
+    to the same double, where the substitution cannot resolve the range,
+    and ConvergenceError, a RuntimeError, where tol is below what the
+    quadrature reaches.
     F tends to 0 as t -> 0, so the integrand takes its y = 0 value
     sqrt(2 pi) wherever y^2 underflows to 0.
     """
@@ -549,7 +551,8 @@ def calibrate_eps2(target: float = 7.611385) -> float:
     The sum is strictly increasing in e with slope about 3.34, so
     bisection on a narrow interval above arcsinh(1) converges quickly.
     The frozen module constant gradbounds.EPS2 is the root for the
-    default target.
+    default target. Raises ValueError if target, NaN included, lies
+    outside the sums at the ends of that interval.
     """
 
     def pair_sum(e: float) -> float:
@@ -560,7 +563,7 @@ def calibrate_eps2(target: float = 7.611385) -> float:
 
     lo = math.asinh(1.0)
     hi = lo + 1e-5
-    if pair_sum(lo) > target or pair_sum(hi) < target:
+    if not pair_sum(lo) <= target <= pair_sum(hi):
         raise ValueError("target out of reach of the calibration interval")
     while hi - lo > _CALIBRATE_XTOL:
         mid = 0.5 * (lo + hi)

@@ -15,16 +15,19 @@ cancellation as T grows. The switch point T = 0.51 keeps both branches
 comfortably inside their stable ranges; they agree to a few ulps there.
 
 a_hat fixes its term count n from the tail bound before it sums
-anything, in a constant number of steps, so a count over the cap raises
-at once. a_hat only checks its arguments and wraps the result in a
-SeriesEval; the count and the sum live in _series, which the collar
-profile _a_of_u calls directly with plain floats in and out. With
-x = u^2 the sum takes one of two regimes, chosen by n alone. Up to 64
-terms, which covers every production call (at most 30 below the switch
-point), a scalar loop runs over the precomputed numerators and
-denominators of the coefficients, so each term rounds as
-8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has; the moment sums below
-never touch it, so every production value keeps its bits.
+anything, in a constant number of steps (_count), so a count over the
+cap raises at once. The collar profile _a_of_u runs at the default tol
+only, where that count is a step function of x = u^2 with 29 steps
+below the switch point: it reads n from their literal table _BREAKS by
+one bisect, and tests/test_against_oracles.py pins the table to the
+count ulp by ulp around every step. Both then call _series, the one
+sum, with plain floats in and out. It takes one of two regimes, chosen
+by n alone. Up to 64 terms, which covers every production call (at
+most 30 below the switch point), a scalar loop runs over the
+precomputed numerators and denominators of the coefficients, so each
+term rounds as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has; the
+moment sums below never touch it, so every production value keeps its
+bits.
 Longer sums, reached only by the series-only a_of_T at small T, go in
 blocks of K = 2^15 terms against one power table x^k = exp(k log x),
 k < K, built inside the call, never at import. The partial fractions
@@ -49,6 +52,7 @@ of four passes over K elements; a_of_T(1e-6) sums its 14.8M terms in
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -83,12 +87,22 @@ EIGHT_THIRDS = 8.0 / 3.0
 # numerator and denominator: each term rounds as 8 (n + 1) u^(2n) / den.
 _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))
 
-# log n for the term count, n < _SHORT_TERMS; n = 0 reads log 1.
-_LOG_N = (0.0,) + tuple(math.log(n) for n in range(1, _SHORT_TERMS))
-
-# a_hat's default tol and its log, for the collar profile.
+# a_hat's default tol, the one the collar profile runs at.
 _TOL = 1e-14
-_LOG_TOL = math.log(_TOL)
+
+# _BREAKS[k] is the least double x at which _count(x, _TOL) reaches k + 2,
+# so that count is bisect_right(_BREAKS, x) + 1 for 0 <= x <=
+# _A_SERIES_UMAX^2, where it tops out at 30.
+_BREAKS = (
+    4.999999999999967e-15, 9.999999500000019e-08, 2.4661918003238178e-05, 0.0003760249523076123,
+    0.0019029288830012057, 0.005569069611360876, 0.01193929849333325, 0.021091150986867195,
+    0.03276544233975728, 0.046540092702376, 0.06195173067532973, 0.07856300283312673,
+    0.09599250772837539, 0.11392318050511153, 0.13209977290934707, 0.15032164985640523,
+    0.16843421841360798, 0.18632060228926858, 0.2038942445208336, 0.22109264244980767,
+    0.2378721904593874, 0.25420400978395225, 0.2700706155236555, 0.28546327354660084,
+    0.3003799158256263, 0.31482350269919435, 0.32880074020863304, 0.3423210782191173,
+    0.3553959299163053,
+)
 
 
 class SeriesEval(NamedTuple):
@@ -133,13 +147,14 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     happens only for u so close to 1 that the sum is astronomically
     large anyway.
 
-    The checked wrapper of _series, which the collar profile _a_of_u
-    calls directly at the default tol, so a_hat and production share one
-    term count and one sum. Counts up to _SHORT_TERMS (every production
-    call) run a scalar loop over the coefficient fractions _COEF,
-    rounding each term as the formula above does. Longer sums go to
-    _long_sum in blocks of K = _BLOCK terms against one power table
-    x^k = exp(k log x), x = u^2, built per call: block m0 adds x^m0
+    The checked wrapper of _count and _series. The collar profile
+    _a_of_u calls _series directly, with _count's default-tol steps read
+    from _BREAKS, so a_hat and production share one count and one sum.
+    Counts up to _SHORT_TERMS (every production call) run a scalar loop
+    over the coefficient fractions _COEF, rounding each term as the
+    formula above does. Longer sums go to _long_sum in blocks of
+    K = _BLOCK terms against one power table x^k = exp(k log x),
+    x = u^2, built per call: block m0 adds x^m0
     times either dot(c, table), where c_m = 2/(2m+1) + 2/(2m+3) is one
     reciprocal and a shifted add, or, for a full block from m0 = 8K on,
     the moment sum (2 / a) sum_{j < 21} (-2K / a)^j M_j for
@@ -150,48 +165,50 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
         raise ValueError("series argument must satisfy 0 <= u < 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    return SeriesEval(*_series(u, tol, math.log(tol)))
-
-
-def _series(u: float, tol: float = _TOL, log_tol: float = _LOG_TOL) -> tuple[float, float, int]:
-    """(value, tail_bound, terms_used) of a_hat(u, tol), unchecked;
-    log_tol is math.log(tol)."""
     x = u * u
-    if x == 0.0:
-        # Below the denormal floor the n = 0 term is the whole sum.
-        return EIGHT_THIRDS, 0.0, 1
+    # Below the denormal floor x is 0 and the n = 0 term is the whole sum.
+    n = _count(x, tol) if x else 1
+    return SeriesEval(*_series(x, n), n)
 
+
+def _count(x: float, tol: float) -> int:
+    """a_hat's term count at x = u^2 in (0, 1); RuntimeError over the cap."""
     rem = 1.0 - x
     log_x = math.log(x)
-    # Term count. With g(n) = log(tol rem n / 2) / log x the bound holds
-    # iff n >= g(n), and g decreases in n. The count without the 1/n
-    # factor, ceil(g(1)), satisfies it; one step n <- ceil(g(n)) lands at
-    # or under the least count, and a second lands on a count that
-    # satisfies it again, above the least by about 1 / (n |log x|) of the
-    # first step's undershoot. One check of the bound itself absorbs the
-    # rounding of the estimate. A tol of 2 / rem or more needs one term.
-    # log n comes from _LOG_N, the same floats as math.log(n), and a
-    # count under 2 adds log 1 = 0.
-    log_c = (log_tol if tol * rem < 2.0 else math.log(2.0 / rem)) + math.log(rem) - _LN2
+    # With g(n) = log(tol rem n / 2) / log x the bound holds iff n >= g(n),
+    # and g decreases in n. The count without the 1/n factor, ceil(g(1)),
+    # satisfies it; one step n <- ceil(g(n)) lands at or under the least
+    # count, and a second lands on a count that satisfies it again, above
+    # the least by about 1 / (n |log x|) of the first step's undershoot.
+    # One check of the bound itself absorbs the rounding of the estimate.
+    # A tol of 2 / rem or more needs one term; a count under 2 adds
+    # log 1 = 0.
+    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - _LN2
     n = math.ceil(log_c / log_x)
-    n = math.ceil((log_c + (_LOG_N[n] if 0 <= n < _SHORT_TERMS else math.log(max(n, 1)))) / log_x)
-    n = math.ceil((log_c + (_LOG_N[n] if 0 <= n < _SHORT_TERMS else math.log(max(n, 1)))) / log_x)
+    n = math.ceil((log_c + math.log(max(n, 1))) / log_x)
+    n = math.ceil((log_c + math.log(max(n, 1))) / log_x)
     if n < 1:
         n = 1
     if n > _MAX_TERMS:
         raise RuntimeError("series tolerance not reached within term cap")
     if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
+    return n
 
+
+def _series(x: float, n: int) -> tuple[float, float]:
+    """(value, tail_bound) of the first n terms of a_hat at x = u^2; n is
+    _count's, or at the default tol the table _BREAKS's, which
+    tests/test_against_oracles.py holds equal to _count."""
     if n <= _SHORT_TERMS:
         total = 0.0
         p = 1.0
         for num, den in _COEF[:n]:
             total += num * p / den
             p *= x
-        return total, 2.0 * p / (n * rem), n
-
-    return _long_sum(n, log_x), 2.0 * math.exp(n * log_x) / (n * rem), n
+        return total, 2.0 * p / (n * (1.0 - x))
+    log_x = math.log(x)
+    return _long_sum(n, log_x), 2.0 * math.exp(n * log_x) / (n * (1.0 - x))
 
 
 def _long_sum(n: int, log_x: float) -> float:
@@ -247,9 +264,11 @@ def _a_closed(T: float) -> float:
 
 def _a_of_u(u: float) -> float:
     """Collar profile at series argument u in (0, 1), branch-switched;
-    the series runs at a_hat's default tol."""
+    the series runs at a_hat's default tol, with the term count read
+    from _BREAKS."""
     if u <= _A_SERIES_UMAX:
-        value, tail, _ = _series(u)
+        x = u * u
+        value, tail = _series(x, bisect_right(_BREAKS, x) + 1)
         return value + 0.5 * tail
     return _a_closed(-math.log(u))
 

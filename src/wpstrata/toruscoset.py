@@ -501,10 +501,17 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     announces are computed in one _grad_sq_ends call per announcement,
     at most four nodes (y = 0 is a closed form), and each t once across
     both sides; the integrands only read them back.
+
+    Raises TypeError unless max_word_length is an int, ValueError unless
+    it is in 0..MAX_WORD_LENGTH and quad_tol is finite and at least
+    1e-323, twice the least subnormal, and ConvergenceError, a
+    RuntimeError, where quad_tol is below what the quadrature reaches
+    (1e-14 from word length 1 on, 1e-300 at 0).
     """
     _check_word_length(max_word_length, 0)
-    if not (quad_tol > 0.0 and math.isfinite(quad_tol)):
-        raise ValueError("quad_tol must be positive and finite")
+    # Each side gets half of quad_tol, so the least subnormal is too small.
+    if not (0.5 * quad_tol > 0.0 and math.isfinite(quad_tol)):
+        raise ValueError("quad_tol must be finite and at least 1e-323")
 
     t_top = 2.0 * math.asinh(1.0)
     y_top = math.sqrt(t_top)

@@ -14,7 +14,9 @@ enumeration that cli._brute_force_cosets does in one pass.
 
 The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
-loop; a_closed, the closed form that raised where T/2 is 0; and a_of_u,
+loop, whose count, count_steps, is the reference that riera's table of
+term counts at the default tol, _BREAKS, is derived from and checked
+against; a_closed, the closed form that raised where T/2 is 0; and a_of_u,
 the collar profile that builds a SeriesEval from a_hat;
 F_pair_by_factors, the saturating envelope on u_factor and v_factor;
 and adaptive_simpson with its per-node wrapper. The long series still
@@ -163,6 +165,24 @@ def long_sum_direct(n: int, log_x: float) -> float:
     return total
 
 
+def count_steps(x: float, tol: float = 1e-14) -> tuple[int, int, int]:
+    """a_hat's term count at x = u^2 in (0, 1) with the two ceil steps
+    before it: (first step, second step, count)."""
+    rem = 1.0 - x
+    log_x = math.log(x)
+    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - math.log(2.0)
+    n1 = math.ceil(log_c / log_x)
+    n2 = math.ceil((log_c + math.log(n1 if n1 > 1 else 1)) / log_x)
+    n = math.ceil((log_c + math.log(n2 if n2 > 1 else 1)) / log_x)
+    if n < 1:
+        n = 1
+    if n > 40_000_000:
+        raise RuntimeError("series tolerance not reached within term cap")
+    if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
+        n += 1
+    return n1, n2, n
+
+
 def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     """riera.a_hat with its own term count and its own scalar loop."""
     if not 0.0 <= u < 1.0:
@@ -175,18 +195,8 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
 
     rem = 1.0 - x
     log_x = math.log(x)
-    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - math.log(2.0)
-    n = math.ceil(log_c / log_x)
-    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
-    n = math.ceil((log_c + math.log(n if n > 1 else 1)) / log_x)
-    if n < 1:
-        n = 1
-    if n > 40_000_000:
-        raise RuntimeError("series tolerance not reached within term cap")
+    n = count_steps(x, tol)[2]
     tail = 2.0 * math.exp(n * log_x) / (n * rem)
-    if tail > tol:
-        n += 1
-        tail = 2.0 * math.exp(n * log_x) / (n * rem)
 
     if n <= 64:
         total = 0.0

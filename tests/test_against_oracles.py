@@ -16,6 +16,7 @@ import importlib.util
 import math
 import random
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from wpstrata import cli, gradbounds, integrals, toruscoset
 from wpstrata.gradbounds import F_pair
-from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, _a_of_u, _long_sum, a_hat
+from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, _BREAKS, _TOL, _a_of_u, _count, _long_sum, a_hat
 from wpstrata.toruscoset import CosetWord, _coset_sums, enumerate_cosets, holonomy, u_of_coset
 
 T0 = 2.0 * math.asinh(1.0)
@@ -196,6 +197,68 @@ def test_a_hat_matches_its_own_count(tol):
     # u ~ 0.4 on. The last edge, next to 1, is over the term cap.
     for u in _U_GRID[::40] + _U_EDGES[:-1] + [0.95, 0.99]:
         assert a_hat(u, tol) == oracles.a_hat(u, tol), u
+
+
+# The collar profile reads its term count from _BREAKS for x = u^2 up to
+# the switch point's. The table is exact only if the count is monotone in
+# x over doubles; that is checked ulp by ulp around every step of the
+# count and of the two ceil steps before it, where a rounding wobble would
+# show first.
+_X_TOP = _A_SERIES_UMAX * _A_SERIES_UMAX
+_SCAN_ULPS = 1024
+
+
+def _as_float(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
+def _steps_at(step: int) -> list[int]:
+    """Bit patterns of the least x in (0, _X_TOP] at which step `step` of
+    oracles.count_steps reaches each of its values, by bisection over the
+    bit patterns of positive doubles, which order as the doubles do."""
+    top = int(np.float64(_X_TOP).view(np.int64))
+    count = lambda bits: oracles.count_steps(_as_float(bits))[step]
+    out = []
+    for k in range(count(1) + 1, count(top) + 1):
+        lo, hi = 1, top  # count(lo) < k <= count(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if count(mid) >= k else (mid, hi)
+        out.append(hi)
+    return out
+
+
+def _table_count(x: float) -> int:
+    return bisect_right(_BREAKS, x) + 1
+
+
+def test_break_table_is_the_default_tol_count():
+    assert [_as_float(b) for b in _steps_at(2)] == list(_BREAKS)
+    assert oracles.count_steps(_X_TOP)[2] == _table_count(_X_TOP) == 30
+
+
+@pytest.mark.parametrize("step", [0, 1, 2], ids=["first_ceil", "second_ceil", "count"])
+def test_break_table_matches_count_around_every_step(step):
+    top = int(np.float64(_X_TOP).view(np.int64))
+    steps = _steps_at(step)
+    assert len(steps) == (32, 29, 29)[step]
+    for bits in steps:
+        lo, hi = max(bits - _SCAN_ULPS, 1), min(bits + _SCAN_ULPS, top)
+        for x in np.arange(lo, hi + 1, dtype=np.int64).view(np.float64).tolist():
+            assert _table_count(x) == _count(x, _TOL) == oracles.count_steps(x)[2], x
+        # The collar profile itself, within 64 ulps of u = sqrt(x).
+        u = math.sqrt(_as_float(bits))
+        for _ in range(64):
+            u = math.nextafter(u, 0.0)
+        for _ in range(129):
+            assert _a_of_u(u) == oracles.a_of_u(u), u
+            u = math.nextafter(u, 1.0)
+
+
+def test_break_table_matches_count_on_grid():
+    for u in _U_GRID:
+        if u <= _A_SERIES_UMAX:
+            assert _table_count(u * u) == a_hat(u).terms_used, u
 
 
 _LENGTH_EDGES = [

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.integrate import quad
 
 from wpstrata.hyp2 import (
     INF,
+    TANGENCY_TOL,
     GeodesicH2,
     MoebiusMap,
     UValue,
@@ -312,3 +315,157 @@ class TestCollarArea:
             collar_area(-0.1)
         with pytest.raises(ValueError):
             collar_area(math.nan)
+
+
+# Every float, NaN and the infinities included. A map's d is drawn, or
+# solved from a d - b c = 1 so that most drawn maps pass the determinant
+# check.
+_FLOATS = st.floats()
+
+
+@st.composite
+def _maps(draw: st.DrawFn) -> MoebiusMap | None:
+    a, b, c = draw(_FLOATS), draw(_FLOATS), draw(_FLOATS)
+    if draw(st.booleans()) and math.isfinite(a) and a != 0.0:
+        d = (1.0 + b * c) / a
+    else:
+        d = draw(_FLOATS)
+    try:
+        return MoebiusMap(a, b, c, d)
+    except ValueError:
+        return None
+
+
+def _root_within(m: MoebiusMap, z: float, rel: float) -> bool:
+    """c x^2 + (d - a) x - b, in exact rationals, has a root within rel |z|
+    of z (within rel times the least normal double of z = 0)."""
+    a, b, c, d = (Fraction(v) for v in (m.a, m.b, m.c, m.d))
+    w = Fraction(rel) * Fraction(max(abs(z), sys.float_info.min))
+    lo, hi = Fraction(z) - w, Fraction(z) + w
+
+    def r(x: Fraction) -> Fraction:
+        return (c * x + d - a) * x - b
+
+    if r(lo) * r(hi) <= 0:
+        return True
+    # Both ends on one side: a root lies between them only around the vertex.
+    v = (a - d) / (2 * c)
+    return lo <= v <= hi and r(v) * r(lo) <= 0
+
+
+class TestTotality:
+    """Each public function returns a documented value or raises ValueError."""
+
+    @given(p=_FLOATS, q=_FLOATS)
+    @settings(deadline=None, max_examples=300)
+    def test_geodesic(self, p, q):
+        try:
+            g = GeodesicH2(p, q)
+        except ValueError:
+            # NaN, or the same ideal point twice
+            near = abs(p - q) <= TANGENCY_TOL * max(1.0, abs(p), abs(q))
+            assert math.isnan(p) or math.isnan(q) or math.isinf(p) and math.isinf(q) or near
+            return
+        assert not math.isnan(g.p) and not math.isnan(g.q) and -INF not in (g.p, g.q)
+        assert g == GeodesicH2(q, p)
+
+    @given(a=_FLOATS, b=_FLOATS, c=_FLOATS, d=_FLOATS)
+    @settings(deadline=None, max_examples=300)
+    def test_moebius_map(self, a, b, c, d):
+        try:
+            m = MoebiusMap(a, b, c, d)
+        except ValueError:
+            assert not abs(a * d - b * c - 1.0) <= 1e-6
+            return
+        assert abs(a * d - b * c - 1.0) <= 1e-6
+        assert math.isfinite(m.trace())
+
+    @given(m=_maps(), x=_FLOATS)
+    @settings(deadline=None, max_examples=300)
+    def test_mobius_apply(self, m, x):
+        if m is None:
+            return
+        try:
+            w = mobius_apply(m, x)
+        except ValueError:
+            assert math.isnan(x)
+            return
+        assert not math.isnan(w)
+
+    @given(maps=st.lists(_maps(), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_compose_many(self, maps):
+        try:
+            m = compose_many(m for m in maps if m is not None)
+        except ValueError:
+            return
+        assert abs(m.a * m.d - m.b * m.c - 1.0) <= 1e-6
+
+    @given(m=_maps())
+    @settings(deadline=None, max_examples=300)
+    def test_translation_length(self, m):
+        if m is None:
+            return
+        try:
+            ell = translation_length(m)
+        except ValueError:
+            assert abs(m.trace()) <= 2.0
+            return
+        assert math.isfinite(ell) and ell > 0.0
+
+    @given(m=_maps())
+    @settings(deadline=None, max_examples=500)
+    def test_axis_of(self, m):
+        if m is None:
+            return
+        try:
+            axis = axis_of(m)
+        except ValueError:
+            return
+        # Where the map is hyperbolic by a margin and its determinant is 1
+        # to 1e-12, each finite endpoint is a fixed point to 1e-9; nearer
+        # trace 2 the roots are ill-conditioned in the entries.
+        det = Fraction(m.a) * Fraction(m.d) - Fraction(m.b) * Fraction(m.c)
+        if abs(m.trace()) >= 2.5 and abs(det - 1) <= Fraction(1e-12):
+            for z in (axis.p, axis.q):
+                assert z == INF or _root_within(m, z, 1e-9), (m, axis, z)
+
+    @given(p1=_FLOATS, q1=_FLOATS, p2=_FLOATS, q2=_FLOATS)
+    @settings(deadline=None, max_examples=300)
+    def test_u_value(self, p1, q1, p2, q2):
+        try:
+            g1, g2 = GeodesicH2(p1, q1), GeodesicH2(p2, q2)
+        except ValueError:
+            return
+        try:
+            u = u_value(g1, g2)
+        except ValueError:
+            return
+        assert math.isfinite(u.value) and (u.value < 1.0) == u.crossing
+
+
+class TestAxisRegressions:
+    @pytest.mark.parametrize("s", [1e100, 1e154, 1.4e154, 1e160, 1e300])
+    def test_trace_past_the_square_overflow(self, s):
+        # Fixes 0 and 1 at every scale; from |trace| ~ 1.34e154 on the
+        # squared trace overflowed and the axis read (oo, 0).
+        m = MoebiusMap(s, 0.0, s, 1.0 / s)
+        assert axis_of(m) == GeodesicH2(0.0, 1.0)
+        assert mobius_apply(m, 0.0) == 0.0 and mobius_apply(m, 1.0) == 1.0
+
+    def test_root_past_the_double_range(self):
+        # The large fixed point overflows to oo; the other one, -2/3, once
+        # came out as 0 from -b / (c oo).
+        axis = axis_of(MoebiusMap(2.0, 1.0, 5e-324, 0.5))
+        assert axis == GeodesicH2(INF, -2.0 / 3.0)
+
+    def test_translation_within_the_determinant_tolerance(self):
+        # a = d with det 1 + 2e-7: the only fixed point is oo; this once
+        # divided by zero.
+        with pytest.raises(ValueError):
+            axis_of(MoebiusMap(1.0000001, 5.0, 0.0, 1.0000001))
+
+    def test_apply_where_both_products_overflow(self):
+        # Both a x and c x overflow; inf / inf once gave NaN.
+        m = MoebiusMap(4.78145553069337e16, 0.0, 4.78145553069337e16, 2.0914133647813885e-17)
+        assert mobius_apply(m, 3.7597194480267985e291) == 1.0

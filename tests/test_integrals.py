@@ -463,6 +463,12 @@ class TestThinPairSum:
         with pytest.raises(ValueError):
             calibrate_eps2(target=100.0)
 
+    @pytest.mark.parametrize("target", [-math.inf, math.inf, math.nan])
+    def test_calibration_rejects_nonfinite_target(self, target):
+        # A NaN target once passed both range guards and walked to lo.
+        with pytest.raises(ValueError):
+            calibrate_eps2(target=target)
+
 
 class TestStrataSeparation:
     def test_disjoint(self):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wpstrata import toruscoset
 from wpstrata.hyp2 import GeodesicH2, INF, UValue, compose_many, translate_geodesic, translation_length, u_value
+from wpstrata.integrals import ConvergenceError
 from wpstrata.riera import riera_R
 from wpstrata.toruscoset import (
     MAX_WORD_LENGTH,
@@ -353,6 +354,22 @@ class TestGradBracket:
 
 
 class TestDistanceBracket:
+    @given(L=st.integers(min_value=0, max_value=3), quad_tol=st.floats())
+    @settings(deadline=None, max_examples=100)
+    def test_total_over_every_quad_tol(self, L, quad_tol):
+        # ValueError unless quad_tol is finite and halves to a positive
+        # float; ConvergenceError only below what the quadrature reaches,
+        # about 1e-13 from L = 1 on
+        try:
+            br = delta11_bracket(L, quad_tol)
+        except ValueError:
+            assert not 1e-323 <= quad_tol < math.inf
+            return
+        except ConvergenceError:
+            assert quad_tol < 1e-12
+            return
+        assert 6.57 < br.lo <= 6.6042 <= br.hi < 6.66
+
     def test_level_zero_frozen(self):
         br = delta11_bracket(0, 1e-9)
         assert math.isclose(br.lo, 6.572523603041586, abs_tol=5e-10)
