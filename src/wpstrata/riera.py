@@ -81,8 +81,6 @@ _MOMENTS = 21
 
 _LN2 = math.log(2.0)
 
-EIGHT_THIRDS = 8.0 / 3.0
-
 # c_n = 8 (n + 1) / ((2n + 1) (2n + 3)) for the scalar loop, as the exact
 # numerator and denominator: each term rounds as 8 (n + 1) u^(2n) / den.
 _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))

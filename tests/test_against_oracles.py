@@ -6,8 +6,10 @@ saturating F_pair against the one that raised; the one-pass brute-force
 cosets against the two-pass enumeration; and the scalar path under
 integral_H (collar series, envelope, Simpson rule) against the one that
 built a SeriesEval per collar profile, called u_factor and v_factor and
-checked each node in a wrapper, bit for bit; and the systole ratio sweep
-against one integral_H per length.
+checked each node in a wrapper, bit for bit; the collar profile's table
+of term counts at the default tol against the count it tabulates, ulp by
+ulp around every step; and the systole ratio sweep against one
+integral_H per length.
 """
 
 from __future__ import annotations
