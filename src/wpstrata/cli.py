@@ -62,7 +62,7 @@ from .integrals import (
     strata_separation,
     thin_pair_sum,
 )
-from .riera import a_hat, a_of_T, riera_R
+from .riera import _TOL, _a_of_u, a_hat, a_of_T, riera_R
 from .toruscoset import (
     MAX_WORD_LENGTH,
     delta11_bracket,
@@ -407,15 +407,9 @@ def _verify_cross_route() -> None:
             m = lm[word.letters[0]]
             for l in word.letters[1:]:
                 m = m @ lm[l]
-            if kind == "AA":
-                direct = abs(1.0 + 2.0 * m.b * m.c)
-            else:
-                direct = abs(m.b * m.d - m.a * m.c)
+            direct = abs(1.0 + 2.0 * m.b * m.c) if kind == "AA" else abs(m.b * m.d - m.a * m.c)
             via_axes = u_of_coset(point, word).value
-            _check(
-                abs(direct - via_axes) <= 1e-9 * max(1.0, direct),
-                f"u mismatch for {word}",
-            )
+            _check(abs(direct - via_axes) <= 1e-9 * max(1.0, direct), f"u mismatch for {word}")
 
 
 def _verify_commutator() -> None:
@@ -439,10 +433,7 @@ def _verify_bracket_nesting() -> None:
     prev = grad_sq_bracket(1.0, 0)
     for n in (2, 4, 6):
         cur = grad_sq_bracket(1.0, n)
-        _check(
-            cur.lo >= prev.lo - 1e-15 and cur.hi <= prev.hi + 1e-15,
-            f"gradient bracket not nested at length {n}",
-        )
+        _check(cur.lo >= prev.lo - 1e-15 and cur.hi <= prev.hi + 1e-15, f"gradient bracket not nested at length {n}")
         prev = cur
     _check(prev.lo >= 2.0 / math.pi, "gradient lower floor violated")
     _check(prev.hi <= (4.0 / math.pi) * math.sinh(0.5), "gradient upper ceiling violated")
@@ -452,10 +443,7 @@ def _verify_h_limits() -> None:
     ratio = integral_H(0.0, 1e-6, "plain", 1e-10).midpoint / integral_K(0.0, 1e-6)
     _check(abs(ratio - 1.0) < 1e-3, "H/K does not approach 1")
     for b in (0.5, 2.0, 7.0):
-        _check(
-            integral_H(0.0, b, "plain", 1e-8).hi <= integral_K(0.0, b) + 1e-8,
-            f"H exceeds K at b={b}",
-        )
+        _check(integral_H(0.0, b, "plain", 1e-8).hi <= integral_K(0.0, b) + 1e-8, f"H exceeds K at b={b}")
     for a, b in ((0.25, 1.0), (1.0, 4.0), (3.0, 11.0)):
         v = integral_H(a, b, "systole", 1e-8)
         _check(
@@ -490,14 +478,16 @@ def _verify_lipschitz() -> None:
 
 
 def _brute_force_cosets(max_word_length: int) -> dict[str, set[tuple[int, ...]]]:
-    # Independent road: all reduced words up to length cap + 4, each
+    # Independent road: all reduced words up to length cap, each
     # stripped of its leading A letters and then of its trailing A
     # letters (an AA coset) or its trailing B letters (an AB coset).
+    # Longer words add none: a core of length <= cap is itself a reduced
+    # word of length <= cap, and strips to itself.
     inv = (1, 0, 3, 2)
     aa: set[tuple[int, ...]] = set()
     ab: set[tuple[int, ...]] = set()
     frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_word_length + 4):
+    for _ in range(max_word_length):
         frontier = [w + (l,) for w in frontier for l in range(4) if not w or inv[w[-1]] != l]
         for w in frontier:
             n = len(w)
@@ -524,20 +514,31 @@ def _verify_brute_force() -> None:
         _check(direct == brute[kind], f"{kind} enumeration disagrees with brute force")
 
 
-# In both envelope grids logspace is strictly increasing, so j >= i is
-# exactly w >= z.
-def _verify_grid_inequalities() -> None:
-    zs = np.logspace(-4.0, math.log10(40.0), 200).tolist()
-    sh = [math.sinh(0.5 * z) for z in zs]
-    bound = 8.0 / (3.0 * math.pi * math.pi)
-    for i, z in enumerate(zs):
-        scale = 2.0 * z / math.pi
-        rz = bound * z * sh[i]
-        for j in range(i, len(zs)):
-            w = zs[j]
-            sw = sh[j]
-            if not scale * F_pair(z, w) <= rz * sw * sw * (1.0 + 1e-12) + 1e-300:
-                raise AssertionError(f"envelope bound fails at ({z}, {w})")
+def _prove_envelope_cap(slack: float) -> None:
+    """Prove F(z, w) <= (4 / 3 pi)(1 + slack) sinh(z/2) sinh^2(w/2) on z <= w
+    in [1e-4, 40 + 1 ulp], where the sampled grids before it ended, by branch
+    and bound from 8 x 8 log-spaced cells. F / (sinh(z/2) sinh^2(w/2)) =
+    a(u) uf(z) vf(w), u = tanh(z/4) tanh(w/4), a rising in u, uf and vf
+    falling: on [z0, z1] x [w0, w1] it is at most a(u(z1, w1)) uf(z0) vf(w0).
+    Outward: u is raised by 2^-48 and the product by 2^-46 relative, room for
+    libm's 2 ulps a call, and a's series tail (at most _TOL) is covered. A failing
+    box splits at geometric midpoints, lower left first; at depth 24 it is named."""
+    cap = 4.0 / (3.0 * math.pi) * (1.0 + slack)
+    e = np.logspace(-4.0, math.log10(40.0), 9).tolist()
+    e[0], e[-1] = 1e-4, math.nextafter(40.0, math.inf)
+    stack = [(e[i], e[i + 1], e[j], e[j + 1], 0) for i in range(7, -1, -1) for j in range(7, i - 1, -1)]
+    while stack:
+        z0, z1, w0, w1, depth = stack.pop()
+        u = math.tanh(0.25 * z1) * math.tanh(0.25 * w1) * (1.0 + 2.0**-48)
+        if (_a_of_u(u) + 0.5 * _TOL) * u_factor(z0) * v_factor(w0) * (1.0 + 2.0**-46) <= cap:
+            continue
+        if depth == 24:
+            raise AssertionError(f"envelope cap fails on [{z0!r}, {z1!r}] x [{w0!r}, {w1!r}]")
+        zm, wm = math.sqrt(z0 * z1), math.sqrt(w0 * w1)
+        # a child with z0 >= w1 meets z <= w at most in a corner a sibling holds
+        for box in ((zm, z1, wm, w1), (zm, z1, w0, wm), (z0, zm, wm, w1), (z0, zm, w0, wm)):
+            if box[0] < box[3]:
+                stack.append((*box, depth + 1))
 
 
 def _verify_cor_grid() -> None:
@@ -548,20 +549,21 @@ def _verify_cor_grid() -> None:
         _check(lhs <= rhs * (1.0 + 1e-12), f"coarse upper fails at {lf}")
 
 
-def _verify_auv_bound() -> None:
-    zs = np.logspace(-4.0, math.log10(40.0), 60).tolist()
-    sh = [math.sinh(0.5 * z) for z in zs]
-    sh2 = [s**2 for s in sh]
-    cap = 4.0 / (3.0 * math.pi) * (1.0 + 1e-10)
-    for i, z in enumerate(zs):
-        for j in range(i, len(zs)):
-            w = zs[j]
-            if not F_pair(z, w) / (sh[i] * sh2[j]) <= cap:
-                raise AssertionError(f"a u v cap fails at ({z}, {w})")
+# refined_delta11 and path_bracket_contract share delta11_bracket(8, 1e-6), built at
+# most once per cmd_verify run and dropped on return; outside a run each builds its own.
+_verify_run: dict[str, Bracket] | None = None
+
+
+def _refined() -> Bracket:
+    if _verify_run is None:
+        return delta11_bracket(8, 1e-6)
+    if "refined" not in _verify_run:
+        _verify_run["refined"] = delta11_bracket(8, 1e-6)
+    return _verify_run["refined"]
 
 
 def _verify_refined_delta11() -> None:
-    br = delta11_bracket(8, 1e-6)
+    br = _refined()
     _check(_reproduces("delta11_refined", br.lo, br.hi), "refined bracket leaves published window")
     _check(br.width <= 0.04, "refined bracket too wide")
 
@@ -601,28 +603,19 @@ def _verify_path_bracket_contract() -> None:
     t0 = 2.0 * math.asinh(1.0)
     h = integral_H(0.0, t0, "plain", 1e-8)
     k = integral_K(0.0, t0)
-    ref = delta11_bracket(8, 1e-6)
-    _check(
-        2.0 * h.lo - 1e-9 <= ref.lo and ref.hi <= 2.0 * k + 1e-9,
-        "refined bracket escapes the integral envelope",
-    )
+    ref = _refined()
+    _check(2.0 * h.lo - 1e-9 <= ref.lo and ref.hi <= 2.0 * k + 1e-9, "refined bracket escapes the integral envelope")
 
 
 def _verify_radius_duality() -> None:
-    for ell in (0.3, 1.0, 2.0, 5.0):
-        _check(
-            abs(collar_radius_simple(2.0 * collar_radius_simple(ell)) - 0.5 * ell) < 1e-12,
-            f"radius duality fails at {ell}",
-        )
     _check(
         abs(collar_radius_separating(4.0 * math.asinh(1.0)) - 2.0 * math.asinh(1.0)) < 1e-12,
         "separating radius identity fails",
     )
     for ell in (0.3, 1.0, 2.0, 5.0):
-        _check(
-            collar_radius_separating(ell) >= collar_radius_simple(ell),
-            f"separating radius under simple at {ell}",
-        )
+        simple = collar_radius_simple(ell)
+        _check(abs(collar_radius_simple(2.0 * simple) - 0.5 * ell) < 1e-12, f"radius duality fails at {ell}")
+        _check(collar_radius_separating(ell) >= simple, f"separating radius under simple at {ell}")
 
 
 def _verify_factor_limits() -> None:
@@ -751,9 +744,9 @@ _FAST_CHECKS = [
 _ALL_CHECKS = _FAST_CHECKS + [
     ("brute_force_cosets", _verify_brute_force),
     ("square_symmetry", _verify_square_symmetry),
-    ("envelope_grid", _verify_grid_inequalities),
+    ("envelope_grid", lambda: _prove_envelope_cap(1e-12)),
     ("coarse_upper_grid", _verify_cor_grid),
-    ("auv_cap", _verify_auv_bound),
+    ("auv_cap", lambda: _prove_envelope_cap(1e-10)),
     ("refined_delta11", _verify_refined_delta11),
     ("path_bracket_contract", _verify_path_bracket_contract),
     ("c_min", _verify_c_min),
@@ -762,19 +755,24 @@ _ALL_CHECKS = _FAST_CHECKS + [
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    global _verify_run
     checks = _ALL_CHECKS if args.suite == "all" else _FAST_CHECKS
     failed = 0
-    for name, fn in checks:
-        try:
-            fn()
-        except AssertionError as exc:
-            failed += 1
-            sys.stdout.write(f"FAIL {name}: {exc}\n")
-        except Exception as exc:
-            failed += 1
-            sys.stdout.write(f"FAIL {name}: {type(exc).__name__}: {exc}\n")
-        else:
-            sys.stdout.write(f"ok {name}\n")
+    _verify_run = {}
+    try:
+        for name, fn in checks:
+            try:
+                fn()
+            except AssertionError as exc:
+                failed += 1
+                sys.stdout.write(f"FAIL {name}: {exc}\n")
+            except Exception as exc:
+                failed += 1
+                sys.stdout.write(f"FAIL {name}: {type(exc).__name__}: {exc}\n")
+            else:
+                sys.stdout.write(f"ok {name}\n")
+    finally:
+        _verify_run = None
     sys.stdout.write(f"{len(checks) - failed} passed, {failed} failed\n")
     return 0 if failed == 0 else 1
 

@@ -152,10 +152,13 @@ def axis_of(m: MoebiusMap) -> GeodesicH2:
 
     Requires |trace| > 2, else raises ValueError, as it does for a map
     whose only fixed point is oo. Fixed points on the boundary solve
-    c z^2 + (d - a) z - b = 0; the discriminant is trace^2 - 4 because
-    det = 1. The roots are h / c and -b / h, h = ((a - d) + sign(a - d)
-    sqrt(trace^2 - 4)) / 2, which is free of cancellation and, taken in
-    halves, of overflow. A root beyond the double range reads oo.
+    c z^2 + (d - a) z - b = 0, whose discriminant (a - d)^2 + 4 b c is
+    trace^2 - 4 det. A det off 1 by up to 1e-6 can make it negative with
+    |trace| > 2: such a map is elliptic, and a discriminant <= 0 raises
+    ValueError too. Otherwise det is taken as 1: the roots are h / c and
+    -b / h, h = ((a - d) + sign(a - d) sqrt(trace^2 - 4)) / 2, which is
+    free of cancellation and, taken in halves, of overflow. A root beyond
+    the double range reads oo.
     """
     tr = m.trace()
     if abs(tr) <= 2.0:
@@ -165,6 +168,9 @@ def axis_of(m: MoebiusMap) -> GeodesicH2:
             raise ValueError("map fixes only oo; its determinant is not 1")
         # One endpoint is oo, the finite one solves (d - a) z = b.
         return GeodesicH2(m.b / (m.d - m.a), INF)
+    gap = m.a - m.d
+    if gap * gap + 4.0 * m.b * m.c <= 0.0:  # an overflow to inf - inf is NaN and passes
+        raise ValueError("map is not hyperbolic: (a - d)^2 + 4 b c <= 0")
     disc = tr * tr - 4.0
     # Past |trace| ~ 1.34e154 the square overflows; the -4 there is far
     # below half an ulp of trace^2, so the root rounds to |trace|.

@@ -196,7 +196,8 @@ def _check_range(a: float, b: float, strict: bool) -> None:
 
 
 def integral_K(a: float, b: float) -> float:
-    """Closed form baseline sqrt(2 pi b) - sqrt(2 pi a)."""
+    """Closed form baseline sqrt(2 pi b) - sqrt(2 pi a); ValueError unless
+    0 <= a <= b, both finite."""
     _check_range(a, b, strict=False)
     return SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
 
@@ -296,14 +297,16 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     part of the range is added in closed form. The bracket width comes
     out at or below tol. Raises ValueError if sqrt(a) and sqrt(b) round
     to the same double, where the substitution cannot resolve the range,
-    and ConvergenceError, a RuntimeError, where tol is below what the
+    or if tol is below 1e-323, twice the least subnormal, or NaN; and
+    ConvergenceError, a RuntimeError, where tol is below what the
     quadrature reaches.
     F tends to 0 as t -> 0, so the integrand takes its y = 0 value
     sqrt(2 pi) wherever y^2 underflows to 0.
     """
     _check_range(a, b, strict=True)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    # The panels share half of tol, so the least subnormal is too small.
+    if not 0.5 * tol > 0.0:
+        raise ValueError("tol must be at least 1e-323")
     try:
         envelope = _VARIANTS[variant]
     except KeyError:
@@ -383,7 +386,8 @@ def W2(length: float, tol: float = 1e-7) -> Bracket:
 
 
 def thin_pair_sum(tol: float = 1e-7) -> Bracket:
-    """H(0, 4 EPS2) + H(0, 2 EPS2), the generic two-curve threshold sum."""
+    """H(0, 4 EPS2) + H(0, 2 EPS2), the generic two-curve threshold sum,
+    each to tol / 2; raises as integral_H does at tol / 2."""
     return integral_H(0.0, 4.0 * EPS2, "plain", 0.5 * tol) + integral_H(
         0.0, 2.0 * EPS2, "plain", 0.5 * tol
     )
@@ -468,6 +472,7 @@ def pa_translation_bounds(tol: float = 1e-7) -> PATranslationBounds:
 
     case_i2 = H(2 EPS2, 4 EPS2).lo, case_i1 = H(2 EPS2, 6 EPS2).lo,
     and general = case_i1 / 2 covers the remaining configurations.
+    Raises as integral_H does at tol.
     """
     case_i2 = integral_H(2.0 * EPS2, 4.0 * EPS2, "plain", tol).lo
     case_i1 = integral_H(2.0 * EPS2, 6.0 * EPS2, "plain", tol).lo
@@ -532,7 +537,8 @@ def brock_bromberg_compare(g: int, n: int) -> float:
 
     Published alongside a slightly different decimal for the (1, 1)
     case; cmd_constants records both and flags the mismatch rather than
-    asserting equality.
+    asserting equality. Raises TypeError unless g and n are ints, bools
+    refused, and ValueError unless 0 < 2g - 2 + n < 2**1020.
     """
     if isinstance(g, bool) or isinstance(n, bool):
         raise TypeError("g and n must be ints")

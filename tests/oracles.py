@@ -10,7 +10,10 @@ More are kept verbatim for the same reason: long_sum_direct, the
 one-dot-per-block long series that riera._long_sum now sums from
 moments far out; F_pair, the interaction envelope before large lengths
 saturated; and brute_force_words, the two-pass brute-force coset
-enumeration that cli._brute_force_cosets does in one pass.
+enumeration that cli._brute_force_cosets does in one pass. It still
+enumerates words up to the length cap + 4, and so it is the reference
+that pins cli's cut at the cap: words past the cap strip to no new
+coset.
 
 The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and

@@ -12,13 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import wpstrata
 from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
+from wpstrata.gradbounds import u_factor, v_factor
 from wpstrata.integrals import c_ratio, integral_H, integral_K
+from wpstrata.riera import _a_of_u
 
 EXPECTED_NAMES = [
     "delta11_elementary",
@@ -308,38 +311,102 @@ class TestVerifyCommand:
         assert rc == 1
         assert out == "FAIL raises: ValueError: commutator error 1e-9\nok passes\n1 passed, 1 failed\n"
 
+    def test_one_refined_bracket_per_run(self, monkeypatch, capsys):
+        # refined_delta11 and path_bracket_contract share one bracket in a
+        # run; nothing outlives the run, and a check alone builds its own.
+        calls = []
+        build = cli.delta11_bracket
 
-# (check, grid size): both grids run F_pair on every pair w >= z of
-# logspace(-4, log10 40, size).
-_GRID_CHECKS = [(cli._verify_grid_inequalities, 200), (cli._verify_auv_bound, 60)]
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "delta11_bracket", counting)
+        for runs in (1, 2):
+            assert main(["verify", "all"]) == 0
+            assert calls.count((8, 1e-6)) == runs and cli._verify_run is None
+        cli._verify_refined_delta11()
+        cli._verify_path_bracket_contract()
+        assert calls.count((8, 1e-6)) == 4
+        capsys.readouterr()
+
+    def test_an_interrupted_run_drops_its_bracket(self, monkeypatch):
+        def interrupted() -> None:
+            cli._verify_refined_delta11()
+            assert set(cli._verify_run) == {"refined"}
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_FAST_CHECKS", [("interrupted", interrupted)])
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "fast"])
+        assert cli._verify_run is None
+
+
+# [z0, z1] x [w0, w1] as the envelope proof names a failing box
+_BOX = re.compile(r"envelope cap fails on \[(.+), (.+)\] x \[(.+), (.+)\]$")
+
+
+def _failing_box(slack: float) -> tuple[float, ...]:
+    with pytest.raises(AssertionError) as exc:
+        cli._prove_envelope_cap(slack)
+    return tuple(float(x) for x in _BOX.match(str(exc.value)).groups())
 
 
 class TestGridChecks:
-    @pytest.mark.parametrize("check, size", _GRID_CHECKS)
-    def test_every_pair_w_at_least_z_once(self, monkeypatch, check, size):
-        seen = []
-        f_pair = cli.F_pair
+    def test_false_cap_is_refused_at_the_corner(self):
+        # The ratio at (1e-4, 1e-4) is 2.9e-9 below 4 / 3 pi: a cap 1e-9
+        # under it is proved, one 1e-8 under it is refused there.
+        cli._prove_envelope_cap(-1e-9)
+        z0, z1, w0, w1 = _failing_box(-1e-8)
+        assert z0 <= 1e-4 <= z1 and w0 <= 1e-4 <= w1
 
-        def counting(z, w):
-            seen.append((z, w))
-            return f_pair(z, w)
+    def test_a_factor_that_blows_up_names_its_range(self, monkeypatch):
+        monkeypatch.setattr(cli, "u_factor", lambda z: 1e300 if 1.0 <= z <= 2.0 else u_factor(z))
+        z0, z1, w0, w1 = _failing_box(1e-12)
+        assert 1.0 <= z0 <= 2.0 and z0 < z1 and z0 < w1
 
-        monkeypatch.setattr(cli, "F_pair", counting)
-        check()
+    def test_a_broken_factor_fails_the_verify_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "u_factor", lambda z: 1e300 if 1.0 <= z <= 2.0 else u_factor(z))
+        assert main(["verify", "all"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        for name in ("envelope_grid", "auv_cap"):
+            assert any(line.startswith(f"FAIL {name}: envelope cap fails on [") for line in out)
+
+    @pytest.mark.parametrize("size", [200, 60])
+    def test_f_pair_is_the_factor_product(self, size):
+        # The proof bounds the factors F_pair is built from; on the grids
+        # the sampled checks ran, F_pair is their product to a few ulps.
         zs = np.logspace(-4.0, math.log10(40.0), size).tolist()
-        assert len(seen) == size * (size + 1) // 2  # 20100 and 1830
-        assert seen == [(z, w) for z in zs for w in zs if w >= z]
+        for i, z in enumerate(zs):
+            for w in zs[i:]:
+                u = math.tanh(0.25 * z) * math.tanh(0.25 * w)
+                product = _a_of_u(u) * u_factor(z) * v_factor(w) * math.sinh(0.5 * z) * math.sinh(0.5 * w) ** 2
+                assert cli.F_pair(z, w) <= product * (1.0 + 8.0 * 2.0**-52), (z, w)
 
-    @pytest.mark.parametrize("check, size", _GRID_CHECKS)
-    @pytest.mark.parametrize("pick", ["first", "diagonal", "off_diagonal", "last"])
-    def test_one_bad_pair_is_named(self, monkeypatch, check, size, pick):
-        zs = np.logspace(-4.0, math.log10(40.0), size).tolist()
-        i, j = {"first": (0, 0), "diagonal": (size // 2,) * 2, "off_diagonal": (3, size - 7), "last": (size - 1,) * 2}[pick]
-        bad = (zs[i], zs[j])
-        f_pair = cli.F_pair
-        monkeypatch.setattr(cli, "F_pair", lambda z, w: 1e300 if (z, w) == bad else f_pair(z, w))
-        with pytest.raises(AssertionError, match=re.escape(f"fails at {bad}") + "$"):
-            check()
+    def test_factors_are_monotone(self):
+        # In 60 digits on dense grids: a(T) = a_hat(e^-T) falls in T over
+        # every T the proof meets, so a rises in u; uf and vf fall over
+        # [1e-4, 40 + 1 ulp].
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+
+        def a(T):
+            return mp.exp(2 * T) * (2 * mp.cosh(T) * mp.log(mp.coth(T / 2)) - 2)
+
+        def uf(z):
+            c = mp.cosh(z / 2)
+            return (2 * c + 1) / (3 * (c + 1) ** 2)
+
+        def vf(w):
+            s, c = mp.sinh(w / 2), mp.cosh(w / 2)
+            return 1 / (mp.atan(1 / s) * c * c + s)
+
+        ts = [mp.mpf(float(t)) for t in np.logspace(-9.0, math.log10(25.0), 1500)]
+        ls = [mp.mpf(float(x)) for x in np.logspace(-4.0, math.log10(40.0), 1500)]
+        assert ls[0] == 1e-4 and ls[-1] == math.nextafter(40.0, math.inf)
+        for f, xs in ((a, ts), (uf, ls), (vf, ls)):
+            ys = [f(x) for x in xs]
+            assert all(y1 < y0 for y0, y1 in zip(ys, ys[1:])), f.__name__
 
 
 class TestUsage:

@@ -465,6 +465,21 @@ class TestAxisRegressions:
         with pytest.raises(ValueError):
             axis_of(MoebiusMap(1.0000001, 5.0, 0.0, 1.0000001))
 
+    def test_elliptic_within_the_determinant_tolerance(self):
+        # |trace| > 2 with det 1 + 8e-7: (a - d)^2 + 4 b c = trace^2 - 4 det
+        # is -4e-12, so the map is elliptic; it once got an axis.
+        m = MoebiusMap(1.0000004, -1.0, 1e-12, 1.0000004)
+        assert abs(m.trace()) > 2.0
+        with pytest.raises(ValueError, match="not hyperbolic"):
+            axis_of(m)
+
+    def test_near_parabolic_keeps_its_axis(self):
+        # ROADMAP D15, asserted as it stands: with b = +1 the discriminant
+        # is +4e-12 and an axis comes back, though its roots, taken as if
+        # det were 1, are far from the fixed points +-1e6.
+        axis = axis_of(MoebiusMap(1.0000004, 1.0, 1e-12, 1.0000004))
+        assert axis == GeodesicH2(894427280.5081276, -1118.0338768646416)
+
     def test_apply_where_both_products_overflow(self):
         # Both a x and c x overflow; inf / inf once gave NaN.
         m = MoebiusMap(4.78145553069337e16, 0.0, 4.78145553069337e16, 2.0914133647813885e-17)

@@ -18,6 +18,7 @@ from wpstrata.integrals import (
     SQRT_2PI,
     V3,
     Bracket,
+    ConvergenceError,
     W1,
     W1_LENGTH,
     W2,
@@ -276,6 +277,14 @@ class TestIntegralH:
             integral_H(-0.5, 1.0)
         with pytest.raises(ValueError):
             integral_H(1.0, math.nextafter(1.0, 2.0))
+
+    def test_least_tol(self):
+        # Below 1e-323 the panels' share of tol rounded to 0, and the
+        # refusal said "tol must be positive" of a positive tol.
+        with pytest.raises(ValueError, match="at least 1e-323"):
+            integral_H(0.0, 1.0, "plain", 5e-324)
+        with pytest.raises(ConvergenceError):
+            integral_H(0.0, 1.0, "plain", 1e-323)
 
     @pytest.mark.parametrize(
         "b, variant", [(1e-322, "plain"), (5e-324, "separating"), (5e-324, "systole"), (1e-300, "plain")]
@@ -658,6 +667,71 @@ class TestTotality:
             assert surface_class == "torus" or k < 0 or (surface_class == "punctured-sphere" and k % 2)
             return
         assert _finite(v.value) and v.kind in ("exact", "lower-bound")
+
+
+    @given(a=st.floats(), b=st.floats())
+    @settings(deadline=None, max_examples=300)
+    def test_integral_k(self, a, b):
+        try:
+            v = integral_K(a, b)
+        except ValueError:
+            assert not (0.0 <= a <= b < math.inf)
+            return
+        assert 0.0 <= a <= b < math.inf and 0.0 <= v < math.inf
+        assert v == SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
+
+    @given(g=st.one_of(st.integers(), st.booleans()), n=st.one_of(st.integers(), st.booleans()))
+    @settings(deadline=None, max_examples=300)
+    def test_brock_bromberg_compare(self, g, n):
+        try:
+            v = brock_bromberg_compare(g, n)
+        except TypeError:
+            assert isinstance(g, bool) or isinstance(n, bool)
+            return
+        except ValueError:
+            assert not 0 < 2 * g - 2 + n < 2**1020
+            return
+        assert 0 < 2 * g - 2 + n < 2**1020 and 0.0 < v < 1.0
+
+    @given(target=st.one_of(st.floats(), st.floats(min_value=7.61137, max_value=7.61141)))
+    @settings(deadline=None, max_examples=10)
+    def test_calibrate_eps2(self, target):
+        # in reach: the pair sums at the interval's ends, 7.6113763 and 7.6114096
+        try:
+            e = calibrate_eps2(target)
+        except ValueError:
+            assert not 7.6113763 <= target <= 7.6114096
+            return
+        assert math.asinh(1.0) <= e <= math.asinh(1.0) + 1e-5
+
+    @given(tol=st.floats())
+    @settings(deadline=None, max_examples=15)
+    def test_thin_pair_sum(self, tol):
+        # ValueError below 2e-323, where tol / 2 is under integral_H's least
+        # tol, and for NaN; ConvergenceError past what the quadrature reaches
+        try:
+            br = thin_pair_sum(tol)
+        except ValueError:
+            assert not tol >= 2e-323
+            return
+        except ConvergenceError:
+            assert tol < 1e-13
+            return
+        assert _finite(br) and br.lo <= 7.611385 <= br.hi
+
+    @given(tol=st.floats())
+    @settings(deadline=None, max_examples=15)
+    def test_pa_translation_bounds(self, tol):
+        try:
+            pa = pa_translation_bounds(tol)
+        except ValueError:
+            assert not tol >= 1e-323
+            return
+        except ConvergenceError:
+            assert tol < 1e-13
+            return
+        assert abs(pa.case_i2 - 1.0620466) < 1e-6 and abs(pa.case_i1 - 1.5694844) < 1e-6
+        assert pa.general == 0.5 * pa.case_i1
 
 
 class TestComparisonValue:
