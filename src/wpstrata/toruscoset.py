@@ -60,13 +60,13 @@ MAX_WORD_LENGTH = 14 the deepest array holds about 800k columns, about
 all levels about 1.2M, about 10 MB.
 
 _coset_sums takes a block of k nodes, the t values that
-adaptive_simpson announces together (see delta11_bracket). Each short
-word length costs a few dozen numpy calls whatever its size, about
-0.07 ms, so it is built once for the whole block: one (2, 2, k, n)
-array, whose ch, sh and A scalings are (k, 1) columns, and one (k, m)
-array of u values; a single node is a block of one. Length 1 is built
-this way, and so is every length while k * (its columns) <=
-_BLOCK_COLUMNS = 2 * 3^7; at L = 10 and k = 4 that is lengths 1..7.
+adaptive_simpson announces together, up to 16 (see delta11_bracket).
+Each short word length costs a few dozen numpy calls whatever its size,
+about 0.07 ms, so it is built once for the whole block: one
+(2, 2, k, n) array, whose ch, sh and A scalings are (k, 1) columns, and
+one (k, m) array of u values; a single node is a block of one. Length 1
+is built this way, and so is every length while k * (its columns) <=
+_BLOCK_COLUMNS = 2 * 3^9; at L = 10 and k = 16 that is lengths 1..8.
 From the first longer length on, each node continues alone from its
 row of the last block level into its own u array of one node's size,
 which starts with a copy of its block row. Every product and sum is the
@@ -74,10 +74,12 @@ same rounded operation in the same order whatever the block, so a
 node's sums match its sums alone bit for bit. Deep lengths are not
 blocked: there the work is per column, and k times larger arrays load
 the C heap (D7 in ROADMAP.md). Blocking every length at L = 10 doubled
-the minor page faults of a 20-s delta11-l10 benchmark run (111.5k against
-56.2k) and raised its peak RSS by 1.9 MB; larger per-call arrays are
-also what makes the heap trim and regrow on every call in some
-processes. Split this way, no array is larger than a single node's.
+the minor page faults of a 20-s delta11-l10 benchmark run (111.5k
+against 56.2k) and raised its peak RSS by 1.9 MB; larger per-call
+arrays are also what makes the heap trim and regrow on every call in
+some processes. The block levels are still larger than a single node's
+arrays: at L = 10 and k = 16 the length-8 block holds 16 * 1644
+columns, 0.84 MB, against 0.31 MB for one node's deepest level.
 
 The u formulas use det = 1 exactly, u_AA = |1 + 2 w01 w10| and
 u_AB = |w01 w11 - w00 w10|, never the determinant of the assembled
@@ -112,7 +114,7 @@ MAX_WORD_LENGTH = 14
 
 # A word length is built for a whole block of nodes while the block's
 # columns of it stay within this; see the module docstring.
-_BLOCK_COLUMNS = 2 * 3**7
+_BLOCK_COLUMNS = 2 * 3**9
 
 # grad_sq_bracket sums no cosets below _FLAT_T, and takes 2 sinh(t/2)
 # as t below _TINY_T, under which halving t would round; see there.
@@ -197,7 +199,19 @@ def _node_entries(t: float) -> tuple[float, float, float]:
 
 
 def holonomy(t: float) -> RectTorusPoint:
-    """Square family point at first-curve length t."""
+    """Square family point at first-curve length t.
+
+    Raises ValueError unless t is positive and finite, and where the
+    rounded generators fail RectTorusPoint's checks, which happens at
+    both ends of the family; dense scans found every t from about
+    1.8e-3 to 1418.17 accepted. Below, det B = ch^2 - sh^2 with
+    sh = csch(t/2) cancels, or the commutator trace drifts from -2:
+    some t fail from about 1.8e-3 down and every t from about 1e-4
+    ("determinant 0.0 is not 1" at t = 1e-8), and below about 1.4e-154
+    ch^2 overflows ("determinant nan"). Above, the products of the
+    commutator check overflow ("determinant nan"), and from about
+    1419.57 on e^(t/2) itself is inf.
+    """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
     e, sh, ch = _node_entries(t)
@@ -249,6 +263,12 @@ def u_of_coset(point: RectTorusPoint, word: CosetWord) -> UValue:
     The first-curve axis (0, oo) is compared against the word image of
     the (0, oo) axis for AA cosets and of the B axis (-1, 1) for AB
     cosets. The identity AB coset yields the right angle crossing u = 0.
+    Raises ValueError where the rounded word product or its image axis
+    degenerates, which grows with t and with the word: at t = 10 for 94
+    of the 729 words of length at most 6 ("geodesic needs two distinct
+    ideal endpoints"), and from t of about 38.82 on already for B and
+    B^-1 ("tangent pair, u = 1", then "geodesics share an ideal
+    endpoint").
     """
     table = (point.A, point.A.inverse(), point.B, point.B.inverse())
     m = compose_many(table[l] for l in word.letters)
@@ -371,7 +391,7 @@ def _coset_sums(ts: Sequence[float], maxlen: int) -> tuple[list[float], list[flo
 
     ts is a nonempty sequence; delta11_bracket passes the nodes of each
     adaptive_simpson announcement that it has not summed yet, at most
-    four. The leading word lengths are built once for the whole block,
+    16. The leading word lengths are built once for the whole block,
     the rest node by node; see the module docstring. Each
     node's sums are bit for bit those of the node alone, repeats and
     order included. The kernel arithmetic runs under one np.errstate:
@@ -499,7 +519,7 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
 
     The gradient bracket ends of the nodes that adaptive_simpson
     announces are computed in one _grad_sq_ends call per announcement,
-    at most four nodes (y = 0 is a closed form), and each t once across
+    at most 16 nodes (y = 0 is a closed form), and each t once across
     both sides; the integrands only read them back.
 
     Raises TypeError unless max_word_length is an int, ValueError unless

@@ -438,7 +438,7 @@ class TestDistanceBracket:
         monkeypatch.setattr(toruscoset, "adaptive_simpson", watched)
         delta11_bracket(10, 1e-8)
         nodes = [t for ts in calls for t in ts]
-        assert all(1 <= len(ts) <= 4 for ts in calls)
+        assert all(1 <= len(ts) <= 16 for ts in calls)
         assert len(set(nodes)) == len(nodes)  # no t computed twice
         assert set(nodes) == read  # the nodes summed are the nodes read
         assert 4 * len(calls) < 1.1 * len(nodes)  # nearly every call is full
