@@ -22,8 +22,10 @@ term counts at the default tol, _BREAKS, is derived from and checked
 against; a_closed, the closed form that raised where T/2 is 0; and a_of_u,
 the collar profile that builds a SeriesEval from a_hat;
 F_pair_by_factors, the saturating envelope on u_factor and v_factor;
-and adaptive_simpson with its per-node wrapper. The long series still
-goes to riera._long_sum, which long_sum_direct checks.
+and adaptive_simpson, the depth-first recursion with its per-node
+wrapper, which announces four nodes per split where
+integrals.adaptive_simpson announces up to 16 per round. The long
+series still goes to riera._long_sum, which long_sum_direct checks.
 
 c_ratios is the systole ratio sweep as it was before integrals.c_ratios
 shared one integrand across lengths: one integral_H per t.

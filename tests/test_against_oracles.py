@@ -6,7 +6,8 @@ saturating F_pair against the one that raised; the one-pass brute-force
 cosets against the two-pass enumeration; and the scalar path under
 integral_H (collar series, envelope, Simpson rule) against the one that
 built a SeriesEval per collar profile, called u_factor and v_factor and
-checked each node in a wrapper, bit for bit; the collar profile's table
+checked each node in a wrapper, bit for bit; the batched Simpson driver
+against the depth-first recursion it replaced; the collar profile's table
 of term counts at the default tol against the count it tabulates, ulp by
 ulp around every step; and the systole ratio sweep against one
 integral_H per length.
@@ -324,6 +325,58 @@ def test_integral_h_matches_former_scalar_path(monkeypatch):
         want = [integrals.integral_H(*x) for x in draws]
     for x, g, w in zip(draws, got, want):
         assert (g.lo, g.hi, g.error_budget) == (w.lo, w.hi, w.error_budget), x
+
+
+_SIMPSON_INTEGRANDS = {
+    "sin": math.sin,
+    "exp": math.exp,
+    "runge": lambda x: 1.0 / (1.0 + 25.0 * x * x),
+    **{v: integrals._integrand(integrals._VARIANTS[v]) for v in ("plain", "separating", "systole")},
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_SIMPSON_INTEGRANDS)),
+    a=st.floats(min_value=0.0, max_value=3.0),
+    width=st.floats(min_value=1e-3, max_value=3.0),
+    tol=st.floats(min_value=1e-12, max_value=1e-3),
+)
+@settings(deadline=None, max_examples=150)
+def test_simpson_rounds_match_the_recursive_rule(name, a, width, tol):
+    # The batched driver against the depth-first recursion it replaced: the
+    # same (value, err, evals), bit for bit, with and without prefetch. y is
+    # sqrt(t) for the three H integrands, so y up to 6 is t up to 36.
+    f = _SIMPSON_INTEGRANDS[name]
+    b = a + width
+    try:
+        want = oracles.adaptive_simpson(f, a, b, tol)
+    except RuntimeError:
+        for prefetch in (None, lambda xs: None):
+            with pytest.raises(RuntimeError):
+                integrals.adaptive_simpson(f, a, b, tol, prefetch=prefetch)
+        return
+    assert integrals.adaptive_simpson(f, a, b, tol) == want
+
+    calls: list[list[float]] = []
+    announced: set[float] = set()
+    seen: list[float] = []
+
+    def prefetch(xs: list[float]) -> None:
+        calls.append(list(xs))
+        announced.update(xs)
+
+    def recorded(x: float) -> float:
+        assert x in announced, x  # announced before use
+        seen.append(x)
+        return f(x)
+
+    assert integrals.adaptive_simpson(recorded, a, b, tol, prefetch=prefetch) == want
+    mid = 0.5 * (a + b)
+    assert calls[0] == [a, b, mid, 0.5 * (a + mid), 0.5 * (mid + b)]  # the root first
+    assert all(1 <= len(xs) <= 16 for xs in calls)
+    # every announced node is evaluated, exactly once
+    assert sorted(x for xs in calls for x in xs) == sorted(seen)
+    assert len(set(seen)) == len(seen) == want[2]
 
 
 def test_delta11_matches_former_simpson_rule(monkeypatch):

@@ -234,6 +234,13 @@ class TestGradientBounds:
             assert grad_sq_upper_separating(ell) == want
             assert grad_sq_upper_separating(ell) <= grad_sq_upper_single(ell)
 
+    @given(ell=st.floats(min_value=1e-300, max_value=630.0))
+    @settings(deadline=None, max_examples=300)
+    def test_separating_is_single_at_half_length(self, ell):
+        # ROADMAP direction 6: both take F_pair(ell / 2, ell / 2), and the
+        # factors of 2 scale exactly while nothing under- or overflows
+        assert grad_sq_upper_separating(ell) == 2.0 * grad_sq_upper_single(ell / 2.0)
+
     def test_systole_formula_and_peak(self):
         peak = 1.0 + G_of(0.25 * L0, 0.25 * L0)
         for ell in np.logspace(-2.0, 1.8, 120):

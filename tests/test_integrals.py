@@ -112,15 +112,25 @@ class TestAdaptiveSimpson:
 
     def test_noise_fails_fast(self):
         # noise at every scale: no interval converges, and the depth-first
-        # recursion reaches _MAX_DEPTH on its first branch
+        # walk reaches _MAX_DEPTH on its first branch
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match="failed to converge"):
             adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8)
         assert time.perf_counter() - start < 2.0
 
+    def test_noise_fails_fast_in_rounds(self):
+        # with prefetch the leftmost branch gains a level every round, so
+        # it reaches _MAX_DEPTH in 48 rounds of at most 16 nodes
+        calls = []
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            adaptive_simpson(lambda x: (x * 1e9) % 1.0, 0.0, math.pi, 1e-8, prefetch=calls.append)
+        assert time.perf_counter() - start < 2.0
+        assert len(calls) == 1 + integrals._MAX_DEPTH and all(len(xs) <= 16 for xs in calls)
+
     def test_no_integrand_outlives_its_call(self, monkeypatch):
-        # the recursion's closure used to hold itself, and with it the
-        # integrand and all it captures, until a gen-2 collection
+        # a recursive closure holds itself, and with it the integrand and
+        # all it captures, until a gen-2 collection
         refs = []
         real = integrals.adaptive_simpson
 
@@ -285,6 +295,11 @@ class TestIntegralH:
             integral_H(0.0, 1.0, "plain", 5e-324)
         with pytest.raises(ConvergenceError):
             integral_H(0.0, 1.0, "plain", 1e-323)
+        # On a range this narrow in y (2.2e-162) the panel's share,
+        # tol / 2 times its part of the range, underflows to 0 first.
+        with pytest.raises(ValueError, match="share of tol .* underflows to 0"):
+            integral_H(0.0, 5e-324, "plain", 1e-200)
+        assert integral_H(0.0, 5e-324, "plain", 1e-150).width <= 1e-150
 
     @pytest.mark.parametrize(
         "b, variant", [(1e-322, "plain"), (5e-324, "separating"), (5e-324, "systole"), (1e-300, "plain")]
@@ -303,6 +318,30 @@ class TestIntegralH:
         far = integral_H(0.0, 1e4, "plain")
         assert near.lo <= far.hi and far.lo <= near.hi + 1e-7
         assert integral_H(0.0, 1e4, "separating").width <= 1e-7
+
+    @given(
+        a=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.5)),
+        extra=st.floats(min_value=0.01, max_value=36.0),
+        tol=st.floats(min_value=1e-12, max_value=1e-6),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_separating_is_plain_rescaled(self, a, extra, tol):
+        # ROADMAP direction 6: t = 2s gives H_sep(a, b) = sqrt(2) H_plain(a/2, b/2).
+        # At tol / sqrt(2) the plain run takes the same panels, except where
+        # rounding flips one acceptance (3 of 3300 draws), and then the two
+        # brackets overlap. Otherwise the ends agree within 128 ulp (43 at
+        # most in those draws): y = sqrt(t) and sqrt(t / 2) round apart,
+        # and that adds up over a few thousand panels. On a narrow range
+        # sqrt(a) and sqrt(b) cancel, and the ends moved by up to 1533 ulp;
+        # b >= 2a keeps that out.
+        b = 2.0 * a + extra
+        sep = integral_H(a, b, "separating", tol)
+        plain = integral_H(0.5 * a, 0.5 * b, "plain", tol / math.sqrt(2.0)).scaled(math.sqrt(2.0))
+        if sep.error_budget["evals"] != plain.error_budget["evals"]:
+            assert max(sep.lo, plain.lo) <= min(sep.hi, plain.hi)
+            return
+        assert abs(sep.lo - plain.lo) <= 128 * math.ulp(sep.lo)
+        assert abs(sep.hi - plain.hi) <= 128 * math.ulp(sep.hi)
 
     @pytest.mark.parametrize("variant, flat", [("plain", 1421.0), ("separating", 2842.0)])
     @pytest.mark.parametrize("b", [1e12, 1e100, 1.7e308])
@@ -347,6 +386,23 @@ class TestIntegralH:
         # ROADMAP D9: H(0, 2000) >= H(0, 1000), yet the two brackets are
         # disjoint, so one of them misses its value. Asserted as it stands.
         assert integral_H(0.0, 2000.0).hi < integral_H(0.0, 1000.0).lo
+
+    @pytest.mark.parametrize(
+        "b, variant, tol, tighter, below",
+        [
+            (9.71597614233579, "plain", 6.249449826262261e-11, 1e-13, True),  # h-sweep seed 109
+            (9.430117868924254, "separating", 2.1992102831519105e-11, 1e-12, False),  # seed 16303
+        ],
+        ids=["plain", "separating"],
+    )
+    def test_known_misses_on_smooth_panels(self, b, variant, tol, tighter, below):
+        # ROADMAP D9: a smooth panel accepted on an accidental Richardson
+        # match. The bracket is disjoint from the same call at a tighter
+        # tol, below or above it, so one of the two misses. Asserted as it
+        # stands.
+        coarse = integral_H(0.0, b, variant, tol)
+        fine = integral_H(0.0, b, variant, tighter)
+        assert coarse.hi < fine.lo if below else fine.hi < coarse.lo
 
     @given(
         a=st.floats(min_value=0.0, max_value=1e4),

@@ -233,6 +233,89 @@ class TestPositionInvariant:
             assert math.isclose(a, b, rel_tol=1e-9)
 
 
+def _canonical_word(first: int, steps: list[int]) -> CosetWord:
+    # step k appends the k-th letter, in order, that does not cancel the last
+    letters = [first]
+    for k in steps:
+        letters.append([l for l in range(4) if l != (1, 0, 3, 2)[letters[-1]]][k])
+    return CosetWord(tuple(letters), "AA" if letters[-1] >= 2 else "AB")
+
+
+class TestOracleTotality:
+    """holonomy, enumerate_cosets and u_of_coset over their whole domains:
+    a documented value or ValueError (TypeError for a word length that is
+    not an int)."""
+
+    @given(t=st.floats())
+    @settings(deadline=None, max_examples=300)
+    def test_holonomy_total_over_every_float(self, t):
+        # dense scans found every t from about 1.8e-3 to 1418.17 accepted;
+        # asserted on [5e-3, 1418] (see the holonomy docstring)
+        try:
+            p = holonomy(t)
+        except ValueError:
+            assert not 5e-3 <= t <= 1418.0
+            return
+        assert 0.0 < t < 1419.57 and p.t == t and math.isfinite(p.s) and p.s > 0.0
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(1e-8, "determinant 0.0 is not 1"), (1e-200, "determinant nan"), (1421.0, "determinant nan")],
+    )
+    def test_holonomy_refusals(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            holonomy(t)
+
+    @given(
+        kind=st.one_of(st.sampled_from(["AA", "AB"]), st.text(max_size=3)),
+        length=st.one_of(
+            st.integers(max_value=5),
+            st.integers(min_value=MAX_WORD_LENGTH + 1),
+            st.booleans(),
+            st.floats(),
+        ),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_enumerate_cosets_total(self, kind, length):
+        # lengths 6..MAX_WORD_LENGTH are valid too, but 3^14 words are
+        # too many for a draw
+        valid_length = isinstance(length, int) and not isinstance(length, bool)
+        try:
+            words = enumerate_cosets(kind, length)
+        except TypeError:
+            assert kind in ("AA", "AB") and not valid_length
+            return
+        except ValueError:
+            assert kind not in ("AA", "AB") or (valid_length and not 1 <= length <= MAX_WORD_LENGTH)
+            return
+        assert valid_length and 1 <= length <= 5
+        assert words and all(w.kind == kind and 1 <= len(w.letters) <= length for w in words)
+
+    @given(
+        t=st.floats(min_value=5e-3, max_value=1418.0),
+        first=st.sampled_from([2, 3]),
+        steps=st.lists(st.integers(min_value=0, max_value=2), max_size=7),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_u_of_coset_total(self, t, first, steps):
+        # canonical cosets of up to 8 letters; the identity crosses at u = 0
+        p = holonomy(t)
+        identity = u_of_coset(p, identity_coset())
+        assert identity.crossing and identity.value == 0.0
+        try:
+            u = u_of_coset(p, _canonical_word(first, steps))
+        except ValueError:
+            return
+        assert isinstance(u, UValue) and not u.crossing and 1.0 < u.value < math.inf
+
+    def test_u_of_coset_refusal_from_about_38_8(self):
+        # the chain word B: u = cosh(s) rounds to 1 once s is small enough
+        B = CosetWord((2,), "AA")
+        assert u_of_coset(holonomy(38.8), B).value > 1.0
+        with pytest.raises(ValueError, match="tangent pair"):
+            u_of_coset(holonomy(38.9), B)
+
+
 class TestGradBracket:
     def test_level_zero_analytic(self):
         t = 1.3
