@@ -62,7 +62,7 @@ from .integrals import (
     strata_separation,
     thin_pair_sum,
 )
-from .riera import _TOL, _a_of_u, a_hat, a_of_T, riera_R
+from .riera import _TOL, _a_of_u, a_hat, a_of_T, a_stable, riera_R
 from .toruscoset import (
     MAX_WORD_LENGTH,
     delta11_bracket,
@@ -379,16 +379,19 @@ def _verify_kernel_positive() -> None:
 
 def _verify_collar_profile() -> None:
     prev = None
-    for T in np.logspace(-6.0, math.log10(50.0), 40):
-        v = a_of_T(float(T))
+    for T in np.logspace(-6.0, math.log10(50.0), 40).tolist():
+        v = a_stable(T)
         lo = 8.0 / 3.0
-        hi = lo - 2.0 * math.log1p(-math.exp(-2.0 * float(T)))
+        hi = lo - 2.0 * math.log1p(-math.exp(-2.0 * T))
         _check(lo <= v <= hi + 1e-12, f"a(T) outside pinch at T={T}")
         # weakly: the profile saturates to 8/3 exactly once the tail
         # falls under one ulp
         if prev is not None:
             _check(v <= prev, f"a(T) increasing at T={T}")
         prev = v
+        # a_stable's series branch, whose term count _BREAKS tabulates
+        if T >= 0.51:
+            _check(a_of_T(T) == v, f"a_of_T != a_stable at T={T}")
 
 
 def _verify_envelope_identity() -> None:

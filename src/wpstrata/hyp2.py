@@ -155,10 +155,12 @@ def axis_of(m: MoebiusMap) -> GeodesicH2:
     c z^2 + (d - a) z - b = 0, whose discriminant (a - d)^2 + 4 b c is
     trace^2 - 4 det. A det off 1 by up to 1e-6 can make it negative with
     |trace| > 2: such a map is elliptic, and a discriminant <= 0 raises
-    ValueError too. Otherwise det is taken as 1: the roots are h / c and
-    -b / h, h = ((a - d) + sign(a - d) sqrt(trace^2 - 4)) / 2, which is
-    free of cancellation and, taken in halves, of overflow. A root beyond
-    the double range reads oo.
+    ValueError too. Otherwise the roots are h / c and -b / h,
+    h = ((a - d) + sign(a - d) sqrt((a - d)^2 + 4 b c)) / 2, which is
+    free of cancellation and, taken in halves, of overflow, and which
+    holds at whatever det the map has: near trace 2, where trace^2 - 4
+    is far from the discriminant, the roots stay the fixed points. A
+    root beyond the double range reads oo.
     """
     tr = m.trace()
     if abs(tr) <= 2.0:
@@ -169,13 +171,14 @@ def axis_of(m: MoebiusMap) -> GeodesicH2:
         # One endpoint is oo, the finite one solves (d - a) z = b.
         return GeodesicH2(m.b / (m.d - m.a), INF)
     gap = m.a - m.d
-    if gap * gap + 4.0 * m.b * m.c <= 0.0:  # an overflow to inf - inf is NaN and passes
+    disc = gap * gap + 4.0 * m.b * m.c
+    if disc <= 0.0:  # an overflow to inf - inf is NaN and passes
         raise ValueError("map is not hyperbolic: (a - d)^2 + 4 b c <= 0")
-    disc = tr * tr - 4.0
-    # Past |trace| ~ 1.34e154 the square overflows; the -4 there is far
-    # below half an ulp of trace^2, so the root rounds to |trace|.
+    # Past |trace| ~ 1.34e154 the discriminant overflows (or is inf - inf);
+    # there it is trace^2 - 4 det with det within 1e-6 of 1, and the 4 det
+    # is far below half an ulp of trace^2, so the root rounds to |trace|.
     root = math.sqrt(disc) if disc < INF else abs(tr)
-    h = 0.5 * (m.a - m.d) + math.copysign(0.5 * root, m.a - m.d)
+    h = 0.5 * gap + math.copysign(0.5 * root, gap)
     return GeodesicH2(h / m.c, -m.b / h)
 
 

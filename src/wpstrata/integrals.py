@@ -426,7 +426,13 @@ def W1(length: float, tol: float = 1e-7) -> Bracket:
     """First separating route bound.
 
     H_sep(0, L) + H_sep(0, 8 arcsinh(1 / sinh(L / 4))), the second leg
-    being four separating collar radii.
+    being four separating collar radii. Raises ValueError unless
+    length > 0 and finite, and ConvergenceError, a RuntimeError, where a
+    leg is long and tol below what the quadrature reaches there, as for
+    integral_H. In log scans of L over [1e-300, 1e300] that is tol under
+    1e-10 only: at 1e-12 from L of about 126 on and below about 1.6e-6,
+    whose second leg is as long, and at 5e-11 from about 1413 on and
+    below 1e-8. W1(3.678, 1e-12) returns.
     """
     if not length > 0.0:
         raise ValueError("length must be positive")
@@ -438,7 +444,8 @@ def W2(length: float, tol: float = 1e-7) -> Bracket:
 
     H_sep(0, L) + H_sep(0, 4 arcsinh(1 / sinh(L / 4)) +
     4 arcsinh(1 / sinh(L / 2))); the second leg mixes the separating
-    collar radii of L and 2L.
+    collar radii of L and 2L. Raises as W1 does, at about the same
+    lengths: at tol 1e-12 from L of about 126 on and below about 1.1e-6.
     """
     if not length > 0.0:
         raise ValueError("length must be positive")

@@ -15,38 +15,19 @@ cancellation as T grows. The switch point T = 0.51 keeps both branches
 comfortably inside their stable ranges; they agree to a few ulps there.
 
 a_hat fixes its term count n from the tail bound before it sums
-anything, in a constant number of steps (_count), so a count over the
-cap raises at once. The collar profile _a_of_u runs at the default tol
-only, where that count is a step function of x = u^2 with 29 steps
-below the switch point: it reads n from their literal table _BREAKS by
-one bisect, and tests/test_against_oracles.py pins the table to the
-count ulp by ulp around every step. Both then call _series, the one
-sum, with plain floats in and out. It takes one of two regimes, chosen
-by n alone. Up to 64 terms, which covers every production call (at
-most 30 below the switch point), a scalar loop runs over the
-precomputed numerators and denominators of the coefficients, so each
-term rounds as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) always has; the
-moment sums below never touch it, so every production value keeps its
-bits.
-Longer sums, reached only by the series-only a_of_T at small T, go in
-blocks of K = 2^15 terms against one power table x^k = exp(k log x),
-k < K, built inside the call, never at import. The partial fractions
-c_n = 2 / (2n + 1) + 2 / (2n + 3) split block m0 into two sums
-sum_{k < K} 2 x^k / (a + 2k), for a = 2 m0 + 1 and a = 2 m0 + 3.
-
-The first 8 blocks, and a partial last block, take one numpy dot
-product each. A full block from m0 = 8K on takes each sum from the
-moments M_j = sum_{k < K} (k / K)^j x^k, computed once per call:
-
-    sum_k 2 x^k / (a + 2k) = (2 / a) sum_j (-2K / a)^j M_j.
-
-There 2K / a < 1/8, and the terms (2K / a)^j M_j alternate in sign and
-decrease, so stopping after J = 21 of them leaves at most
-8^-21 = 2^-63 of (2 / a) M_0, which bounds the sum. That is below the
-rounding of the partial sum itself, which the SeriesEval contract
-already leaves out. Each far block then costs O(J) scalar work instead
-of four passes over K elements; a_of_T(1e-6) sums its 14.8M terms in
-452 blocks, 443 of them by moments.
+anything, in a constant number of steps (_count), and raises over the
+cap of _MAX_TERMS = 128 terms: above about u = 0.8906 at the default
+tol, so a_of_T raises below T of about 0.1158. The collar profile
+_a_of_u runs at the default tol only, where that count is a step
+function of x = u^2 with 29 steps below the switch point: it reads n
+from their literal table _BREAKS by one bisect, and
+tests/test_against_oracles.py pins the table to the count ulp by ulp
+around every step. Both then call _series, the one sum, with plain
+floats in and out: a scalar loop over the precomputed numerators and
+denominators of the coefficients, so each term rounds as
+8 (n + 1) x^n / ((2n + 1) (2n + 3)). Every production call sums at
+most 30 terms; a_of_T and a_hat are the series-only routes that the
+tests and verify hold a_stable to.
 """
 
 from __future__ import annotations
@@ -54,8 +35,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from typing import NamedTuple
-
-import numpy as np
 
 from .hyp2 import UValue
 
@@ -66,24 +45,15 @@ _R_SERIES_CUT = 1e8
 # series argument u = e^-0.51.
 _A_SERIES_UMAX = math.exp(-0.51)
 
-_MAX_TERMS = 40_000_000
-
-# Sums of at most _SHORT_TERMS terms run as a scalar loop; that covers
-# every u <= _A_SERIES_UMAX at tol >= 1e-29. Longer ones go in numpy
-# blocks of _BLOCK terms.
-_SHORT_TERMS = 64
-_BLOCK = 1 << 15
-
-# Full blocks from _NEAR_BLOCKS * _BLOCK terms on are summed from
-# _MOMENTS power moments instead of one dot product each.
-_NEAR_BLOCKS = 8
-_MOMENTS = 21
+# a_hat's term cap, and the length of _COEF. a_hat(0.8), verify's
+# largest, sums 67 terms.
+_MAX_TERMS = 128
 
 _LN2 = math.log(2.0)
 
-# c_n = 8 (n + 1) / ((2n + 1) (2n + 3)) for the scalar loop, as the exact
-# numerator and denominator: each term rounds as 8 (n + 1) u^(2n) / den.
-_COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_SHORT_TERMS))
+# c_n = 8 (n + 1) / ((2n + 1) (2n + 3)) as the exact numerator and
+# denominator: each term rounds as 8 (n + 1) u^(2n) / den.
+_COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_MAX_TERMS))
 
 # a_hat's default tol, the one the collar profile runs at.
 _TOL = 1e-14
@@ -141,23 +111,13 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     m >= 1. n is computed before any term is summed. It is the least
     such count or slightly above it (under 0.1% above over a sweep of u
     at the default tol). Requires 0 <= u < 1 and tol > 0. Raises
-    RuntimeError, before summing, if n exceeds the term cap, which
-    happens only for u so close to 1 that the sum is astronomically
-    large anyway.
+    RuntimeError, before summing, if n exceeds the cap of _MAX_TERMS =
+    128 terms: at the default tol that is u above about 0.8906, and at
+    tol 1e-6 above about 0.9539.
 
     The checked wrapper of _count and _series. The collar profile
     _a_of_u calls _series directly, with _count's default-tol steps read
     from _BREAKS, so a_hat and production share one count and one sum.
-    Counts up to _SHORT_TERMS (every production call) run a scalar loop
-    over the coefficient fractions _COEF, rounding each term as the
-    formula above does. Longer sums go to _long_sum in blocks of
-    K = _BLOCK terms against one power table x^k = exp(k log x),
-    x = u^2, built per call: block m0 adds x^m0
-    times either dot(c, table), where c_m = 2/(2m+1) + 2/(2m+3) is one
-    reciprocal and a shifted add, or, for a full block from m0 = 8K on,
-    the moment sum (2 / a) sum_{j < 21} (-2K / a)^j M_j for
-    a = 2 m0 + 1 and 2 m0 + 3. Cutting that after 21 terms leaves under
-    2^-63 of the block.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
@@ -187,66 +147,23 @@ def _count(x: float, tol: float) -> int:
     n = math.ceil((log_c + math.log(max(n, 1))) / log_x)
     if n < 1:
         n = 1
-    if n > _MAX_TERMS:
-        raise RuntimeError("series tolerance not reached within term cap")
     if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
+    if n > _MAX_TERMS:
+        raise RuntimeError("series tolerance not reached within term cap")
     return n
 
 
 def _series(x: float, n: int) -> tuple[float, float]:
-    """(value, tail_bound) of the first n terms of a_hat at x = u^2; n is
-    _count's, or at the default tol the table _BREAKS's, which
-    tests/test_against_oracles.py holds equal to _count."""
-    if n <= _SHORT_TERMS:
-        total = 0.0
-        p = 1.0
-        for num, den in _COEF[:n]:
-            total += num * p / den
-            p *= x
-        return total, 2.0 * p / (n * (1.0 - x))
-    log_x = math.log(x)
-    return _long_sum(n, log_x), 2.0 * math.exp(n * log_x) / (n * (1.0 - x))
-
-
-def _long_sum(n: int, log_x: float) -> float:
-    """sum_{m < n} c_m x^m in blocks of K = _BLOCK terms, log_x = log x.
-
-    Block m0 is x^m0 sum_{k < K} (2 / (a + 2k) + 2 / (a + 2 + 2k)) x^k
-    with a = 2 m0 + 1. The first _NEAR_BLOCKS blocks and a partial last
-    block take one dot product against the power table. A full block
-    further out takes both halves from the moments
-    M_j = sum_{k < K} (k / K)^j x^k, computed once per call, by Horner's
-    rule in -2K / a; the module docstring bounds the cut after
-    _MOMENTS terms.
-    """
-    powers = np.exp(np.arange(min(n, _BLOCK), dtype=np.float64) * log_x)
-    moments: list[float] = []
-    if n >= (_NEAR_BLOCKS + 1) * _BLOCK:
-        scaled = powers.copy()
-        step = np.arange(_BLOCK, dtype=np.float64) / _BLOCK
-        for _ in range(_MOMENTS):
-            moments.append(float(scaled.sum()))
-            scaled *= step
-        del scaled, step  # so the direct blocks peak no higher than before
-    odd = np.arange(1.0, 2.0 * len(powers) + 2.0, 2.0)
+    """(value, tail_bound) of the first n <= _MAX_TERMS terms of a_hat at
+    x = u^2; n is _count's, or at the default tol the table _BREAKS's,
+    which tests/test_against_oracles.py holds equal to _count."""
     total = 0.0
-    for m0 in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - m0)
-        if k == _BLOCK and m0 >= _NEAR_BLOCKS * _BLOCK:
-            a = 2.0 * m0 + 1.0
-            q1 = -2.0 * _BLOCK / a
-            q2 = -2.0 * _BLOCK / (a + 2.0)
-            s1 = s2 = 0.0
-            for mj in reversed(moments):
-                s1 = s1 * q1 + mj
-                s2 = s2 * q2 + mj
-            block = 2.0 * s1 / a + 2.0 * s2 / (a + 2.0)
-        else:
-            r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
-            block = float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
-        total += math.exp(m0 * log_x) * block
-    return total
+    p = 1.0
+    for num, den in _COEF[:n]:
+        total += num * p / den
+        p *= x
+    return total, 2.0 * p / (n * (1.0 - x))
 
 
 def _a_closed(T: float) -> float:
@@ -277,9 +194,10 @@ def a_of_T(T: float) -> float:
 
     Strictly decreasing from a logarithmic blowup at T = 0 to the limit
     8/3, and pinched by 8/3 <= a(T) <= 8/3 - 2 log(1 - e^-2T). The term
-    count grows like 1/T near zero (15M terms at T = 1e-6); arguments
-    under about 3.7e-7 need more than the cap and raise RuntimeError
-    before any term is summed.
+    count grows like 1/T near zero: T = 0.12 sums 124 terms, and below
+    about T = 0.1158 the count exceeds a_hat's cap of 128, so a_of_T
+    raises RuntimeError before any term is summed. From T = 0.51 on it
+    equals a_stable bit for bit; a_stable covers every T > 0.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")

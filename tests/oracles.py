@@ -6,26 +6,24 @@ for bit where the tests say so. delta11_sides is the quadrature of
 delta11_bracket on top of it, returning each side's (value, err,
 evals).
 
-More are kept verbatim for the same reason: long_sum_direct, the
-one-dot-per-block long series that riera._long_sum now sums from
-moments far out; F_pair, the interaction envelope before large lengths
-saturated; and brute_force_words, the two-pass brute-force coset
-enumeration that cli._brute_force_cosets does in one pass. It still
-enumerates words up to the length cap + 4, and so it is the reference
-that pins cli's cut at the cap: words past the cap strip to no new
-coset.
+More are kept verbatim for the same reason: F_pair, the interaction
+envelope before large lengths saturated; and brute_force_words, the
+two-pass brute-force coset enumeration that cli._brute_force_cosets
+does in one pass. It still enumerates words up to the length cap + 4,
+and so it is the reference that pins cli's cut at the cap: words past
+the cap strip to no new coset.
 
 The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
-loop, whose count, count_steps, is the reference that riera's table of
-term counts at the default tol, _BREAKS, is derived from and checked
-against; a_closed, the closed form that raised where T/2 is 0; and a_of_u,
-the collar profile that builds a SeriesEval from a_hat;
+loop, which raises over riera's term cap of 128 without summing, and
+whose uncapped count, count_steps, is the reference that riera's table
+of term counts at the default tol, _BREAKS, is derived from and checked
+against; a_closed, the closed form that raised where T/2 is 0; and
+a_of_u, the collar profile that builds a SeriesEval from a_hat;
 F_pair_by_factors, the saturating envelope on u_factor and v_factor;
 and adaptive_simpson, the depth-first recursion with its per-node
 wrapper, which announces four nodes per split where
-integrals.adaptive_simpson announces up to 16 per round. The long
-series still goes to riera._long_sum, which long_sum_direct checks.
+integrals.adaptive_simpson announces up to 16 per round.
 
 c_ratios is the systole ratio sweep as it was before integrals.c_ratios
 shared one integrand across lengths: one integral_H per t.
@@ -38,10 +36,9 @@ from typing import Callable
 
 import numpy as np
 
-from wpstrata import riera
 from wpstrata.gradbounds import _csch, u_factor, v_factor
 from wpstrata.integrals import _MAX_DEPTH, SQRT_2PI, integral_H, integral_K
-from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, SeriesEval
+from wpstrata.riera import _A_SERIES_UMAX, SeriesEval
 from wpstrata.toruscoset import PRUNE_U
 
 
@@ -158,21 +155,9 @@ def delta11_sides(max_word_length: int, quad_tol: float) -> list[tuple[float, fl
     return [adaptive_simpson(f, 0.0, y_top, half) for f in (f_lower, f_upper)]
 
 
-def long_sum_direct(n: int, log_x: float) -> float:
-    """sum_{m < n} c_m x^m, one numpy dot product per block of _BLOCK terms."""
-    powers = np.exp(np.arange(min(n, _BLOCK), dtype=np.float64) * log_x)
-    odd = np.arange(1.0, 2.0 * len(powers) + 2.0, 2.0)
-    total = 0.0
-    for m0 in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - m0)
-        r = 2.0 / (odd + 2.0 * m0)  # 2 / (2m + 1) for m = m0 .. m0 + k
-        total += math.exp(m0 * log_x) * float(np.dot(r[:k] + r[1 : k + 1], powers[:k]))
-    return total
-
-
 def count_steps(x: float, tol: float = 1e-14) -> tuple[int, int, int]:
-    """a_hat's term count at x = u^2 in (0, 1) with the two ceil steps
-    before it: (first step, second step, count)."""
+    """a_hat's term count at x = u^2 in (0, 1), uncapped, with the two
+    ceil steps before it: (first step, second step, count)."""
     rem = 1.0 - x
     log_x = math.log(x)
     log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - math.log(2.0)
@@ -181,8 +166,6 @@ def count_steps(x: float, tol: float = 1e-14) -> tuple[int, int, int]:
     n = math.ceil((log_c + math.log(n2 if n2 > 1 else 1)) / log_x)
     if n < 1:
         n = 1
-    if n > 40_000_000:
-        raise RuntimeError("series tolerance not reached within term cap")
     if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
     return n1, n2, n
@@ -198,20 +181,15 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     if x == 0.0:
         return SeriesEval(8.0 / 3.0, 0.0, 1)
 
-    rem = 1.0 - x
-    log_x = math.log(x)
     n = count_steps(x, tol)[2]
-    tail = 2.0 * math.exp(n * log_x) / (n * rem)
-
-    if n <= 64:
-        total = 0.0
-        p = 1.0
-        for m in range(n):
-            total += 8.0 * (m + 1) * p / ((2.0 * m + 1.0) * (2.0 * m + 3.0))
-            p *= x
-        return SeriesEval(total, 2.0 * p / (n * rem), n)
-
-    return SeriesEval(riera._long_sum(n, log_x), tail, n)
+    if n > 128:
+        raise RuntimeError("series tolerance not reached within term cap")
+    total = 0.0
+    p = 1.0
+    for m in range(n):
+        total += 8.0 * (m + 1) * p / ((2.0 * m + 1.0) * (2.0 * m + 3.0))
+        p *= x
+    return SeriesEval(total, 2.0 * p / (n * (1.0 - x)), n)
 
 
 def a_closed(T: float) -> float:

@@ -1,16 +1,16 @@
 """Production code against the verbatim references it replaced.
 
-The quarter-tree coset kernel against the full-tree kernel; the
-moment-summed long series against one dot product per block; the
-saturating F_pair against the one that raised; the one-pass brute-force
-cosets against the two-pass enumeration; and the scalar path under
-integral_H (collar series, envelope, Simpson rule) against the one that
-built a SeriesEval per collar profile, called u_factor and v_factor and
-checked each node in a wrapper, bit for bit; the batched Simpson driver
-against the depth-first recursion it replaced; the collar profile's table
-of term counts at the default tol against the count it tabulates, ulp by
-ulp around every step; and the systole ratio sweep against one
-integral_H per length.
+The quarter-tree coset kernel against the full-tree kernel; the collar
+profile against its exact sum in mpmath, and a_hat on both sides of its
+term cap; the saturating F_pair against the one that raised; the
+one-pass brute-force cosets against the two-pass enumeration; and the
+scalar path under integral_H (collar series, envelope, Simpson rule)
+against the one that built a SeriesEval per collar profile, called
+u_factor and v_factor and checked each node in a wrapper, bit for bit;
+the batched Simpson driver against the depth-first recursion it
+replaced; the collar profile's table of term counts at the default tol
+against the count it tabulates, ulp by ulp around every step; and the
+systole ratio sweep against one integral_H per length.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import sys
 from bisect import bisect_right
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from wpstrata import cli, gradbounds, integrals, toruscoset
 from wpstrata.gradbounds import F_pair
-from wpstrata.riera import _A_SERIES_UMAX, _BLOCK, _BREAKS, _TOL, _a_of_u, _count, _long_sum, a_hat
+from wpstrata.riera import _A_SERIES_UMAX, _BREAKS, _MAX_TERMS, _TOL, _a_of_u, _count, a_hat, a_of_T, a_stable
 from wpstrata.toruscoset import CosetWord, _coset_sums, enumerate_cosets, holonomy, u_of_coset
 
 T0 = 2.0 * math.asinh(1.0)
@@ -108,27 +109,73 @@ def test_reflections_fix_u(t):
                 assert math.isclose(u_of_coset(point, image).value, u, rel_tol=rel), (str(word), str(image))
 
 
-def _within_4_ulp(got: float, want: float) -> bool:
-    return abs(got - want) <= 4.0 * math.ulp(want)
-
-
 _COLLAR_GRID = [float(T) for T in np.logspace(-6.0, math.log10(50.0), 40)]
+
+
+def _exact_profile(x: mpmath.mpf) -> mpmath.mpf:
+    """sum_n c_n x^n exactly: 2A + 2(A - 1) / x with A = artanh(sqrt x) /
+    sqrt x. A - 1 is about x / 3, so x's digits are added to the 50
+    kept."""
+    with mpmath.workdps(50 + max(0, int(-mpmath.log10(x)))):
+        A = mpmath.atanh(mpmath.sqrt(x)) / mpmath.sqrt(x)
+        return 2 * A + 2 * (A - 1) / x
 
 
 @pytest.mark.parametrize("T", [float(T) for T in np.logspace(-6.0, -3.0, 25)] + _COLLAR_GRID)
 def test_long_sum_matches_direct_blocks(T):
+    """a_stable over the T that verify's collar profile covers, where
+    a_of_T summed up to 14.8M terms before the term cap. The closed form
+    below T = 0.51 takes T back as -log(fl(e^-T)), and is within 6 ulp of
+    the exact sum at x = fl(e^-T)^2 (5.25 at most over 400 log-spaced T
+    in [1e-6, 0.51]). From there on a_stable is a_of_T, and the exact sum
+    at the x = fl(fl(e^-T)^2) that a_hat sums at lies in a_hat's bracket
+    widened by the rounding of n terms."""
     u = math.exp(-T)
-    ev = a_hat(u)
-    if ev.terms_used <= 64:
-        return
-    assert _within_4_ulp(ev.value, oracles.long_sum_direct(ev.terms_used, math.log(u * u)))
+    got = a_stable(T)
+    if T < 0.51:
+        exact = _exact_profile(mpmath.fmul(u, u, exact=True))
+        assert abs(got - exact) <= 6.0 * math.ulp(float(exact)), T
+    else:
+        ev = a_hat(u)
+        assert got == a_of_T(T) == ev.value + 0.5 * ev.tail_bound
+        exact = _exact_profile(mpmath.mpf(u * u))
+        slack = ev.terms_used * math.ulp(ev.value)
+        assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack, T
 
 
-@pytest.mark.parametrize("n", [8 * _BLOCK - 1, 8 * _BLOCK, 8 * _BLOCK + 1, 9 * _BLOCK - 1, 9 * _BLOCK, 9 * _BLOCK + 1])
+def _least_tol_within_cap(x: float) -> float:
+    """The least double tol at which a_hat's count at x is at most
+    _MAX_TERMS, by bisection over the bit patterns of positive doubles."""
+    count = lambda bits: oracles.count_steps(x, _as_float(bits))[2]
+    lo, hi = 1, int(np.float64(2.0 / (1.0 - x)).view(np.int64))  # count(lo) > cap >= count(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if count(mid) <= _MAX_TERMS else (mid, hi)
+    return _as_float(hi)
+
+
+@pytest.mark.parametrize("n", [262143, 262144, 262145, 294911, 294912, 294913])
 @pytest.mark.parametrize("log_x", [-1e-4, -1e-5, -1e-6])
 def test_long_sum_at_the_moment_threshold(n, log_x):
-    # the moments take over at the first full block from 8K terms on
-    assert _within_4_ulp(_long_sum(n, log_x), oracles.long_sum_direct(n, log_x))
+    """a_hat at the term cap, at u = e^(log_x / 2) next to 1, where a
+    count of 128 takes a tol in the thousands. At the least tol whose
+    count is within the cap it sums exactly 128 terms, bit for bit as the
+    oracle's loop; one double below, the count is over the cap and it
+    raises. So it does at the tol that bounds the tail after n terms,
+    about 2^18 of them, as the moment path once summed."""
+    u = math.exp(0.5 * log_x)
+    x = u * u
+    tol = _least_tol_within_cap(x)
+    ev = a_hat(u, tol)
+    assert ev.terms_used == _MAX_TERMS and ev == oracles.a_hat(u, tol)
+    below = math.nextafter(tol, 0.0)
+    assert oracles.count_steps(x, below)[2] > _MAX_TERMS
+    with pytest.raises(RuntimeError, match="term cap"):
+        a_hat(u, below)
+    tol_n = 2.0 * x**n / (n * (1.0 - x))
+    assert oracles.count_steps(x, tol_n)[2] > _MAX_TERMS
+    with pytest.raises(RuntimeError, match="term cap"):
+        a_hat(u, tol_n)
 
 
 _POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
@@ -196,10 +243,17 @@ def test_collar_profile_matches_a_hat_route_on_draws(u):
 
 @pytest.mark.parametrize("tol", [1e-14, 1e-6, 1e-29, 2.5, math.inf])
 def test_a_hat_matches_its_own_count(tol):
-    # tol = 2.5 and inf need one term; 1e-29 takes the long sum from
-    # u ~ 0.4 on. The last edge, next to 1, is over the term cap.
-    for u in _U_GRID[::40] + _U_EDGES[:-1] + [0.95, 0.99]:
-        assert a_hat(u, tol) == oracles.a_hat(u, tol), u
+    # tol = inf needs one term. Where the count is over the term cap, from
+    # u = 0.9 on at tol 1e-6 and tighter and next to 1 at 2.5, the oracle
+    # raises, and a_hat must raise too.
+    for u in _U_GRID[::40] + _U_EDGES + [0.95, 0.99]:
+        try:
+            want = oracles.a_hat(u, tol)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="term cap"):
+                a_hat(u, tol)
+            continue
+        assert a_hat(u, tol) == want, u
 
 
 # The collar profile reads its term count from _BREAKS for x = u^2 up to

@@ -21,7 +21,7 @@ from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
 from wpstrata.gradbounds import u_factor, v_factor
 from wpstrata.integrals import c_ratio, integral_H, integral_K
-from wpstrata.riera import _a_of_u
+from wpstrata.riera import _a_of_u, a_of_T, a_stable
 
 EXPECTED_NAMES = [
     "delta11_elementary",
@@ -340,6 +340,38 @@ class TestVerifyCommand:
         with pytest.raises(KeyboardInterrupt):
             main(["verify", "fast"])
         assert cli._verify_run is None
+
+
+_PROFILE_GRID = np.logspace(-6.0, math.log10(50.0), 40).tolist()
+
+
+class TestCollarProfileCheck:
+    """verify's collar_profile on a_stable over its grid, and a_of_T
+    against it from T = 0.51 on, each broken in one place."""
+
+    def _fails_alone(self, monkeypatch, capsys, name, fn, message):
+        monkeypatch.setattr(cli, name, fn)
+        assert main(["verify", "all"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("FAIL")] == [f"FAIL collar_profile: {message}"]
+
+    def test_a_value_over_the_pinch(self, monkeypatch, capsys):
+        T0 = _PROFILE_GRID[0]
+        lifted = (8.0 / 3.0 - 2.0 * math.log1p(-math.exp(-2.0 * T0))) * (1.0 + 1e-9)
+        profile = lambda T: lifted if T == T0 else a_stable(T)
+        self._fails_alone(monkeypatch, capsys, "a_stable", profile, f"a(T) outside pinch at T={T0}")
+
+    def test_two_neighbours_swapped(self, monkeypatch, capsys):
+        T1, T2 = _PROFILE_GRID[10:12]
+        assert T2 < 0.51  # the closed form, away from the a_of_T comparison
+        swap = {T1: T2, T2: T1}
+        profile = lambda T: a_stable(swap.get(T, T))
+        self._fails_alone(monkeypatch, capsys, "a_stable", profile, f"a(T) increasing at T={T2}")
+
+    def test_series_one_ulp_off(self, monkeypatch, capsys):
+        T0 = next(T for T in _PROFILE_GRID if T >= 0.51)
+        series = lambda T: math.nextafter(a_of_T(T), math.inf) if T == T0 else a_of_T(T)
+        self._fails_alone(monkeypatch, capsys, "a_of_T", series, f"a_of_T != a_stable at T={T0}")
 
 
 # [z0, z1] x [w0, w1] as the envelope proof names a failing box

@@ -474,11 +474,11 @@ class TestAxisRegressions:
             axis_of(m)
 
     def test_near_parabolic_keeps_its_axis(self):
-        # ROADMAP D15, asserted as it stands: with b = +1 the discriminant
-        # is +4e-12 and an axis comes back, though its roots, taken as if
-        # det were 1, are far from the fixed points +-1e6.
+        # With b = +1 the discriminant is +4e-12, while trace^2 - 4 is
+        # 3.2e-6 since det is 1 + 8e-7; the roots come from the
+        # discriminant, and are the fixed points +-1e6.
         axis = axis_of(MoebiusMap(1.0000004, 1.0, 1e-12, 1.0000004))
-        assert axis == GeodesicH2(894427280.5081276, -1118.0338768646416)
+        assert axis == GeodesicH2(1e6, -1e6)
 
     def test_apply_where_both_products_overflow(self):
         # Both a x and c x overflow; inf / inf once gave NaN.

@@ -514,6 +514,17 @@ class TestSeparatingRoutes:
     def test_zero_leg_adds_nothing(self):
         assert W1(2990.0) == integral_H(0.0, 2990.0, "separating", 0.5e-7)
 
+    @pytest.mark.parametrize("route", [W1, W2])
+    @pytest.mark.parametrize("length", [1e-300, 1000.0])
+    def test_tight_tol_on_a_long_leg_raises(self, route, length):
+        # the second leg at 1e-300, the first at 1000, is long
+        with pytest.raises(ConvergenceError):
+            route(length, 1e-12)
+
+    def test_tight_tol_at_the_route_length_returns(self):
+        br = W1(W1_LENGTH, 1e-12)
+        assert _finite(br) and br.width <= 1e-12
+
 
 class TestThinPairSum:
     def test_contains_calibration_target(self):
@@ -684,6 +695,20 @@ class TestTotality:
             assert not length > 0.0
             return
         assert length > 0.0 and _finite(br) and br.lo > 0.0
+
+    @pytest.mark.parametrize("route", [W1, W2])
+    @given(
+        length=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        tol=st.floats(min_value=1e-12, max_value=1.0),
+    )
+    @settings(deadline=None, max_examples=20)
+    def test_separating_routes_at_any_tol(self, route, length, tol):
+        # ConvergenceError where tol is too tight for a long leg
+        try:
+            br = route(length, tol)
+        except ConvergenceError:
+            return
+        assert _finite(br) and br.lo > 0.0
 
     @given(t=st.floats(), tol=_TOLS)
     @settings(deadline=None, max_examples=15)

@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpstrata import riera
 from wpstrata.hyp2 import UValue
 from wpstrata.riera import (
+    _MAX_TERMS,
     SeriesEval,
     a_hat,
     a_of_T,
@@ -22,6 +25,19 @@ EIGHT_THIRDS = 8.0 / 3.0
 
 # Every float, NaN and the infinities included.
 _ANY = st.floats()
+
+
+def _a_hat_within_cap(u: float, tol: float = 1e-14) -> SeriesEval | None:
+    """a_hat(u, tol), or None where it raises for its term cap, which
+    must be exactly where the oracle's uncapped count exceeds the cap."""
+    x = u * u
+    if x > 0.0 and oracles.count_steps(x, tol)[2] > _MAX_TERMS:
+        with pytest.raises(RuntimeError, match="term cap"):
+            a_hat(u, tol)
+        return None
+    ev = a_hat(u, tol)
+    assert ev.terms_used <= _MAX_TERMS
+    return ev
 
 
 class TestKernel:
@@ -100,8 +116,12 @@ class TestAHat:
 
     @pytest.mark.parametrize("u", [0.1, 0.3, 0.5, 0.8, 0.95])
     def test_kernel_identity_bracket(self, u):
-        ev = a_hat(u)
         target = riera_R(UValue(0.5 * (u + 1.0 / u), crossing=False)) / (u * u)
+        assert math.isclose(a_stable(-math.log(u)), target, rel_tol=1e-12)
+        ev = _a_hat_within_cap(u)
+        if ev is None:  # u = 0.95 is over the term cap
+            assert u > 0.89
+            return
         assert ev.value - 1e-12 <= target <= ev.value + ev.tail_bound + 1e-12
 
     def test_domain_rejection(self):
@@ -117,23 +137,35 @@ class TestAHat:
 
     @pytest.mark.parametrize("T", [1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 5.0])
     def test_enclosure_against_mpmath(self, T):
-        # scalar loop (T >= 0.1) and numpy blocks (T <= 1e-2) alike; the
-        # exact sum at x is 2A + 2(A - 1)/x with A = artanh(sqrt x)/sqrt x
+        # the exact sum at x is 2A + 2(A - 1)/x with A = artanh(sqrt x)/sqrt x.
+        # a_hat sums at x = fl(u^2), and is over its term cap up to T = 0.1;
+        # a_stable's closed form takes T back as -log(u), so x = u^2 exactly
         mp = pytest.importorskip("mpmath")
         u = math.exp(-T)
-        ev = a_hat(u)
-        with mp.workdps(50):
-            x = mp.mpf(u * u)
+
+        def exact(x):
             A = mp.atanh(mp.sqrt(x)) / mp.sqrt(x)
-            exact = 2 * A + 2 * (A - 1) / x
-            slack = 2e-15 * exact
-            assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack
+            return 2 * A + 2 * (A - 1) / x
+
+        with mp.workdps(50):
+            closed = exact(mp.fmul(u, u, exact=True))
+            assert abs(a_stable(T) - closed) <= 2e-15 * closed
+            ev = _a_hat_within_cap(u)
+            if ev is None:
+                assert T <= 0.1
+                return
+            series = exact(mp.mpf(u * u))
+            slack = 2e-15 * series
+            assert ev.value - slack <= series <= ev.value + ev.tail_bound + slack
 
     @given(u=st.floats(min_value=0.0, max_value=0.98))
     @settings(deadline=None)
     def test_tail_bound_is_sound(self, u):
-        coarse = a_hat(u, tol=1e-6)
-        fine = a_hat(u, tol=1e-14)
+        coarse = _a_hat_within_cap(u, tol=1e-6)
+        fine = _a_hat_within_cap(u, tol=1e-14)
+        if fine is None:  # over the cap from about u = 0.8906, coarse from 0.9539
+            assert u > 0.89 and (coarse is not None or u > 0.95)
+            return
         # truth lies above every partial sum and under value + tail
         assert coarse.value <= fine.value + 1e-15
         assert fine.value <= coarse.value + coarse.tail_bound + 1e-15
@@ -141,7 +173,10 @@ class TestAHat:
     @given(u=st.floats(min_value=0.0, max_value=0.98))
     @settings(deadline=None)
     def test_returns_series_eval(self, u):
-        ev = a_hat(u)
+        ev = _a_hat_within_cap(u)
+        if ev is None:
+            assert u > 0.89
+            return
         assert isinstance(ev, SeriesEval)
         assert ev.tail_bound >= 0.0
         assert ev.terms_used >= 1
@@ -156,13 +191,15 @@ class TestAHat:
 
 class TestCollarProfile:
     def test_pinch_and_monotone(self):
-        prev = math.inf
-        for T in np.logspace(-6.0, math.log10(50.0), 60):
-            v = a_of_T(float(T))
-            hi = EIGHT_THIRDS - 2.0 * math.log1p(-math.exp(-2.0 * float(T)))
-            assert EIGHT_THIRDS <= v <= hi + 1e-12
-            assert v <= prev
-            prev = v
+        # a_of_T over the range its term cap admits
+        for fn, T_min in ((a_stable, 1e-6), (a_of_T, 0.12)):
+            prev = math.inf
+            for T in np.logspace(math.log10(T_min), math.log10(50.0), 60).tolist():
+                v = fn(T)
+                hi = EIGHT_THIRDS - 2.0 * math.log1p(-math.exp(-2.0 * T))
+                assert EIGHT_THIRDS <= v <= hi + 1e-12
+                assert v <= prev
+                prev = v
 
     def test_limit_value(self):
         assert math.isclose(a_of_T(40.0), EIGHT_THIRDS, rel_tol=1e-15)
@@ -174,17 +211,28 @@ class TestCollarProfile:
         # closed form below the switch, series above; both must agree
         for T in (0.3, 0.45, 0.5, 0.51, 0.52, 0.7, 1.0):
             assert math.isclose(a_stable(T), a_of_T(T), rel_tol=1e-13)
-        # down to the bottom of the verify grid the series-only route is an
-        # oracle for the closed form; rounding u = e^-T and the -log(e^-T)
-        # round trip in a_stable leave about 1e-12
-        for T in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
-            assert math.isclose(a_stable(T), a_of_T(T), rel_tol=1e-11)
+        # down to the bottom of the verify grid, where the series is over
+        # the term cap, the closed form against itself in 50 digits at T;
+        # rounding u = e^-T and the -log(e^-T) round trip in a_stable
+        # leave about 1e-12
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for T in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
+                t = mp.mpf(T)
+                exact = mp.exp(2 * t) * (2 * mp.cosh(t) * mp.log(mp.coth(t / 2)) - 2)
+                assert math.isclose(a_stable(T), float(exact), rel_tol=1e-11)
 
-    def test_term_cap_raises_before_summing(self):
-        # 1.6e8 terms are needed at T = 1e-7, four times the cap
-        with pytest.raises(RuntimeError):
-            a_of_T(1e-7)
-        with pytest.raises(RuntimeError):
+    def test_term_cap_raises_before_summing(self, monkeypatch):
+        # T = 0.11 needs more than 128 terms, u = 0.9 needs 152
+        def summed(*args):
+            raise AssertionError("summed over the cap")
+
+        monkeypatch.setattr(riera, "_series", summed)
+        with pytest.raises(RuntimeError, match="term cap"):
+            a_of_T(0.11)
+        with pytest.raises(RuntimeError, match="term cap"):
+            a_hat(0.9)
+        with pytest.raises(RuntimeError, match="term cap"):
             a_hat(math.nextafter(1.0, 0.0))
 
     def test_domain(self):
@@ -225,11 +273,12 @@ class TestTotality:
             assert not (0.0 <= u < 1.0 and tol > 0.0)
             return
         except RuntimeError as e:
-            # the documented term cap, only reached right next to u = 1
-            assert "term cap" in str(e) and u > 0.999
+            # the documented term cap, exactly where the count exceeds it
+            assert "term cap" in str(e) and oracles.count_steps(u * u, tol)[2] > _MAX_TERMS
             return
         assert math.isfinite(ev.value) and ev.value >= EIGHT_THIRDS
-        assert 0.0 <= ev.tail_bound <= max(tol, 2.0) and ev.terms_used >= 1
+        assert 0.0 <= ev.tail_bound <= max(tol, 2.0) and 1 <= ev.terms_used <= _MAX_TERMS
+        assert u * u == 0.0 or ev.terms_used == oracles.count_steps(u * u, tol)[2]
 
     @given(T=st.one_of(st.floats(min_value=1e-6), st.floats(max_value=0.0), st.just(math.nan)))
     @settings(deadline=None, max_examples=30)
@@ -238,6 +287,11 @@ class TestTotality:
             v = a_of_T(T)
         except ValueError:
             assert not T > 0.0
+            return
+        except RuntimeError as e:
+            # over the term cap: T below about 0.1158
+            u = math.exp(-T)
+            assert "term cap" in str(e) and oracles.count_steps(u * u)[2] > _MAX_TERMS
             return
         assert math.isfinite(v) and v >= EIGHT_THIRDS
 

@@ -501,6 +501,7 @@ class TestDistanceBracket:
 
     def test_one_kernel_call_per_announcement(self, monkeypatch):
         calls: list[list[float]] = []
+        announced: list[list[float]] = []
         read: set[float] = set()
         kernel = toruscoset._coset_sums
         simpson = toruscoset.adaptive_simpson
@@ -509,22 +510,35 @@ class TestDistanceBracket:
             calls.append(list(ts))
             return kernel(ts, maxlen)
 
-        def watched(f, *args, **kwargs):
+        def watched(f, *args, prefetch, **kwargs):
             def g(y):
                 if y != 0.0:
                     read.add(y * y)
                 return f(y)
 
-            return simpson(g, *args, **kwargs)
+            def announce(ys):
+                announced.append(list(ys))
+                prefetch(ys)
+
+            return simpson(g, *args, prefetch=announce, **kwargs)
 
         monkeypatch.setattr(toruscoset, "_coset_sums", counted)
         monkeypatch.setattr(toruscoset, "adaptive_simpson", watched)
         delta11_bracket(10, 1e-8)
-        nodes = [t for ts in calls for t in ts]
+        # Each kernel call takes the t = y^2 of one announcement that no
+        # earlier one held, from _FLAT_T on, in the order announced.
+        seen: set[float] = set()
+        want = []
+        for ys in announced:
+            ts = [t for t in dict.fromkeys(y * y for y in ys if y != 0.0) if t not in seen]
+            seen.update(ts)
+            if any(t >= toruscoset._FLAT_T for t in ts):
+                want.append([t for t in ts if t >= toruscoset._FLAT_T])
+        assert calls == want
         assert all(1 <= len(ts) <= 16 for ts in calls)
+        nodes = [t for ts in calls for t in ts]
         assert len(set(nodes)) == len(nodes)  # no t computed twice
         assert set(nodes) == read  # the nodes summed are the nodes read
-        assert 4 * len(calls) < 1.1 * len(nodes)  # nearly every call is full
 
     def test_validation(self):
         with pytest.raises(ValueError):
