@@ -4,9 +4,10 @@ The central object is H(a, b) = int_a^b dt / sqrt((2t/pi)(1 + F(t)))
 where F is one of the interaction envelopes of wpstrata.gradbounds. The
 substitution t = y^2 turns the integrand into the smooth bounded
 function sqrt(2 pi) / sqrt(1 + F(y^2)), which a plain adaptive Simpson
-rule then handles with a computable error estimate. Every integral is
-returned as a Bracket, a closed interval together with an itemized
-error budget.
+rule then handles with a computable error estimate. Each variant's
+integrand is one module-level function that calls its envelope's
+diagonal helper in gradbounds directly. Every integral is returned as a
+Bracket, a closed interval together with an itemized error budget.
 
 K(a, b) = sqrt(2 pi b) - sqrt(2 pi a) is the closed form obtained by
 dropping F; it dominates H and the two agree as b -> 0. The remaining
@@ -24,7 +25,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
-from .gradbounds import EPS2, F_pair, G_of, L0, collar_radius_separating, r_sys
+from .gradbounds import EPS2, L0, _F_diag, _G_diag, _r_sys, collar_radius_separating
+
+# Not called here: perfbench/layers.py counts calls through these two names,
+# and tests/test_benchmark_imports.py holds them in place.
+from .gradbounds import F_pair, G_of  # noqa: F401
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -256,21 +261,39 @@ def integral_K(a: float, b: float) -> float:
     return SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
 
 
-def _systole_envelope(t: float) -> float:
-    r = r_sys(t)
-    return G_of(r, r)
+# The integrand of each variant after t = y^2, sqrt(2 pi) / sqrt(1 + F(y^2)),
+# at F's limit 0 where y^2 underflows to 0.
 
 
-def _separating_envelope(t: float) -> float:
-    # F's limit 0 where t / 2 underflows, as in grad_sq_upper_separating
-    half = 0.5 * t
-    return F_pair(half, half) if half > 0.0 else 0.0
+def _plain_integrand(y: float) -> float:
+    # F_pair(t, t)
+    t = y * y
+    if t == 0.0:
+        return SQRT_2PI
+    return SQRT_2PI / math.sqrt(1.0 + _F_diag(t))
+
+
+def _separating_integrand(y: float) -> float:
+    # F_pair(t/2, t/2), at F's limit 0 where t / 2 underflows too, as in
+    # grad_sq_upper_separating
+    half = 0.5 * (y * y)
+    if half == 0.0:
+        return SQRT_2PI
+    return SQRT_2PI / math.sqrt(1.0 + _F_diag(half))
+
+
+def _systole_integrand(y: float) -> float:
+    # G_of(r_sys(t), r_sys(t))
+    t = y * y
+    if t == 0.0:
+        return SQRT_2PI
+    return SQRT_2PI / math.sqrt(1.0 + _G_diag(_r_sys(t)))
 
 
 _VARIANTS: dict[str, Callable[[float], float]] = {
-    "plain": lambda t: F_pair(t, t),
-    "separating": _separating_envelope,
-    "systole": _systole_envelope,
+    "plain": _plain_integrand,
+    "separating": _separating_integrand,
+    "systole": _systole_integrand,
 }
 
 # Flat point and value per variant: from the flat point on the integrand
@@ -283,17 +306,6 @@ _FLAT = {"plain": (1421.0, 0.0), "separating": (2842.0, 0.0), "systole": (996.0,
 # The lengths at which the paper takes its two separating routes.
 W1_LENGTH = 3.678
 W2_LENGTH = 2.420
-
-
-def _integrand(envelope: Callable[[float], float]) -> Callable[[float], float]:
-    # sqrt(2 pi) / sqrt(1 + F(y^2)), at F's limit 0 where y^2 underflows
-    def f(y: float) -> float:
-        t = y * y
-        if t == 0.0:
-            return SQRT_2PI
-        return SQRT_2PI / math.sqrt(1.0 + envelope(t))
-
-    return f
 
 
 def _bracket(f: Callable[[float], float], a: float, b: float, variant: str, tol: float) -> Bracket:
@@ -369,10 +381,10 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     if not 0.5 * tol > 0.0:
         raise ValueError("tol must be at least 1e-323")
     try:
-        envelope = _VARIANTS[variant]
+        integrand = _VARIANTS[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}") from None
-    return _bracket(_integrand(envelope), a, b, variant, tol)
+    return _bracket(integrand, a, b, variant, tol)
 
 
 def c_ratios(ts: Iterable[float], tol: float = 1e-7) -> list[float]:
@@ -394,7 +406,7 @@ def c_ratios(ts: Iterable[float], tol: float = 1e-7) -> list[float]:
         raise ValueError("every t must be positive and finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    integrand = _integrand(_systole_envelope)
+    integrand = _VARIANTS["systole"]
     table: dict[float, float] = {}
 
     def f(y: float) -> float:

@@ -15,25 +15,27 @@ cancellation as T grows. The switch point T = 0.51 keeps both branches
 comfortably inside their stable ranges; they agree to a few ulps there.
 
 a_hat fixes its term count n from the tail bound before it sums
-anything, in a constant number of steps (_count), and raises over the
-cap of _MAX_TERMS = 128 terms: above about u = 0.8906 at the default
-tol, so a_of_T raises below T of about 0.1158. The collar profile
-_a_of_u runs at the default tol only, where that count is a step
-function of x = u^2 with 29 steps below the switch point: it reads n
-from their literal table _BREAKS by one bisect, and
-tests/test_against_oracles.py pins the table to the count ulp by ulp
-around every step. Both then call _series, the one sum, with plain
-floats in and out: a scalar loop over the precomputed numerators and
-denominators of the coefficients, so each term rounds as
-8 (n + 1) x^n / ((2n + 1) (2n + 3)). Every production call sums at
-most 30 terms; a_of_T and a_hat are the series-only routes that the
-tests and verify hold a_stable to.
+anything (_count), and raises over the cap of _MAX_TERMS = 128 terms:
+above about u = 0.8906 at the default tol, so a_of_T raises below T of
+about 0.1158. It sums with _series, a scalar loop over the precomputed
+numerators and denominators of the coefficients _COEF, so each term
+rounds as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) with x = u^2 and x^n
+built by repeated multiplication.
+
+The collar profile _a_of_u runs at the default tol only, where the
+count is a step function of x with 29 steps below the switch point,
+listed in the literal table _BREAKS; tests/test_against_oracles.py pins
+the table to _count ulp by ulp around every step. _a_of_u is
+straight-line code, built once at import from _COEF and _BREAKS: it
+adds term after term as _series does and returns as soon as x is below
+the next step, so every production call sums at most 30 terms without
+a loop, a table lookup or a call. a_of_T and a_hat are the series-only
+routes that the tests and verify hold a_stable to.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .hyp2 import UValue
@@ -110,14 +112,16 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     after them is at most tol; the bound holds because c_m <= 2/m for
     m >= 1. n is computed before any term is summed. It is the least
     such count or slightly above it (under 0.1% above over a sweep of u
-    at the default tol). Requires 0 <= u < 1 and tol > 0. Raises
-    RuntimeError, before summing, if n exceeds the cap of _MAX_TERMS =
-    128 terms: at the default tol that is u above about 0.8906, and at
-    tol 1e-6 above about 0.9539.
+    at the default tol), and the least one where that has
+    n |log u^2| < 1, which takes a tol above 2/e. Requires 0 <= u < 1
+    and tol > 0. Raises RuntimeError, before summing, if the least count
+    exceeds the cap of _MAX_TERMS = 128 terms: at the default tol that
+    is u above about 0.8906, and at tol 1e-6 above about 0.9540.
 
     The checked wrapper of _count and _series. The collar profile
-    _a_of_u calls _series directly, with _count's default-tol steps read
-    from _BREAKS, so a_hat and production share one count and one sum.
+    _a_of_u sums the same terms in straight-line code, with _count's
+    default-tol steps written in, and tests/test_against_oracles.py
+    holds the two to the same bits.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
@@ -130,7 +134,8 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
 
 
 def _count(x: float, tol: float) -> int:
-    """a_hat's term count at x = u^2 in (0, 1); RuntimeError over the cap."""
+    """a_hat's term count at x = u^2 in (0, 1); RuntimeError where the
+    least count is over the cap."""
     rem = 1.0 - x
     log_x = math.log(x)
     # With g(n) = log(tol rem n / 2) / log x the bound holds iff n >= g(n),
@@ -149,6 +154,21 @@ def _count(x: float, tol: float) -> int:
         n = 1
     if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
+    # Where the least count n has n |log x| < 1, which needs x > 1/e and a
+    # tol above 2/e, the steps oscillate and can land far above it, over
+    # the cap too. There, and wherever they land over the cap, the count
+    # is the least one, by bisection on the bound, which decreases in n;
+    # _MAX_TERMS + 1 stands for any count over the cap.
+    if n > _MAX_TERMS or log_x > -1.0:
+        lo, hi = 0, min(n, _MAX_TERMS + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if 2.0 * math.exp(mid * log_x) / (mid * rem) <= tol:
+                hi = mid
+            else:
+                lo = mid
+        if n > _MAX_TERMS or hi * log_x > -1.0:
+            n = hi
     if n > _MAX_TERMS:
         raise RuntimeError("series tolerance not reached within term cap")
     return n
@@ -156,8 +176,7 @@ def _count(x: float, tol: float) -> int:
 
 def _series(x: float, n: int) -> tuple[float, float]:
     """(value, tail_bound) of the first n <= _MAX_TERMS terms of a_hat at
-    x = u^2; n is _count's, or at the default tol the table _BREAKS's,
-    which tests/test_against_oracles.py holds equal to _count."""
+    x = u^2, n being _count's."""
     total = 0.0
     p = 1.0
     for num, den in _COEF[:n]:
@@ -177,15 +196,35 @@ def _a_closed(T: float) -> float:
     return math.exp(2.0 * T) * (2.0 * math.cosh(T) * math.log(coth) - 2.0)
 
 
-def _a_of_u(u: float) -> float:
-    """Collar profile at series argument u in (0, 1), branch-switched;
-    the series runs at a_hat's default tol, with the term count read
-    from _BREAKS."""
-    if u <= _A_SERIES_UMAX:
-        x = u * u
-        value, tail = _series(x, bisect_right(_BREAKS, x) + 1)
-        return value + 0.5 * tail
-    return _a_closed(-math.log(u))
+def _a_of_u_source() -> str:
+    # One early return per term count n, at x below _BREAKS[n - 1]; each
+    # term and the tail bound round as in _series.
+    lines = [
+        "def _a_of_u(u):",
+        '    """Collar profile at series argument u in (0, 1), branch-switched."""',
+        "    if u <= %r:" % _A_SERIES_UMAX,
+        "        x = u * u",
+        "        s = %r" % (_COEF[0][0] * 1.0 / _COEF[0][1]),
+        "        p = x",
+    ]
+    for n, (num, den) in enumerate(_COEF[1 : len(_BREAKS) + 1], start=1):
+        lines += [
+            "        if x < %r:" % _BREAKS[n - 1],
+            "            return s + 0.5 * (2.0 * p / (%r * (1.0 - x)))" % float(n),
+            "        s += %r * p / %r" % (num, den),
+            "        p *= x",
+        ]
+    lines += [
+        "        return s + 0.5 * (2.0 * p / (%r * (1.0 - x)))" % float(len(_BREAKS) + 1),
+        "    return _a_closed(-math.log(u))",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# The collar profile at series argument u in (0, 1), branch-switched: the
+# series up to _A_SERIES_UMAX at a_hat's default tol, in straight-line
+# code built here from _COEF and _BREAKS, and the closed form above.
+exec(compile(_a_of_u_source(), "<riera._a_of_u>", "exec"), globals())
 
 
 def a_of_T(T: float) -> float:

@@ -15,15 +15,20 @@ the cap strip to no new coset.
 
 The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
-loop, which raises over riera's term cap of 128 without summing, and
-whose uncapped count, count_steps, is the reference that riera's table
-of term counts at the default tol, _BREAKS, is derived from and checked
-against; a_closed, the closed form that raised where T/2 is 0; and
-a_of_u, the collar profile that builds a SeriesEval from a_hat;
-F_pair_by_factors, the saturating envelope on u_factor and v_factor;
-and adaptive_simpson, the depth-first recursion with its per-node
-wrapper, which announces four nodes per split where
-integrals.adaptive_simpson announces up to 16 per round.
+loop, which raises over riera's term cap of 128 without summing. Its
+count, term_count, is the ceil-step count count_steps, except where
+least_count, the least count found term by term, is under 1 / |log x|
+or count_steps is over the cap: there it is least_count. count_steps is
+the reference that riera's table of term counts at the default tol,
+_BREAKS, is derived from and checked against. Then a_closed, the closed
+form that raised where T/2 is 0; a_of_u, the collar profile that builds
+a SeriesEval from a_hat; F_pair_by_factors, the saturating envelope on
+u_factor and v_factor; G_of and r_sys, the systole envelope with one
+formula for every pair of radii; h_integrand, the H integrand of each
+variant as a closure over its envelope; and adaptive_simpson, the
+depth-first recursion with its per-node wrapper, which announces four
+nodes per split where integrals.adaptive_simpson announces up to 16
+per round.
 
 c_ratios is the systole ratio sweep as it was before integrals.c_ratios
 shared one integrand across lengths: one integral_H per t.
@@ -36,9 +41,10 @@ from typing import Callable
 
 import numpy as np
 
-from wpstrata.gradbounds import _csch, u_factor, v_factor
+from wpstrata.gradbounds import _csch, collar_radius_simple, u_factor, v_factor
+from wpstrata.hyp2 import collar_area
 from wpstrata.integrals import _MAX_DEPTH, SQRT_2PI, integral_H, integral_K
-from wpstrata.riera import _A_SERIES_UMAX, SeriesEval
+from wpstrata.riera import _A_SERIES_UMAX, SeriesEval, _a_closed
 from wpstrata.toruscoset import PRUNE_U
 
 
@@ -171,6 +177,26 @@ def count_steps(x: float, tol: float = 1e-14) -> tuple[int, int, int]:
     return n1, n2, n
 
 
+def least_count(x: float, tol: float, cap: int = 128) -> int:
+    """The least n >= 1 with 2 x^n / (n (1 - x)) <= tol, for x in (0, 1),
+    found term by term; cap + 1 where it is over cap."""
+    for n in range(1, cap + 1):
+        if 2.0 * math.exp(n * math.log(x)) / (n * (1.0 - x)) <= tol:
+            return n
+    return cap + 1
+
+
+def term_count(x: float, tol: float = 1e-14) -> int:
+    """a_hat's term count at x in (0, 1), 129 for any count over its cap:
+    count_steps's, but the least one where that is under 1 / |log x|,
+    where the ceil steps oscillate, or where count_steps is over the cap."""
+    n = count_steps(x, tol)[2]
+    least = least_count(x, tol)
+    if n > 128 or least * -math.log(x) < 1.0:
+        return least
+    return n
+
+
 def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     """riera.a_hat with its own term count and its own scalar loop."""
     if not 0.0 <= u < 1.0:
@@ -181,7 +207,7 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     if x == 0.0:
         return SeriesEval(8.0 / 3.0, 0.0, 1)
 
-    n = count_steps(x, tol)[2]
+    n = term_count(x, tol)
     if n > 128:
         raise RuntimeError("series tolerance not reached within term cap")
     total = 0.0
@@ -223,6 +249,51 @@ def F_pair_by_factors(l_alpha: float, l_beta: float) -> float:
         return a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
     av = a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
     return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+
+
+def G_of(r: float, s: float) -> float:
+    """The systole envelope with one formula for every pair of radii."""
+    u = math.exp(-(r + s))
+    av = a_of_u(u) if u < 1.0 else _a_closed(r + s)
+    num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
+    return av * num / collar_area(s)
+
+
+def r_sys(t: float) -> float:
+    """The systole collar radius."""
+    return max(0.25 * t, collar_radius_simple(t))
+
+
+def _separating_envelope(t: float) -> float:
+    half = 0.5 * t
+    return F_pair_by_factors(half, half) if half > 0.0 else 0.0
+
+
+def _systole_envelope(t: float) -> float:
+    r = r_sys(t)
+    return G_of(r, r)
+
+
+_ENVELOPES: dict[str, Callable[[float], float]] = {
+    "plain": lambda t: F_pair_by_factors(t, t),
+    "separating": _separating_envelope,
+    "systole": _systole_envelope,
+}
+
+
+def h_integrand(variant: str) -> Callable[[float], float]:
+    """sqrt(2 pi) / sqrt(1 + F(y^2)) for the envelope F of a variant of
+    integral_H, at F's limit 0 where y^2 underflows; F_pair_by_factors
+    raises ZeroDivisionError where y^2 is inf."""
+    envelope = _ENVELOPES[variant]
+
+    def f(y: float) -> float:
+        t = y * y
+        if t == 0.0:
+            return SQRT_2PI
+        return SQRT_2PI / math.sqrt(1.0 + envelope(t))
+
+    return f
 
 
 def adaptive_simpson(

@@ -10,7 +10,9 @@ u_factor and v_factor and checked each node in a wrapper, bit for bit;
 the batched Simpson driver against the depth-first recursion it
 replaced; the collar profile's table of term counts at the default tol
 against the count it tabulates, ulp by ulp around every step; and the
-systole ratio sweep against one integral_H per length.
+systole ratio sweep against one integral_H per length; the straight-line
+collar series against _series, and the straight-line H integrands and
+diagonal envelopes against the layered ones they replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +33,18 @@ from hypothesis import strategies as st
 
 from wpstrata import cli, gradbounds, integrals, toruscoset
 from wpstrata.gradbounds import F_pair
-from wpstrata.riera import _A_SERIES_UMAX, _BREAKS, _MAX_TERMS, _TOL, _a_of_u, _count, a_hat, a_of_T, a_stable
+from wpstrata.riera import (
+    _A_SERIES_UMAX,
+    _BREAKS,
+    _MAX_TERMS,
+    _TOL,
+    _a_of_u,
+    _count,
+    _series,
+    a_hat,
+    a_of_T,
+    a_stable,
+)
 from wpstrata.toruscoset import CosetWord, _coset_sums, enumerate_cosets, holonomy, u_of_coset
 
 T0 = 2.0 * math.asinh(1.0)
@@ -146,7 +159,7 @@ def test_long_sum_matches_direct_blocks(T):
 def _least_tol_within_cap(x: float) -> float:
     """The least double tol at which a_hat's count at x is at most
     _MAX_TERMS, by bisection over the bit patterns of positive doubles."""
-    count = lambda bits: oracles.count_steps(x, _as_float(bits))[2]
+    count = lambda bits: oracles.term_count(x, _as_float(bits))
     lo, hi = 1, int(np.float64(2.0 / (1.0 - x)).view(np.int64))  # count(lo) > cap >= count(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -158,22 +171,23 @@ def _least_tol_within_cap(x: float) -> float:
 @pytest.mark.parametrize("log_x", [-1e-4, -1e-5, -1e-6])
 def test_long_sum_at_the_moment_threshold(n, log_x):
     """a_hat at the term cap, at u = e^(log_x / 2) next to 1, where a
-    count of 128 takes a tol in the thousands. At the least tol whose
-    count is within the cap it sums exactly 128 terms, bit for bit as the
-    oracle's loop; one double below, the count is over the cap and it
-    raises. So it does at the tol that bounds the tail after n terms,
-    about 2^18 of them, as the moment path once summed."""
+    count of 128 takes a tol from about 150 to 15000, and 128 |log x| < 1,
+    so the count is the least one. At the least tol whose count is within
+    the cap it sums exactly 128 terms, bit for bit as the oracle's loop;
+    one double below, the count is over the cap and it raises. So it
+    does at the tol that bounds the tail after n terms, about 2^18 of
+    them, as the moment path once summed."""
     u = math.exp(0.5 * log_x)
     x = u * u
     tol = _least_tol_within_cap(x)
     ev = a_hat(u, tol)
     assert ev.terms_used == _MAX_TERMS and ev == oracles.a_hat(u, tol)
     below = math.nextafter(tol, 0.0)
-    assert oracles.count_steps(x, below)[2] > _MAX_TERMS
+    assert oracles.least_count(x, below) > _MAX_TERMS
     with pytest.raises(RuntimeError, match="term cap"):
         a_hat(u, below)
     tol_n = 2.0 * x**n / (n * (1.0 - x))
-    assert oracles.count_steps(x, tol_n)[2] > _MAX_TERMS
+    assert oracles.least_count(x, tol_n) > _MAX_TERMS
     with pytest.raises(RuntimeError, match="term cap"):
         a_hat(u, tol_n)
 
@@ -318,6 +332,31 @@ def test_break_table_matches_count_on_grid():
             assert _table_count(u * u) == a_hat(u).terms_used, u
 
 
+# The collar profile sums the series in straight-line code, one early
+# return per term count. It must round as _series does, at the count the
+# table gives, on both sides of every step.
+def _series_profile(u: float) -> float:
+    x = u * u
+    value, tail = _series(x, _table_count(x))
+    return value + 0.5 * tail
+
+
+def test_unrolled_profile_matches_series_around_every_step():
+    for step in _BREAKS:
+        bits = int(np.float64(math.sqrt(step)).view(np.int64))
+        us = np.arange(bits - _SCAN_ULPS, bits + _SCAN_ULPS + 1, dtype=np.int64).view(np.float64).tolist()
+        xs = {u * u for u in us}
+        assert min(xs) < step <= max(xs)
+        for u in us:
+            assert _a_of_u(u) == _series_profile(u), u
+
+
+@given(u=st.floats(min_value=0.0, max_value=_A_SERIES_UMAX))
+@settings(deadline=None, max_examples=300)
+def test_unrolled_profile_matches_series_on_draws(u):
+    assert _a_of_u(u) == _series_profile(u)
+
+
 _LENGTH_EDGES = [
     5e-324,
     1e-300,
@@ -361,12 +400,12 @@ def _h_sweep_draws(seed: int) -> list[tuple[float, float, str, float]]:
 
 
 def _use_former_scalar_path(m: pytest.MonkeyPatch) -> None:
-    """The oracle Simpson rule, envelope and collar profile, by the module
-    attributes production calls them through."""
+    """The oracle Simpson rule and H integrands, by the module attributes
+    production calls them through."""
     m.setattr(integrals, "adaptive_simpson", oracles.adaptive_simpson)
     m.setattr(toruscoset, "adaptive_simpson", oracles.adaptive_simpson)
-    m.setattr(integrals, "F_pair", oracles.F_pair_by_factors)
-    m.setattr(gradbounds, "_a_of_u", oracles.a_of_u)
+    for variant in integrals._VARIANTS:
+        m.setitem(integrals._VARIANTS, variant, oracles.h_integrand(variant))
 
 
 def test_integral_h_matches_former_scalar_path(monkeypatch):
@@ -381,11 +420,72 @@ def test_integral_h_matches_former_scalar_path(monkeypatch):
         assert (g.lo, g.hi, g.error_budget) == (w.lo, w.hi, w.error_budget), x
 
 
+# Lengths t = y^2 at which the H integrands change branch: the collar
+# profile's switch to its closed form (tanh(t/4)^2 = _A_SERIES_UMAX) and
+# saturation (tanh(t/4)^2 rounds to 1) for t and t/2, the systole kink at
+# L0, l = 700 for t, t/2 and r_sys(t) = t/4, sinh(t/2) and sinh(t/4)
+# overflowing, the flat points, and t and t/2 underflowing to 0.
+_SINH_MAX_ARG = math.asinh(1.7976931348623157e308)
+_T_EDGES = [
+    4.0 * math.atanh(math.sqrt(_A_SERIES_UMAX)),
+    8.0 * math.atanh(math.sqrt(_A_SERIES_UMAX)),
+    76.2462,
+    152.4924,
+    gradbounds.L0,
+    700.0,
+    1400.0,
+    2800.0,
+    2.0 * _SINH_MAX_ARG,
+    4.0 * _SINH_MAX_ARG,
+    996.0,
+    1421.0,
+    2842.0,
+    5e-324,
+    1e-323,
+]
+
+
+@pytest.mark.parametrize("variant", sorted(integrals._VARIANTS))
+def test_integrands_match_the_layered_ones_at_branch_edges(variant):
+    got, want = integrals._VARIANTS[variant], oracles.h_integrand(variant)
+    for t in _T_EDGES:
+        y = math.sqrt(t)
+        for _ in range(64):
+            y = math.nextafter(y, 0.0)
+        for _ in range(129):
+            assert got(y) == want(y), (t, y)
+            y = math.nextafter(y, math.inf)
+
+
+@given(
+    y=st.one_of(st.floats(min_value=0.0), st.floats(min_value=0.0, max_value=60.0)),
+    variant=st.sampled_from(sorted(integrals._VARIANTS)),
+)
+@settings(deadline=None, max_examples=600)
+def test_integrands_match_the_layered_ones_on_draws(y, variant):
+    got = integrals._VARIANTS[variant](y)
+    try:
+        want = oracles.h_integrand(variant)(y)
+    except ZeroDivisionError:
+        # F_pair_by_factors where y^2 is inf; F_pair is inf there
+        assert y * y == math.inf and got == 0.0
+        return
+    assert got == want
+
+
+@given(r=st.floats(min_value=0.0, exclude_min=True))
+@settings(deadline=None, max_examples=300)
+def test_diagonal_systole_envelope_matches_one_formula(r):
+    # G_of(r, r) and r_sys by their straight-line helpers
+    assert gradbounds.G_of(r, r) == oracles.G_of(r, r)
+    assert gradbounds.r_sys(r) == oracles.r_sys(r)
+
+
 _SIMPSON_INTEGRANDS = {
     "sin": math.sin,
     "exp": math.exp,
     "runge": lambda x: 1.0 / (1.0 + 25.0 * x * x),
-    **{v: integrals._integrand(integrals._VARIANTS[v]) for v in ("plain", "separating", "systole")},
+    **{v: integrals._VARIANTS[v] for v in ("plain", "separating", "systole")},
 }
 
 
@@ -457,18 +557,13 @@ def test_c_ratios_match_the_per_length_loop(ts, tol):
 
 def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
     nodes: list[float] = []
-    real = integrals._integrand
+    real = integrals._VARIANTS["systole"]
 
-    def recording(envelope):
-        g = real(envelope)
+    def recording(y: float) -> float:
+        nodes.append(y)
+        return real(y)
 
-        def f(y: float) -> float:
-            nodes.append(y)
-            return g(y)
-
-        return f
-
-    monkeypatch.setattr(integrals, "_integrand", recording)
+    monkeypatch.setitem(integrals._VARIANTS, "systole", recording)
     want = oracles.c_ratios(_C_MIN_GRID, 1e-8)
     per_length = list(nodes)
     nodes.clear()

@@ -8,8 +8,10 @@ two library-facing modules by path and check every such name here.
 
 The constants workload holds every record to the seed commit's output:
 bare values bit for bit, enclosures meeting, statuses equal. A changed
-bit would first show as an incorrect benchmark run; the last test here
-applies the workload's own check instead.
+bit would first show as an incorrect benchmark run; a test here applies
+the workload's own check instead. The h-sweep workload has no such
+record, so the last test pins integral_H brackets bit for bit: a change
+to the scalar path that moves one fails here, not in a benchmark run.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ def layers():
 def test_workloads_import():
     workloads = _load("workloads")
     assert set(workloads.WORKLOADS) == {"constants", "delta11-l10", "h-sweep", "verify-all"}
+    assert workloads.HSweep.SETUP_INPUT == _H_RECORDS[0][0]
     assert callable(cli.main)
 
 
@@ -65,3 +68,40 @@ def test_constants_keep_the_seed_records():
     verdict, widths = constants.summary(None, constants.op(None))
     assert verdict == "ok"
     assert len(widths) == len(constants.WIDTH_RECORDS)
+
+
+# (a, b, variant, tol) -> lo, hi and error budget, recorded at commit
+# 36cef04: the h-sweep set-up input, and one draw per variant at the
+# sweep's tightest tol with b near its top, the systole one from a > 0.
+_H_RECORDS = [
+    (
+        (0.0, 4.0 * gradbounds.EPS2, "plain", 1e-10),
+        4.336715809540702,
+        4.336715809573739,
+        {"quadrature": 1.6490228858338333e-11, "series_tail": 2.816449145519726e-14, "evals": 449.0},
+    ),
+    (
+        (0.0, 11.0, "plain", 1e-12),
+        5.276460523855529,
+        5.2764605238558895,
+        {"quadrature": 1.309142536852955e-13, "series_tail": 4.9749371855330996e-14, "evals": 3105.0},
+    ),
+    (
+        (0.0, 11.0, "separating", 1e-12),
+        6.906213251622489,
+        6.906213251623056,
+        {"quadrature": 2.336445273365406e-13, "series_tail": 4.9749371855330996e-14, "evals": 1909.0},
+    ),
+    (
+        (1.5, 11.0, "systole", 1e-12),
+        4.940440906144026,
+        4.940440906144493,
+        {"quadrature": 2.018675157589023e-13, "series_tail": 3.137819878445716e-14, "evals": 1310.0},
+    ),
+]
+
+
+@pytest.mark.parametrize("args, lo, hi, budget", _H_RECORDS, ids=["setup", "plain", "separating", "systole"])
+def test_h_sweep_keeps_the_recorded_brackets(args, lo, hi, budget):
+    br = integrals.integral_H(*args)
+    assert (br.lo, br.hi, br.error_budget) == (lo, hi, budget)
