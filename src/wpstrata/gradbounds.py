@@ -7,14 +7,6 @@ riera and two elementary decay factors. Everything here is scalar and
 deterministic; the certified integrals in wpstrata.integrals consume
 these envelopes pointwise.
 
-The integrands of wpstrata.integrals take the envelopes on the diagonal
-only, through check-free helpers that are the one home of each diagonal
-formula: _F_diag for F_pair(l, l), _G_diag for G_of(r, r) and _r_sys for
-r_sys. Each is straight-line code that takes each hyperbolic function
-once and hands its rare branches (saturation, lengths past 700 or
-overflowing sinh, a subnormal length) to the general code; the public
-functions call them after checking their arguments.
-
 Three collar radius regimes appear. A simple closed geodesic of length
 ell has an embedded collar of half-width arcsinh(1 / sinh(ell / 2)); a
 separating curve doubles the half-length version; and a systole of
@@ -114,26 +106,10 @@ def G_of(r: float, s: float) -> float:
     """
     if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")
-    return _G_diag(r) if r == s else _G_of(r, s)
-
-
-def _G_of(r: float, s: float) -> float:
-    # G_of without its argument check
     u = math.exp(-(r + s))
     av = _a_of_u(u) if u < 1.0 else _a_closed(r + s)
     num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
     return av * num / collar_area(s)
-
-
-def _G_diag(r: float) -> float:
-    """G_of(r, r) for r > 0, unchecked, with the collar area A(r) written
-    out; where e^-2r rounds to 1 or A(r) saturates, by _G_of."""
-    u = math.exp(-(r + r))
-    if u < 1.0 and r <= 700.0:
-        sh = math.sinh(r)
-        ch = math.cosh(r)
-        return _a_of_u(u) * (math.exp(-r) + math.exp(-3.0 * r) / 3.0) / (2.0 * math.atan(sh) * ch * ch + 2.0 * sh)
-    return _G_of(r, r)
 
 
 def F_pair(l_alpha: float, l_beta: float) -> float:
@@ -157,18 +133,16 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
-    return _F_diag(l_alpha) if l_alpha == l_beta else _F_pair(l_alpha, l_beta)
-
-
-def _F_pair(l_alpha: float, l_beta: float) -> float:
-    # F_pair without its argument checks; each hyperbolic function of a
-    # length is taken once
+    # Each hyperbolic function of a length is taken once; on the
+    # diagonal the second length reuses the first one's.
+    same = l_alpha == l_beta
     try:
         sa = math.sinh(0.5 * l_alpha)
-        sb = math.sinh(0.5 * l_beta)
+        sb = sa if same else math.sinh(0.5 * l_beta)
     except OverflowError:
         return math.inf
-    u = math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta)
+    ta = math.tanh(0.25 * l_alpha)
+    u = ta * ta if same else ta * math.tanh(0.25 * l_beta)
     if not u < 1.0:
         # Saturated: pair each decay factor with its sinh (products near
         # 2/3 and 1/2), so that subnormal factors cannot underflow the
@@ -184,27 +158,13 @@ def _F_pair(l_alpha: float, l_beta: float) -> float:
     ca = math.cosh(0.5 * l_alpha)
     uf = (2.0 * ca + 1.0) / (3.0 * (ca + 1.0) ** 2)
     if sb != 0.0 and l_beta <= 700.0:
-        cb = math.cosh(0.5 * l_beta)
+        cb = ca if same else math.cosh(0.5 * l_beta)
         vf = 1.0 / (math.atan(1.0 / sb) * cb * cb + sb)
     elif sb == math.inf:
         return math.inf
     else:
         vf = v_factor(l_beta)
     return _a_of_u(u) * uf * vf * sa * sb * sb
-
-
-def _F_diag(l: float) -> float:
-    """F_pair(l, l) for l > 0, unchecked; where tanh(l/4)^2 rounds to 1
-    (l above about 76) or l / 2 underflows to 0, by _F_pair."""
-    t = math.tanh(0.25 * l)
-    u = t * t
-    if u < 1.0:
-        s = math.sinh(0.5 * l)
-        if s != 0.0:
-            c = math.cosh(0.5 * l)
-            uf = (2.0 * c + 1.0) / (3.0 * (c + 1.0) ** 2)
-            return _a_of_u(u) * uf * (1.0 / (math.atan(1.0 / s) * c * c + s)) * s * s * s
-    return _F_pair(l, l)
 
 
 def grad_sq_upper_single(ell: float) -> float:
@@ -257,15 +217,9 @@ def r_sys(t: float) -> float:
     L0, the linear branch above, and the function has its one local
     minimum at the crossing.
     """
-    if not t > 0.0:
-        raise ValueError("length must be positive")
-    return _r_sys(t)
-
-
-def _r_sys(t: float) -> float:
-    # r_sys without its argument check; t / 4 on a tie, as max gives
+    # collar_radius_simple checks t; t / 4 on a tie, as max gives
     q = 0.25 * t
-    r = math.asinh(_csch(0.5 * t))
+    r = collar_radius_simple(t)
     return r if r > q else q
 
 

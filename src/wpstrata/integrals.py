@@ -5,9 +5,10 @@ where F is one of the interaction envelopes of wpstrata.gradbounds. The
 substitution t = y^2 turns the integrand into the smooth bounded
 function sqrt(2 pi) / sqrt(1 + F(y^2)), which a plain adaptive Simpson
 rule then handles with a computable error estimate. Each variant's
-integrand is one module-level function that calls its envelope's
-diagonal helper in gradbounds directly. Every integral is returned as a
-Bracket, a closed interval together with an itemized error budget.
+integrand is one module-level function that calls its envelope on the
+diagonal, through this module's names F_pair and G_of. Every integral
+is returned as a Bracket, a closed interval together with an itemized
+error budget.
 
 K(a, b) = sqrt(2 pi b) - sqrt(2 pi a) is the closed form obtained by
 dropping F; it dominates H and the two agree as b -> 0. The remaining
@@ -25,11 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
-from .gradbounds import EPS2, L0, _F_diag, _G_diag, _r_sys, collar_radius_separating
-
-# Not called here: perfbench/layers.py counts calls through these two names,
-# and tests/test_benchmark_imports.py holds them in place.
-from .gradbounds import F_pair, G_of  # noqa: F401
+from .gradbounds import EPS2, F_pair, G_of, L0, collar_radius_separating, r_sys
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -262,15 +259,16 @@ def integral_K(a: float, b: float) -> float:
 
 
 # The integrand of each variant after t = y^2, sqrt(2 pi) / sqrt(1 + F(y^2)),
-# at F's limit 0 where y^2 underflows to 0.
+# at F's limit 0 where y^2 underflows to 0. Each calls its envelope by the
+# module-level name, so integral_H evaluates whatever integrals.F_pair and
+# G_of name at the time.
 
 
 def _plain_integrand(y: float) -> float:
-    # F_pair(t, t)
     t = y * y
     if t == 0.0:
         return SQRT_2PI
-    return SQRT_2PI / math.sqrt(1.0 + _F_diag(t))
+    return SQRT_2PI / math.sqrt(1.0 + F_pair(t, t))
 
 
 def _separating_integrand(y: float) -> float:
@@ -279,15 +277,15 @@ def _separating_integrand(y: float) -> float:
     half = 0.5 * (y * y)
     if half == 0.0:
         return SQRT_2PI
-    return SQRT_2PI / math.sqrt(1.0 + _F_diag(half))
+    return SQRT_2PI / math.sqrt(1.0 + F_pair(half, half))
 
 
 def _systole_integrand(y: float) -> float:
-    # G_of(r_sys(t), r_sys(t))
     t = y * y
     if t == 0.0:
         return SQRT_2PI
-    return SQRT_2PI / math.sqrt(1.0 + _G_diag(_r_sys(t)))
+    r = r_sys(t)
+    return SQRT_2PI / math.sqrt(1.0 + G_of(r, r))
 
 
 _VARIANTS: dict[str, Callable[[float], float]] = {

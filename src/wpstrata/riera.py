@@ -35,6 +35,7 @@ routes that the tests and verify hold a_stable to.
 
 from __future__ import annotations
 
+import linecache
 import math
 from typing import NamedTuple
 
@@ -223,8 +224,13 @@ def _a_of_u_source() -> str:
 
 # The collar profile at series argument u in (0, 1), branch-switched: the
 # series up to _A_SERIES_UMAX at a_hat's default tol, in straight-line
-# code built here from _COEF and _BREAKS, and the closed form above.
-exec(compile(_a_of_u_source(), "<riera._a_of_u>", "exec"), globals())
+# code built here from _COEF and _BREAKS, and the closed form above. Its
+# source is put in linecache, so tracebacks, pdb and inspect show it.
+_A_OF_U_FILE = "<riera._a_of_u>"
+_source = _a_of_u_source()
+linecache.cache[_A_OF_U_FILE] = (len(_source), None, _source.splitlines(True), _A_OF_U_FILE)
+exec(compile(_source, _A_OF_U_FILE, "exec"), globals())
+del _source
 
 
 def a_of_T(T: float) -> float:

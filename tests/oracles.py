@@ -23,8 +23,8 @@ the reference that riera's table of term counts at the default tol,
 _BREAKS, is derived from and checked against. Then a_closed, the closed
 form that raised where T/2 is 0; a_of_u, the collar profile that builds
 a SeriesEval from a_hat; F_pair_by_factors, the saturating envelope on
-u_factor and v_factor; G_of and r_sys, the systole envelope with one
-formula for every pair of radii; h_integrand, the H integrand of each
+u_factor and v_factor; G_of, the systole envelope on this a_of_u, and
+r_sys, the systole collar radius by max; h_integrand, the H integrand of each
 variant as a closure over its envelope; and adaptive_simpson, the
 depth-first recursion with its per-node wrapper, which announces four
 nodes per split where integrals.adaptive_simpson announces up to 16
@@ -252,7 +252,7 @@ def F_pair_by_factors(l_alpha: float, l_beta: float) -> float:
 
 
 def G_of(r: float, s: float) -> float:
-    """The systole envelope with one formula for every pair of radii."""
+    """gradbounds.G_of on the collar profile a_of_u above."""
     u = math.exp(-(r + s))
     av = a_of_u(u) if u < 1.0 else _a_closed(r + s)
     num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
@@ -260,7 +260,7 @@ def G_of(r: float, s: float) -> float:
 
 
 def r_sys(t: float) -> float:
-    """The systole collar radius."""
+    """The systole collar radius, as max(t / 4, collar_radius_simple(t))."""
     return max(0.25 * t, collar_radius_simple(t))
 
 

@@ -11,8 +11,8 @@ the batched Simpson driver against the depth-first recursion it
 replaced; the collar profile's table of term counts at the default tol
 against the count it tabulates, ulp by ulp around every step; and the
 systole ratio sweep against one integral_H per length; the straight-line
-collar series against _series, and the straight-line H integrands and
-diagonal envelopes against the layered ones they replaced.
+collar series against _series, and the module-level H integrands and
+the systole envelope against the layered ones they replaced.
 """
 
 from __future__ import annotations
@@ -475,8 +475,8 @@ def test_integrands_match_the_layered_ones_on_draws(y, variant):
 
 @given(r=st.floats(min_value=0.0, exclude_min=True))
 @settings(deadline=None, max_examples=300)
-def test_diagonal_systole_envelope_matches_one_formula(r):
-    # G_of(r, r) and r_sys by their straight-line helpers
+def test_systole_envelope_matches_the_former_path(r):
+    # G_of(r, r) on the straight-line collar series, and r_sys without max
     assert gradbounds.G_of(r, r) == oracles.G_of(r, r)
     assert gradbounds.r_sys(r) == oracles.r_sys(r)
 

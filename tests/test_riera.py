@@ -235,6 +235,14 @@ class TestCollarProfile:
         with pytest.raises(RuntimeError, match="term cap"):
             a_hat(math.nextafter(1.0, 0.0))
 
+    def test_generated_profile_shows_its_source(self):
+        # the straight-line _a_of_u is built at import; its lines reach
+        # tracebacks and inspect through linecache
+        import inspect
+
+        assert inspect.getsource(riera._a_of_u) == riera._a_of_u_source()
+        assert riera._a_of_u.__code__.co_filename == riera._A_OF_U_FILE
+
     def test_domain(self):
         with pytest.raises(ValueError):
             a_of_T(0.0)
