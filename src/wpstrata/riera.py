@@ -114,10 +114,11 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     m >= 1. n is computed before any term is summed. It is the least
     such count or slightly above it (under 0.1% above over a sweep of u
     at the default tol), and the least one where that has
-    n |log u^2| < 1, which takes a tol above 2/e. Requires 0 <= u < 1
-    and tol > 0. Raises RuntimeError, before summing, if the least count
-    exceeds the cap of _MAX_TERMS = 128 terms: at the default tol that
-    is u above about 0.8906, and at tol 1e-6 above about 0.9540.
+    n |log u^2| < 3, which takes a tol above 2 / (3 e^3), about 0.033.
+    Requires 0 <= u < 1 and tol > 0. Raises RuntimeError, before
+    summing, if the least count exceeds the cap of _MAX_TERMS = 128
+    terms: at the default tol that is u above about 0.8906, and at tol
+    1e-6 above about 0.9540.
 
     The checked wrapper of _count and _series. The collar profile
     _a_of_u sums the same terms in straight-line code, with _count's
@@ -135,8 +136,10 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
 
 
 def _count(x: float, tol: float) -> int:
-    """a_hat's term count at x = u^2 in (0, 1); RuntimeError where the
-    least count is over the cap."""
+    """a_hat's term count at x = u^2 in (0, 1): the least count n
+    wherever n |log x| < 3, or the ceil steps land over the cap, and the
+    steps' count elsewhere; RuntimeError where the least count is over
+    the cap."""
     rem = 1.0 - x
     log_x = math.log(x)
     # With g(n) = log(tol rem n / 2) / log x the bound holds iff n >= g(n),
@@ -155,12 +158,12 @@ def _count(x: float, tol: float) -> int:
         n = 1
     if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
         n += 1
-    # Where the least count n has n |log x| < 1, which needs x > 1/e and a
-    # tol above 2/e, the steps oscillate and can land far above it, over
-    # the cap too. There, and wherever they land over the cap, the count
-    # is the least one, by bisection on the bound, which decreases in n;
-    # _MAX_TERMS + 1 stands for any count over the cap.
-    if n > _MAX_TERMS or log_x > -1.0:
+    # Where the least count n has n |log x| < 3, which needs x > e^-3 and
+    # a tol above 2 / (3 e^3), the steps oscillate and can land far above
+    # it, over the cap too. There, and wherever they land over the cap,
+    # the count is the least one, by bisection on the bound, which
+    # decreases in n; _MAX_TERMS + 1 stands for any count over the cap.
+    if n > _MAX_TERMS or log_x > -3.0:
         lo, hi = 0, min(n, _MAX_TERMS + 1)
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -168,7 +171,7 @@ def _count(x: float, tol: float) -> int:
                 hi = mid
             else:
                 lo = mid
-        if n > _MAX_TERMS or hi * log_x > -1.0:
+        if n > _MAX_TERMS or hi * log_x > -3.0:
             n = hi
     if n > _MAX_TERMS:
         raise RuntimeError("series tolerance not reached within term cap")

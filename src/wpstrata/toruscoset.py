@@ -248,7 +248,9 @@ def enumerate_cosets(kind: str, max_word_length: int) -> list[CosetWord]:
 
     Sorted by length, then lexicographically in the letter order
     A, A^-1, B, B^-1. The identity AB coset is not included; it is
-    available flagged from identity_coset().
+    available flagged from identity_coset(). Every word starts with a B
+    letter, and an AB word ends with an A letter, so AB words have
+    length at least 2 and enumerate_cosets("AB", 1) is [].
     """
     if kind not in ("AA", "AB"):
         raise ValueError(f"unknown coset kind {kind!r}")

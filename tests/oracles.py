@@ -17,7 +17,7 @@ The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
 loop, which raises over riera's term cap of 128 without summing. Its
 count, term_count, is the ceil-step count count_steps, except where
-least_count, the least count found term by term, is under 1 / |log x|
+least_count, the least count found term by term, is under 3 / |log x|
 or count_steps is over the cap: there it is least_count. count_steps is
 the reference that riera's table of term counts at the default tol,
 _BREAKS, is derived from and checked against. Then a_closed, the closed
@@ -188,11 +188,11 @@ def least_count(x: float, tol: float, cap: int = 128) -> int:
 
 def term_count(x: float, tol: float = 1e-14) -> int:
     """a_hat's term count at x in (0, 1), 129 for any count over its cap:
-    count_steps's, but the least one where that is under 1 / |log x|,
+    count_steps's, but the least one where that is under 3 / |log x|,
     where the ceil steps oscillate, or where count_steps is over the cap."""
     n = count_steps(x, tol)[2]
     least = least_count(x, tol)
-    if n > 128 or least * -math.log(x) < 1.0:
+    if n > 128 or least * -math.log(x) < 3.0:
         return least
     return n
 

@@ -391,12 +391,33 @@ def test_f_pair_matches_factored_envelope_on_draws(l_alpha, l_beta, diagonal):
     assert _same(F_pair(l_alpha, l_beta), oracles.F_pair_by_factors(l_alpha, l_beta))
 
 
-def _h_sweep_draws(seed: int) -> list[tuple[float, float, str, float]]:
+def _perfbench_workloads():
+    """The benchmark's workloads module, loaded by path to read its
+    inputs and seed data."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.HSweep().inputs(seed)
+    return module
+
+
+def _h_sweep_draws(seed: int) -> list[tuple[float, float, str, float]]:
+    return _perfbench_workloads().HSweep().inputs(seed)
+
+
+def test_constants_pass_the_benchmark_gate():
+    # The benchmark's constants check: each status as at its seed commit,
+    # each bracket meeting the seed's, so each bare record (lo = hi) the
+    # seed's value bit for bit.
+    seed = _perfbench_workloads().Constants.SEED
+    records = cli.compute_constant_records()
+    assert [r.name for r in records] == list(seed)
+    for r in records:
+        status, lo, hi = seed[r.name]
+        assert r.status == status, r.name
+        assert r.lo <= hi and lo <= r.hi, r.name
+        if lo == hi:
+            assert r.lo == r.hi == lo, r.name
 
 
 def _use_former_scalar_path(m: pytest.MonkeyPatch) -> None:
@@ -541,18 +562,43 @@ def test_delta11_matches_former_simpson_rule(monkeypatch):
     assert (got.lo, got.hi, got.error_budget) == (want.lo, want.hi, want.error_budget)
 
 
-_C_MIN_GRID = np.logspace(-3.0, 2.0, 61).tolist()
 _PLOT_GRID = np.logspace(-3.0, 2.0, 64).tolist()
 
 
 @pytest.mark.parametrize(
-    "ts, tol", [(_C_MIN_GRID, 1e-8), (_C_MIN_GRID, 1e-7), (_PLOT_GRID, 1e-6)],
+    "ts, tol", [(cli._C_MIN_GRID, 1e-8), (cli._C_MIN_GRID, 1e-7), (_PLOT_GRID, 1e-6)],
     ids=["c_min-1e-8", "c_min-1e-7", "plot-1e-6"],
 )
 def test_c_ratios_match_the_per_length_loop(ts, tol):
     # the grids of cli._c_min (constants at 1e-8, verify at 1e-7) and of
     # the hsys-ratio plot at its default tol
     assert integrals.c_ratios(ts, tol) == oracles.c_ratios(ts, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+def test_c_min_is_the_least_ratio_on_its_grid(tol):
+    # the screened search returns the very float of the full sweep
+    assert cli._c_min(tol) == min(integrals.c_ratios(cli._C_MIN_GRID, tol))
+
+
+def test_c_min_bound_is_under_the_ratio():
+    for t in cli._C_MIN_GRID:
+        if t <= gradbounds.L0:
+            assert cli._c_ratio_floor(t) <= integrals.c_ratio(t, 1e-8), t
+
+
+def test_c_min_screens_23_lengths_and_integrates_2_to_tol(monkeypatch):
+    # the bound rules out 38 of the 41 lengths at or below L0
+    calls = []
+
+    def recording(ts, tol):
+        calls.append((len(ts), tol))
+        return integrals.c_ratios(ts, tol)
+
+    monkeypatch.setattr(cli, "c_ratios", recording)
+    cli._c_min(1e-8)
+    assert sum(n for n, tol in calls if tol == cli._C_MIN_SCREEN_TOL) == 23
+    assert [n for n, tol in calls if tol == 1e-8] == [2]
 
 
 def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
@@ -564,9 +610,9 @@ def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
         return real(y)
 
     monkeypatch.setitem(integrals._VARIANTS, "systole", recording)
-    want = oracles.c_ratios(_C_MIN_GRID, 1e-8)
+    want = oracles.c_ratios(cli._C_MIN_GRID, 1e-8)
     per_length = list(nodes)
     nodes.clear()
-    assert integrals.c_ratios(_C_MIN_GRID, 1e-8) == want
+    assert integrals.c_ratios(cli._C_MIN_GRID, 1e-8) == want
     assert len(nodes) == len(set(nodes)) == len(set(per_length)) < len(per_length)
     assert set(nodes) == set(per_length)

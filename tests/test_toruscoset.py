@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpstrata import toruscoset
@@ -276,6 +276,8 @@ class TestOracleTotality:
         ),
     )
     @settings(deadline=None, max_examples=200)
+    # an AB word starts with a B letter and ends with an A letter
+    @example(kind="AB", length=1)
     def test_enumerate_cosets_total(self, kind, length):
         # lengths 6..MAX_WORD_LENGTH are valid too, but 3^14 words are
         # too many for a draw
@@ -289,7 +291,10 @@ class TestOracleTotality:
             assert kind not in ("AA", "AB") or (valid_length and not 1 <= length <= MAX_WORD_LENGTH)
             return
         assert valid_length and 1 <= length <= 5
-        assert words and all(w.kind == kind and 1 <= len(w.letters) <= length for w in words)
+        # empty exactly for enumerate_cosets("AB", 1)
+        shortest = 2 if kind == "AB" else 1
+        assert bool(words) == (length >= shortest)
+        assert all(w.kind == kind and shortest <= len(w.letters) <= length for w in words)
 
     @given(
         t=st.floats(min_value=5e-3, max_value=1418.0),
