@@ -66,6 +66,7 @@ def u_factor(ell: float) -> float:
     """Decay factor (2 cosh(ell/2) + 1) / (3 (cosh(ell/2) + 1)^2).
 
     Equals 1/4 at ell = 0, strictly decreasing, below (4/3) e^(-ell/2).
+    Within 32 ulp of the exact value for ell in [1e-3, 12].
     """
     if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
@@ -81,6 +82,7 @@ def v_factor(ell: float) -> float:
     """Decay factor 1 / (arctan(csch(ell/2)) cosh^2(ell/2) + sinh(ell/2)).
 
     Tends to 2/pi as ell -> 0, strictly decreasing, below e^(-ell/2).
+    Within 32 ulp of the exact value for ell in [1e-3, 12].
     """
     if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
@@ -102,7 +104,8 @@ def G_of(r: float, s: float) -> float:
     underflowing exponentials make far tails exact zeros. Where
     e^-(r + s) rounds to 1, a is taken at T = r + s directly; it and G
     grow without bound as r + s -> 0 and saturate to inf once
-    1 / tanh((r + s) / 2) overflows.
+    1 / tanh((r + s) / 2) overflows. Within 32 ulp of the exact value at
+    r = s = r_sys(t) for t in [1e-3, 12].
     """
     if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")
@@ -119,7 +122,10 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     sinh(l_alpha/2) sinh^2(l_beta/2) with r the simple collar radii,
     and agrees with G_of(r_a, r_b) to working precision. The combined
     radius enters through e^-(r_a + r_b) = tanh(l_alpha/4)
-    tanh(l_beta/4), which avoids the inverse solve entirely.
+    tanh(l_beta/4), which avoids the inverse solve entirely. Within 32
+    ulp of the exact value on the diagonals (t, t) and (t/2, t/2) for t
+    in [1e-3, 12]; less accurate from about t = 16.6 on, where that
+    product is within ulps of 1.
 
     Large lengths saturate. Where that product rounds to 1 (both
     lengths above about 76), a is taken at
@@ -215,7 +221,8 @@ def r_sys(t: float) -> float:
 
     max(t / 4, collar_radius_simple(t)): the simple branch wins below
     L0, the linear branch above, and the function has its one local
-    minimum at the crossing.
+    minimum at the crossing. Within 32 ulp of the exact value for t in
+    [1e-3, 12].
     """
     # collar_radius_simple checks t; t / 4 on a tie, as max gives
     q = 0.25 * t

@@ -14,23 +14,26 @@ e^(2T) (2 cosh(T) log(coth(T/2)) - 2), which loses all digits to
 cancellation as T grows. The switch point T = 0.51 keeps both branches
 comfortably inside their stable ranges; they agree to a few ulps there.
 
-a_hat fixes its term count n from the tail bound before it sums
-anything (_count), and raises over the cap of _MAX_TERMS = 128 terms:
-above about u = 0.8906 at the default tol, so a_of_T raises below T of
-about 0.1158. It sums with _series, a scalar loop over the precomputed
-numerators and denominators of the coefficients _COEF, so each term
-rounds as 8 (n + 1) x^n / ((2n + 1) (2n + 3)) with x = u^2 and x^n
-built by repeated multiplication.
+a_hat sums the series term by term, with x = u^2 and x^n built by
+repeated multiplication, each term rounding as
+8 (n + 1) x^n / ((2n + 1) (2n + 3)) from the exact numerators and
+denominators in _COEF. It stops at the first count n whose tail bound
+2 x^n / (n (1 - x)) is at most tol, and returns that bound, the same
+float it tested. So n is the least such count, and the bound never
+exceeds tol. It raises, after summing them, where 128 terms
+(_MAX_TERMS) do not reach tol: above about u = 0.8906 at the default
+tol, so a_of_T raises below T of about 0.1158.
 
-The collar profile _a_of_u runs at the default tol only, where the
-count is a step function of x with 29 steps below the switch point,
-listed in the literal table _BREAKS; tests/test_against_oracles.py pins
-the table to _count ulp by ulp around every step. _a_of_u is
-straight-line code, built once at import from _COEF and _BREAKS: it
-adds term after term as _series does and returns as soon as x is below
-the next step, so every production call sums at most 30 terms without
-a loop, a table lookup or a call. a_of_T and a_hat are the series-only
-routes that the tests and verify hold a_stable to.
+The collar profile _a_of_u runs at the default tol only. There the
+count is a step function of x, monotone because every rounded step of
+the bound is, with 29 steps below the switch point, listed in the
+literal table _BREAKS; tests/test_against_oracles.py pins the table to
+the count ulp by ulp around every step. _a_of_u is straight-line code,
+built once at import from _COEF and _BREAKS: it adds term after term
+as a_hat does and returns as soon as x is below the next step, so
+every production call sums at most 30 terms without a loop, a table
+lookup or a call. a_of_T and a_hat are the series-only routes that the
+tests and verify hold a_stable to.
 """
 
 from __future__ import annotations
@@ -46,13 +49,12 @@ _R_SERIES_CUT = 1e8
 
 # a evaluation switches from series to closed form at T = 0.51, i.e. at
 # series argument u = e^-0.51.
-_A_SERIES_UMAX = math.exp(-0.51)
+_A_SWITCH_T = 0.51
+_A_SERIES_UMAX = math.exp(-_A_SWITCH_T)
 
 # a_hat's term cap, and the length of _COEF. a_hat(0.8), verify's
 # largest, sums 67 terms.
 _MAX_TERMS = 128
-
-_LN2 = math.log(2.0)
 
 # c_n = 8 (n + 1) / ((2n + 1) (2n + 3)) as the exact numerator and
 # denominator: each term rounds as 8 (n + 1) u^(2n) / den.
@@ -61,18 +63,18 @@ _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(
 # a_hat's default tol, the one the collar profile runs at.
 _TOL = 1e-14
 
-# _BREAKS[k] is the least double x at which _count(x, _TOL) reaches k + 2,
-# so that count is bisect_right(_BREAKS, x) + 1 for 0 <= x <=
+# _BREAKS[k] is the least double x at which a_hat's count at _TOL reaches
+# k + 2, so that count is bisect_right(_BREAKS, x) + 1 for 0 <= x <=
 # _A_SERIES_UMAX^2, where it tops out at 30.
 _BREAKS = (
-    4.999999999999967e-15, 9.999999500000019e-08, 2.4661918003238178e-05, 0.0003760249523076123,
-    0.0019029288830012057, 0.005569069611360876, 0.01193929849333325, 0.021091150986867195,
-    0.03276544233975728, 0.046540092702376, 0.06195173067532973, 0.07856300283312673,
-    0.09599250772837539, 0.11392318050511153, 0.13209977290934707, 0.15032164985640523,
-    0.16843421841360798, 0.18632060228926858, 0.2038942445208336, 0.22109264244980767,
+    4.9999999999999755e-15, 9.999999500000014e-08, 2.466191800323819e-05, 0.0003760249523076126,
+    0.0019029288830012077, 0.005569069611360876, 0.011939298493333254, 0.02109115098686721,
+    0.032765442339757284, 0.046540092702376, 0.061951730675329726, 0.07856300283312673,
+    0.09599250772837543, 0.11392318050511155, 0.13209977290934707, 0.15032164985640528,
+    0.168434218413608, 0.1863206022892686, 0.2038942445208336, 0.22109264244980772,
     0.2378721904593874, 0.25420400978395225, 0.2700706155236555, 0.28546327354660084,
-    0.3003799158256263, 0.31482350269919435, 0.32880074020863304, 0.3423210782191173,
-    0.3553959299163053,
+    0.30037991582562634, 0.31482350269919435, 0.32880074020863304, 0.34232107821911734,
+    0.35539592991630536,
 )
 
 
@@ -109,84 +111,33 @@ def riera_R(u: UValue) -> float:
 def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
     """Partial sum of sum_n 8 (n+1) / ((2n+1)(2n+3)) u^(2n).
 
-    Sums the first n terms, where the tail bound 2 u^(2n) / (n (1 - u^2))
-    after them is at most tol; the bound holds because c_m <= 2/m for
-    m >= 1. n is computed before any term is summed. It is the least
-    such count or slightly above it (under 0.1% above over a sweep of u
-    at the default tol), and the least one where that has
-    n |log u^2| < 3, which takes a tol above 2 / (3 e^3), about 0.033.
-    Requires 0 <= u < 1 and tol > 0. Raises RuntimeError, before
-    summing, if the least count exceeds the cap of _MAX_TERMS = 128
-    terms: at the default tol that is u above about 0.8906, and at tol
-    1e-6 above about 0.9540.
+    Sums term by term and stops after the least count n whose tail
+    bound 2 u^(2n) / (n (1 - u^2)) is at most tol, so that tail_bound <=
+    tol always; the bound holds because c_m <= 2/m for m >= 1. Requires
+    0 <= u < 1 and tol > 0. Raises RuntimeError after summing the cap of
+    _MAX_TERMS = 128 terms if their bound is still above tol: at the
+    default tol that is u above about 0.8906, and at tol 1e-6 above
+    about 0.9540.
 
-    The checked wrapper of _count and _series. The collar profile
-    _a_of_u sums the same terms in straight-line code, with _count's
-    default-tol steps written in, and tests/test_against_oracles.py
-    holds the two to the same bits.
+    The collar profile _a_of_u sums the same terms in straight-line
+    code, with the default-tol count's steps written in, and
+    tests/test_against_oracles.py holds the two to the same bits.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = u * u
-    # Below the denormal floor x is 0 and the n = 0 term is the whole sum.
-    n = _count(x, tol) if x else 1
-    return SeriesEval(*_series(x, n), n)
-
-
-def _count(x: float, tol: float) -> int:
-    """a_hat's term count at x = u^2 in (0, 1): the least count n
-    wherever n |log x| < 3, or the ceil steps land over the cap, and the
-    steps' count elsewhere; RuntimeError where the least count is over
-    the cap."""
     rem = 1.0 - x
-    log_x = math.log(x)
-    # With g(n) = log(tol rem n / 2) / log x the bound holds iff n >= g(n),
-    # and g decreases in n. The count without the 1/n factor, ceil(g(1)),
-    # satisfies it; one step n <- ceil(g(n)) lands at or under the least
-    # count, and a second lands on a count that satisfies it again, above
-    # the least by about 1 / (n |log x|) of the first step's undershoot.
-    # One check of the bound itself absorbs the rounding of the estimate.
-    # A tol of 2 / rem or more needs one term; a count under 2 adds
-    # log 1 = 0.
-    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - _LN2
-    n = math.ceil(log_c / log_x)
-    n = math.ceil((log_c + math.log(max(n, 1))) / log_x)
-    n = math.ceil((log_c + math.log(max(n, 1))) / log_x)
-    if n < 1:
-        n = 1
-    if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
-        n += 1
-    # Where the least count n has n |log x| < 3, which needs x > e^-3 and
-    # a tol above 2 / (3 e^3), the steps oscillate and can land far above
-    # it, over the cap too. There, and wherever they land over the cap,
-    # the count is the least one, by bisection on the bound, which
-    # decreases in n; _MAX_TERMS + 1 stands for any count over the cap.
-    if n > _MAX_TERMS or log_x > -3.0:
-        lo, hi = 0, min(n, _MAX_TERMS + 1)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if 2.0 * math.exp(mid * log_x) / (mid * rem) <= tol:
-                hi = mid
-            else:
-                lo = mid
-        if n > _MAX_TERMS or hi * log_x > -3.0:
-            n = hi
-    if n > _MAX_TERMS:
-        raise RuntimeError("series tolerance not reached within term cap")
-    return n
-
-
-def _series(x: float, n: int) -> tuple[float, float]:
-    """(value, tail_bound) of the first n <= _MAX_TERMS terms of a_hat at
-    x = u^2, n being _count's."""
     total = 0.0
     p = 1.0
-    for num, den in _COEF[:n]:
+    for n, (num, den) in enumerate(_COEF, start=1):
         total += num * p / den
         p *= x
-    return total, 2.0 * p / (n * (1.0 - x))
+        tail = 2.0 * p / (n * rem)
+        if tail <= tol:
+            return SeriesEval(total, tail, n)
+    raise RuntimeError("series tolerance not reached within term cap")
 
 
 def _a_closed(T: float) -> float:
@@ -202,7 +153,7 @@ def _a_closed(T: float) -> float:
 
 def _a_of_u_source() -> str:
     # One early return per term count n, at x below _BREAKS[n - 1]; each
-    # term and the tail bound round as in _series.
+    # term and the tail bound round as in a_hat.
     lines = [
         "def _a_of_u(u):",
         '    """Collar profile at series argument u in (0, 1), branch-switched."""',
@@ -244,7 +195,7 @@ def a_of_T(T: float) -> float:
     8/3, and pinched by 8/3 <= a(T) <= 8/3 - 2 log(1 - e^-2T). The term
     count grows like 1/T near zero: T = 0.12 sums 124 terms, and below
     about T = 0.1158 the count exceeds a_hat's cap of 128, so a_of_T
-    raises RuntimeError before any term is summed. From T = 0.51 on it
+    raises RuntimeError after summing 128 terms. From T = 0.51 on it
     equals a_stable bit for bit; a_stable covers every T > 0.
     """
     if not T > 0.0:
@@ -256,14 +207,13 @@ def a_of_T(T: float) -> float:
 def a_stable(T: float) -> float:
     """Collar profile a(T) over the full range of T.
 
-    Same value as a_of_T but evaluated by the closed form below the
-    switch point T = 0.51, so arbitrarily small positive T stays cheap
-    and accurate. Where e^-T rounds to 1 (T under about 5.6e-17) the
-    closed form takes T itself; it is inf once the logarithmic blowup
-    overflows (T under about 1.1e-308). Raises ValueError unless T > 0.
+    Below the switch point T = 0.51 the closed form at T itself, so
+    arbitrarily small positive T stays cheap and accurate (within 8 ulp
+    of the exact profile, 6.4 at most over 40,000 T in [1e-16, 0.51]);
+    it is inf once the logarithmic blowup overflows (T under about
+    1.1e-308). From there on the series at u = e^-T, bit for bit as
+    a_of_T. Raises ValueError unless T > 0.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
-    u = math.exp(-T)
-    return _a_of_u(u) if u < 1.0 else _a_closed(T)
-
+    return _a_closed(T) if T < _A_SWITCH_T else _a_of_u(math.exp(-T))

