@@ -20,7 +20,8 @@ count, term_count, is the least n whose tail bound 2 x^n / (n (1 - x)),
 x^n built by repeated multiplication, is at most tol: the rule riera's
 a_hat stops by, and the count that riera's table of term counts at the
 default tol, _BREAKS, is derived from and checked against. Then
-a_closed, the closed form that raised where T/2 is 0; a_of_u, the
+a_closed, the closed form that raised where T/2 is 0, and a_exact, the
+same closed form in mpmath that the float ones are measured against; a_of_u, the
 collar profile that builds a SeriesEval from a_hat; F_pair_by_factors,
 the saturating envelope on u_factor and v_factor; G_of, the systole
 envelope on this a_of_u, and r_sys, the systole collar radius by max;
@@ -195,6 +196,17 @@ def a_closed(T: float) -> float:
     return math.exp(2.0 * T) * (
         2.0 * math.cosh(T) * math.log(1.0 / math.tanh(0.5 * T)) - 2.0
     )
+
+
+def a_exact(T, dps: int = 50):
+    """a(T) = e^(2T) (2 cosh(T) log(coth(T/2)) - 2) in mpmath at T itself,
+    a float or an mpf. The bracket cancels to about e^(-2T), 0.87 T
+    digits, so T digits are added to the dps kept."""
+    import mpmath
+
+    with mpmath.workdps(dps + int(T)):
+        t = mpmath.mpf(T)
+        return mpmath.exp(2 * t) * (2 * mpmath.cosh(t) * mpmath.log(mpmath.coth(t / 2)) - 2)
 
 
 def a_of_u(u: float) -> float:

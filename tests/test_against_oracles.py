@@ -132,15 +132,6 @@ def _exact_profile(x: mpmath.mpf) -> mpmath.mpf:
         return 2 * A + 2 * (A - 1) / x
 
 
-def _exact_at(T: float) -> mpmath.mpf:
-    """a(T) = e^(2T) (2 cosh(T) log(coth(T/2)) - 2) at T itself. The
-    bracket cancels to about e^(-2T), 0.87 T digits, so T digits are
-    added to the 50 kept."""
-    with mpmath.workdps(50 + int(T)):
-        t = mpmath.mpf(T)
-        return mpmath.exp(2 * t) * (2 * mpmath.cosh(t) * mpmath.log(mpmath.coth(t / 2)) - 2)
-
-
 @pytest.mark.parametrize("T", [float(T) for T in np.logspace(-6.0, -3.0, 25)] + _COLLAR_GRID)
 def test_long_sum_matches_direct_blocks(T):
     """a_stable over the T that verify's collar profile covers, where
@@ -152,7 +143,7 @@ def test_long_sum_matches_direct_blocks(T):
     x = fl(fl(e^-T)^2) that a_hat sums at lies in a_hat's bracket widened
     by the rounding of n terms."""
     got = a_stable(T)
-    exact = _exact_at(T)
+    exact = oracles.a_exact(T)
     assert abs(got - exact) <= (8.0 if T < 0.51 else 16.0) * math.ulp(float(exact)), T
     if T >= 0.51:
         u = math.exp(-T)

@@ -6,6 +6,7 @@ import math
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,21 +287,15 @@ class TestSystoleRadius:
 
 
 class TestUlpBudget:
-    """The envelopes against 50-digit mpmath closed forms written here
-    from their definitions, on the lengths that h-sweep and constants
-    evaluate, t in [1e-3, 12]. Each is within 32 ulp; over 20,000
+    """The envelopes against 50-digit mpmath closed forms written from
+    their definitions, here and in oracles.a_exact, on the lengths that
+    h-sweep and constants evaluate, t in [1e-3, 12]. Each is within 32
+    ulp; over 20,000
     log-spaced t the largest errors are 21.4 (F_pair(t, t)), 20.4
     (F_pair(t/2, t/2)), 17.1 (G_of(r, r), r = r_sys(t)), 2.4 (r_sys), 4.4
     (u_factor) and 3.3 ulp (v_factor). The grid stops well below D12's
     range, t above about 16.6, where F_pair takes its combined radius
     from a product of tanh within ulps of 1."""
-
-    @staticmethod
-    def _a(T):
-        # e^(2T) (2 cosh T log coth(T/2) - 2) cancels to about e^(-2T):
-        # T extra digits cover the 0.87 T it loses
-        with mpmath.workdps(mpmath.mp.dps + int(T)):
-            return mpmath.exp(2 * T) * (2 * mpmath.cosh(T) * mpmath.log(mpmath.coth(T / 2)) - 2)
 
     @staticmethod
     def _r_simple(ell):
@@ -317,11 +312,11 @@ class TestUlpBudget:
 
     def _F(self, ell):
         # a(r_a + r_b) u(l_a) v(l_b) sinh(l_a/2) sinh^2(l_b/2) on the diagonal
-        return self._a(2 * self._r_simple(ell)) * self._u(ell) * self._v(ell) * mpmath.sinh(ell / 2) ** 3
+        return oracles.a_exact(2 * self._r_simple(ell)) * self._u(ell) * self._v(ell) * mpmath.sinh(ell / 2) ** 3
 
     def _G(self, r):
         area = 2 * mpmath.atan(mpmath.sinh(r)) * mpmath.cosh(r) ** 2 + 2 * mpmath.sinh(r)
-        return self._a(2 * r) * (mpmath.exp(-r) + mpmath.exp(-3 * r) / 3) / area
+        return oracles.a_exact(2 * r) * (mpmath.exp(-r) + mpmath.exp(-3 * r) / 3) / area
 
     def test_within_32_ulp_on_the_production_range(self):
         def ulps(got, exact):
