@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Callable
 from decimal import ROUND_CEILING, ROUND_DOWN, Decimal
 
@@ -125,6 +126,10 @@ def _ceil_str(x: float, places: int = 5) -> str:
     return str(Decimal(x).quantize(Decimal(1).scaleb(-places), ROUND_CEILING))
 
 
+def _ends(paper: str) -> list[str]:  # the decimals of "(a, b)" or "[a, b]"
+    return paper[1:-1].split(", ")
+
+
 def _reproduces(name: str, lo: float, hi: float) -> bool:
     """Whether [lo, hi] reproduces the published decimal of `name`,
     read outward by its rule in _PUBLISHED."""
@@ -133,7 +138,7 @@ def _reproduces(name: str, lo: float, hi: float) -> bool:
         return Decimal(lo) >= Decimal(paper)  # exact: float(paper) may round up or down
     if rule == "trunc":
         return _trunc_str(0.5 * (lo + hi)).lstrip("0") == paper.lstrip("0")
-    a, b = paper[1:-1].split(", ")
+    a, b = _ends(paper)
     if rule == "enclosure":
         return _trunc_str(lo) == a and _ceil_str(hi) == b
     if rule == "window":
@@ -284,7 +289,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_delta11(args: argparse.Namespace) -> int:
     br = delta11_bracket(args.max_word_length, args.tol)
     window = _PUBLISHED["delta11_refined"][0]
-    plo, phi = (float(x) for x in window[1:-1].split(", "))
+    plo, phi = (float(x) for x in _ends(window))
     consistent = not (br.hi < plo or br.lo > phi)
     status = "consistent" if consistent else "inconsistent"
     rec = ConstantRecord("delta11", br.lo, br.hi, window, "paper", status)
@@ -443,14 +448,17 @@ def _verify_envelope_identity() -> None:
             _check(abs(f - g) <= 1e-12 * max(1.0, abs(f)), f"F != G at ({la}, {lb})")
 
 
+def _word_map(table: dict[int, MoebiusMap], letters: tuple[int, ...]) -> MoebiusMap:
+    # the product of table[l] over the letters, left to right
+    return reduce(MoebiusMap.compose, map(table.__getitem__, letters))
+
+
 def _verify_cross_route() -> None:
     point = holonomy(1.3)
     lm = {0: point.A, 1: point.A.inverse(), 2: point.B, 3: point.B.inverse()}
     for kind in ("AA", "AB"):
         for word in enumerate_cosets(kind, 3):
-            m = lm[word.letters[0]]
-            for l in word.letters[1:]:
-                m = m @ lm[l]
+            m = _word_map(lm, word.letters)
             direct = abs(1.0 + 2.0 * m.b * m.c) if kind == "AA" else abs(m.b * m.d - m.a * m.c)
             via_axes = u_of_coset(point, word).value
             _check(abs(direct - via_axes) <= 1e-9 * max(1.0, direct), f"u mismatch for {word}")
@@ -558,14 +566,19 @@ def _verify_brute_force() -> None:
         _check(direct == brute[kind], f"{kind} enumeration disagrees with brute force")
 
 
+def _envelope_ratio_bound(z0: float, z1: float, w0: float, w1: float) -> float:
+    """Bound of F(z, w) / (sinh(z/2) sinh^2(w/2)) = a(u) uf(z) vf(w), u =
+    tanh(z/4) tanh(w/4), on [z0, z1] x [w0, w1]: a rises in u, uf and vf fall,
+    so a(u(z1, w1)) uf(z0) vf(w0), outward: u raised by 2^-48 and the product by
+    2^-46 relative (libm's 2 ulps a call), and a's series tail _TOL covered."""
+    u = math.tanh(0.25 * z1) * math.tanh(0.25 * w1) * (1.0 + 2.0**-48)
+    return (_a_of_u(u) + 0.5 * _TOL) * u_factor(z0) * v_factor(w0) * (1.0 + 2.0**-46)
+
+
 def _prove_envelope_cap(slack: float) -> None:
     """Prove F(z, w) <= (4 / 3 pi)(1 + slack) sinh(z/2) sinh^2(w/2) on z <= w
     in [1e-4, 40 + 1 ulp], where the sampled grids before it ended, by branch
-    and bound from 8 x 8 log-spaced cells. F / (sinh(z/2) sinh^2(w/2)) =
-    a(u) uf(z) vf(w), u = tanh(z/4) tanh(w/4), a rising in u, uf and vf
-    falling: on [z0, z1] x [w0, w1] it is at most a(u(z1, w1)) uf(z0) vf(w0).
-    Outward: u is raised by 2^-48 and the product by 2^-46 relative, room for
-    libm's 2 ulps a call, and a's series tail (at most _TOL) is covered. A failing
+    and bound from 8 x 8 log-spaced cells on _envelope_ratio_bound. A failing
     box splits at geometric midpoints, lower left first; at depth 24 it is named."""
     cap = 4.0 / (3.0 * math.pi) * (1.0 + slack)
     e = np.logspace(-4.0, math.log10(40.0), 9).tolist()
@@ -573,8 +586,7 @@ def _prove_envelope_cap(slack: float) -> None:
     stack = [(e[i], e[i + 1], e[j], e[j + 1], 0) for i in range(7, -1, -1) for j in range(7, i - 1, -1)]
     while stack:
         z0, z1, w0, w1, depth = stack.pop()
-        u = math.tanh(0.25 * z1) * math.tanh(0.25 * w1) * (1.0 + 2.0**-48)
-        if (_a_of_u(u) + 0.5 * _TOL) * u_factor(z0) * v_factor(w0) * (1.0 + 2.0**-46) <= cap:
+        if _envelope_ratio_bound(z0, z1, w0, w1) <= cap:
             continue
         if depth == 24:
             raise AssertionError(f"envelope cap fails on [{z0!r}, {z1!r}] x [{w0!r}, {w1!r}]")
@@ -635,9 +647,7 @@ def _verify_square_symmetry() -> None:
     swapped = []
     for word in enumerate_cosets("AA", 3):
         direct.append(u_of_coset(point, word).value)
-        m = swap[word.letters[0]]
-        for l in word.letters[1:]:
-            m = m @ swap[l]
+        m = _word_map(swap, word.letters)
         swapped.append(u_value(axis_b, translate_geodesic(m, axis_b)).value)
     for x, y in zip(sorted(direct), sorted(swapped)):
         _check(abs(x - y) <= 1e-9 * max(1.0, x), "square point multisets differ")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .hyp2 import collar_area
-from .riera import _a_closed, _a_of_u
+from .riera import _A_SWITCH_T, _a_closed, _a_of_u
 
 # Thin part length threshold for the strata distance integrals.
 # Calibrated so that the paired integral H(0, 4 e) + H(0, 2 e) evaluates
@@ -27,6 +27,11 @@ from .riera import _a_closed, _a_of_u
 # collar identity value arcsinh(1), the self-dual point of the simple
 # collar radius.
 EPS2 = 0.8813761988109772
+
+# F_pair takes the radius sum from the lengths above this series argument:
+# -log of a rounded u loses eps / (1 - u) relative, 20 ulp of F at most up
+# to here (t = 12 on the diagonal, past every record, plot and benchmark).
+_NEAR_ONE = math.tanh(3.0) ** 2
 
 
 def _csch(x: float) -> float:
@@ -101,16 +106,16 @@ def G_of(r: float, s: float) -> float:
 
     a(r + s) (e^-r + e^-3r / 3) / A(s) with A the collar area profile.
     Strictly decreasing in each argument; saturating areas and
-    underflowing exponentials make far tails exact zeros. Where
-    e^-(r + s) rounds to 1, a is taken at T = r + s directly; it and G
-    grow without bound as r + s -> 0 and saturate to inf once
-    1 / tanh((r + s) / 2) overflows. Within 32 ulp of the exact value at
-    r = s = r_sys(t) for t in [1e-3, 12].
+    underflowing exponentials make far tails exact zeros. a is taken at
+    T = r + s itself below riera's switch point T = 0.51, where its series
+    argument e^-T is close to 1, and at e^-T from there on; it and G grow
+    without bound as r + s -> 0 and saturate to inf once
+    1 / tanh((r + s) / 2) overflows. Within 32 ulp at r = s in [1e-15, 40].
     """
     if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")
-    u = math.exp(-(r + s))
-    av = _a_of_u(u) if u < 1.0 else _a_closed(r + s)
+    T = r + s
+    av = _a_closed(T) if T < _A_SWITCH_T else _a_of_u(math.exp(-T))
     num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
     return av * num / collar_area(s)
 
@@ -121,16 +126,16 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     Equals a(r_a + r_b) u_factor(l_alpha) v_factor(l_beta)
     sinh(l_alpha/2) sinh^2(l_beta/2) with r the simple collar radii,
     and agrees with G_of(r_a, r_b) to working precision. The combined
-    radius enters through e^-(r_a + r_b) = tanh(l_alpha/4)
-    tanh(l_beta/4), which avoids the inverse solve entirely. Within 32
-    ulp of the exact value on the diagonals (t, t) and (t/2, t/2) for t
-    in [1e-3, 12]; less accurate from about t = 16.6 on, where that
-    product is within ulps of 1.
+    radius enters through its series argument e^-(r_a + r_b) =
+    tanh(l_alpha/4) tanh(l_beta/4), which avoids the inverse solve
+    entirely. Where that product is close to 1, above tanh^2 3 (beyond
+    t = 12 on the diagonal), a is taken at the exact radius sum
+    T = 2 atanh(e^-(l_alpha/2)) + 2 atanh(e^-(l_beta/2)) instead, and
+    each decay factor is paired with its sinh (products near 2/3 and
+    1/2), so that subnormal factors cannot underflow the product.
+    Within 32 ulp of the exact value on (t, t), (t/2, t/2) and (t/2, t)
+    for t in [1e-3, 1420].
 
-    Large lengths saturate. Where that product rounds to 1 (both
-    lengths above about 76), a is taken at
-    T = log1p(2 / expm1(l_alpha/2)) + log1p(2 / expm1(l_beta/2)), which
-    there equals 2 (e^-(l_alpha/2) + e^-(l_beta/2)) to double precision.
     Where sinh(l_beta/2) leaves the double range (l_beta above about
     1421, or inf) the value is inf, so an integrand 1 / sqrt(1 + F) is exactly
     0; F is past 1e300 well before that.
@@ -147,27 +152,20 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
         sb = sa if same else math.sinh(0.5 * l_beta)
     except OverflowError:
         return math.inf
+    if sb == math.inf:  # an infinite l_beta, as past 1421
+        return math.inf
     ta = math.tanh(0.25 * l_alpha)
     u = ta * ta if same else ta * math.tanh(0.25 * l_beta)
-    if not u < 1.0:
-        # Saturated: pair each decay factor with its sinh (products near
-        # 2/3 and 1/2), so that subnormal factors cannot underflow the
-        # product. An infinite l_beta has sinh inf, as past 1421.
-        if sb == math.inf:
-            return math.inf
-        av = _a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
-        return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
-    # u_factor and v_factor by their formulas, on the cosh above. u < 1
-    # keeps l_alpha under 77; v_factor keeps its own branches for l_beta
-    # past 700 and for l_beta / 2 underflowing to 0; an infinite l_beta
-    # reads inf, as above.
+    if u > _NEAR_ONE:
+        T = 2.0 * (math.atanh(math.exp(-0.5 * l_alpha)) + math.atanh(math.exp(-0.5 * l_beta)))
+        return _a_closed(T) * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+    # u_factor and v_factor by their formulas on the cosh above (l_alpha <= 12
+    # here); v_factor's own branches for l_beta past 700 or l_beta / 2 at 0.
     ca = math.cosh(0.5 * l_alpha)
     uf = (2.0 * ca + 1.0) / (3.0 * (ca + 1.0) ** 2)
     if sb != 0.0 and l_beta <= 700.0:
         cb = ca if same else math.cosh(0.5 * l_beta)
         vf = 1.0 / (math.atan(1.0 / sb) * cb * cb + sb)
-    elif sb == math.inf:
-        return math.inf
     else:
         vf = v_factor(l_beta)
     return _a_of_u(u) * uf * vf * sa * sb * sb

@@ -258,26 +258,20 @@ def integral_K(a: float, b: float) -> float:
     return SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
 
 
-# The integrand of each variant after t = y^2, sqrt(2 pi) / sqrt(1 + F(y^2)),
-# at F's limit 0 where y^2 underflows to 0. Each calls its envelope by the
-# module-level name, so integral_H evaluates whatever integrals.F_pair and
-# G_of name at the time.
+# Each variant's integrand after t = y^2 is sqrt(2 pi) / sqrt(1 + F), at F's
+# limit 0 where its length underflows; it calls its envelope by this module's
+# name, so integral_H evaluates whatever integrals.F_pair and G_of name then.
 
 
-def _plain_integrand(y: float) -> float:
-    t = y * y
-    if t == 0.0:
-        return SQRT_2PI
-    return SQRT_2PI / math.sqrt(1.0 + F_pair(t, t))
+def _diagonal_integrand(scale: float) -> Callable[[float], float]:
+    # F_pair(t, t) at t = scale y^2: 1 for "plain", 1/2 for "separating"
+    def integrand(y: float) -> float:
+        t = scale * (y * y)
+        if t == 0.0:
+            return SQRT_2PI
+        return SQRT_2PI / math.sqrt(1.0 + F_pair(t, t))
 
-
-def _separating_integrand(y: float) -> float:
-    # F_pair(t/2, t/2), at F's limit 0 where t / 2 underflows too, as in
-    # grad_sq_upper_separating
-    half = 0.5 * (y * y)
-    if half == 0.0:
-        return SQRT_2PI
-    return SQRT_2PI / math.sqrt(1.0 + F_pair(half, half))
+    return integrand
 
 
 def _systole_integrand(y: float) -> float:
@@ -288,18 +282,16 @@ def _systole_integrand(y: float) -> float:
     return SQRT_2PI / math.sqrt(1.0 + G_of(r, r))
 
 
-_VARIANTS: dict[str, Callable[[float], float]] = {
-    "plain": _plain_integrand,
-    "separating": _separating_integrand,
-    "systole": _systole_integrand,
-}
+_SCALES = {"plain": 1.0, "separating": 0.5}
+_VARIANTS = {variant: _diagonal_integrand(scale) for variant, scale in _SCALES.items()}
+_VARIANTS["systole"] = _systole_integrand
 
-# Flat point and value per variant: from the flat point on the integrand
-# is exactly the value, which _bracket adds in closed form. F_pair is inf
-# and the integrand 0 from t = 1421 ("plain", where sinh(t/2) overflows)
-# and from 2842 ("separating", sinh(t/4)); G_of(r_sys(t), r_sys(t)) is
-# exactly 0 from t of about 995.14 on, so the systole integrand is sqrt(2 pi).
-_FLAT = {"plain": (1421.0, 0.0), "separating": (2842.0, 0.0), "systole": (996.0, SQRT_2PI)}
+# Flat point and value per variant: from it on the integrand is exactly the
+# value, which _bracket adds in closed form. F_pair(t, t) is inf from t = 1421
+# on, where sinh(t/2) overflows, so the diagonal integrands are 0 from 1421 /
+# scale; G_of(r_sys(t), r_sys(t)) is 0 from t of about 995.14 on.
+_FLAT = {variant: (1421.0 / scale, 0.0) for variant, scale in _SCALES.items()}
+_FLAT["systole"] = (996.0, SQRT_2PI)
 
 # The lengths at which the paper takes its two separating routes.
 W1_LENGTH = 3.678
@@ -365,12 +357,13 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     variant's flat point, t = 1421 ("plain"), 2842 ("separating") or 996
     ("systole"), the integrand is exactly 0, 0 or sqrt(2 pi), and that
     part of the range is added in closed form. The bracket width comes
-    out at or below tol. Raises ValueError if sqrt(a) and sqrt(b) round
-    to the same double, where the substitution cannot resolve the range,
-    if tol is below 1e-323, twice the least subnormal, or NaN, or if a
-    panel's share of tol underflows to 0 on a very narrow range, as in
-    integral_H(0, 5e-324, "plain", 1e-200); and ConvergenceError, a
-    RuntimeError, where tol is below what the quadrature reaches.
+    out at or below tol plus the series slack, 3e-14 per unit of y.
+    Raises ValueError if sqrt(a) and sqrt(b) round to the same double,
+    where the substitution cannot resolve the range, if tol is below
+    1e-323, twice the least subnormal, or NaN, or if a panel's share of
+    tol underflows to 0 on a very narrow range, as in integral_H(0,
+    5e-324, "plain", 1e-200); and ConvergenceError, a RuntimeError,
+    where tol is below what the quadrature reaches.
     F tends to 0 as t -> 0, so the integrand takes its y = 0 value
     sqrt(2 pi) wherever y^2 underflows to 0.
     """
@@ -439,10 +432,9 @@ def W1(length: float, tol: float = 1e-7) -> Bracket:
     being four separating collar radii. Raises ValueError unless
     length > 0 and finite, and ConvergenceError, a RuntimeError, where a
     leg is long and tol below what the quadrature reaches there, as for
-    integral_H. In log scans of L over [1e-300, 1e300] that is tol under
-    1e-10 only: at 1e-12 from L of about 126 on and below about 1.6e-6,
-    whose second leg is as long, and at 5e-11 from about 1413 on and
-    below 1e-8. W1(3.678, 1e-12) returns.
+    integral_H. In log scans of L over [1e-300, 1e300] every call
+    returns at tol down to 1e-14; at 5e-15 long legs raise, as at
+    L = 1e-300 and 1e10.
     """
     if not length > 0.0:
         raise ValueError("length must be positive")
@@ -455,7 +447,7 @@ def W2(length: float, tol: float = 1e-7) -> Bracket:
     H_sep(0, L) + H_sep(0, 4 arcsinh(1 / sinh(L / 4)) +
     4 arcsinh(1 / sinh(L / 2))); the second leg mixes the separating
     collar radii of L and 2L. Raises as W1 does, at about the same
-    lengths: at tol 1e-12 from L of about 126 on and below about 1.1e-6.
+    lengths and tols.
     """
     if not length > 0.0:
         raise ValueError("length must be positive")

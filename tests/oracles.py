@@ -21,12 +21,13 @@ x^n built by repeated multiplication, is at most tol: the rule riera's
 a_hat stops by, and the count that riera's table of term counts at the
 default tol, _BREAKS, is derived from and checked against. Then
 a_closed, the closed form that raised where T/2 is 0, and a_exact, the
-same closed form in mpmath that the float ones are measured against; a_of_u, the
-collar profile that builds a SeriesEval from a_hat; F_pair_by_factors,
-the saturating envelope on u_factor and v_factor; G_of, the systole
-envelope on this a_of_u, and r_sys, the systole collar radius by max;
-h_integrand, the H integrand of each variant as a closure over its
-envelope; and adaptive_simpson, the depth-first recursion with its
+same closed form in mpmath that the float ones are measured against,
+with F_exact and G_exact, the envelopes' definitions in mpmath; a_of_u,
+the collar profile that builds a SeriesEval from a_hat;
+F_pair_by_factors, the envelope on u_factor and v_factor at the rounded
+series argument; G_of, the systole envelope on this a_of_u, and r_sys,
+the systole collar radius by max; h_integrand, the H integrand of each
+variant as a closure over its envelope; and adaptive_simpson, the depth-first recursion with its
 per-node wrapper, which announces four nodes per split where
 integrals.adaptive_simpson announces up to 16 per round.
 
@@ -201,12 +202,40 @@ def a_closed(T: float) -> float:
 def a_exact(T, dps: int = 50):
     """a(T) = e^(2T) (2 cosh(T) log(coth(T/2)) - 2) in mpmath at T itself,
     a float or an mpf. The bracket cancels to about e^(-2T), 0.87 T
-    digits, so T digits are added to the dps kept."""
+    digits, so T digits are added to the dps kept. log(coth(T/2)) is
+    taken as arcsinh(1 / sinh(T)), which keeps its relative accuracy at
+    both ends: coth(T/2) itself rounds to 1 past T of about 150."""
     import mpmath
 
     with mpmath.workdps(dps + int(T)):
         t = mpmath.mpf(T)
-        return mpmath.exp(2 * t) * (2 * mpmath.cosh(t) * mpmath.log(mpmath.coth(t / 2)) - 2)
+        return mpmath.exp(2 * t) * (2 * mpmath.cosh(t) * mpmath.asinh(1 / mpmath.sinh(t)) - 2)
+
+
+def F_exact(l_alpha: float, l_beta: float, dps: int = 50):
+    """F_pair's definition in mpmath: a(r_a + r_b) uf(l_alpha) vf(l_beta)
+    sinh(l_alpha/2) sinh^2(l_beta/2), r = arcsinh(1 / sinh(l/2)) the
+    simple collar radius, uf and vf the decay factors."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        la, lb = mpmath.mpf(l_alpha), mpmath.mpf(l_beta)
+        sa, sb, ca, cb = mpmath.sinh(la / 2), mpmath.sinh(lb / 2), mpmath.cosh(la / 2), mpmath.cosh(lb / 2)
+        uf = (2 * ca + 1) / (3 * (ca + 1) ** 2)
+        vf = 1 / (mpmath.atan(1 / sb) * cb**2 + sb)
+        T = mpmath.asinh(1 / sa) + mpmath.asinh(1 / sb)
+        return a_exact(T, dps) * uf * vf * sa * sb**2
+
+
+def G_exact(r: float, s: float, dps: int = 50):
+    """G_of's definition in mpmath: a(r + s) (e^-r + e^-3r / 3) / A(s),
+    A(s) = 2 arctan(sinh s) cosh^2 s + 2 sinh s the collar area."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        r, s = mpmath.mpf(r), mpmath.mpf(s)
+        area = 2 * mpmath.atan(mpmath.sinh(s)) * mpmath.cosh(s) ** 2 + 2 * mpmath.sinh(s)
+        return a_exact(r + s, dps) * (mpmath.exp(-r) + mpmath.exp(-3 * r) / 3) / area
 
 
 def a_of_u(u: float) -> float:
@@ -218,7 +247,10 @@ def a_of_u(u: float) -> float:
 
 
 def F_pair_by_factors(l_alpha: float, l_beta: float) -> float:
-    """The saturating interaction envelope on u_factor and v_factor."""
+    """The interaction envelope on u_factor and v_factor at the rounded
+    series argument u, as F_pair takes it where u is at most tanh^2 3;
+    inf past the double range of sinh, ZeroDivisionError where u rounds
+    to 1."""
     if l_alpha <= 0.0 or l_beta <= 0.0:
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
@@ -229,14 +261,12 @@ def F_pair_by_factors(l_alpha: float, l_beta: float) -> float:
     except OverflowError:
         return math.inf
     u = math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta)
-    if u < 1.0:
-        return a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
-    av = a_closed(2.0 * (math.exp(-0.5 * l_alpha) + math.exp(-0.5 * l_beta)))
-    return av * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
+    return a_of_u(u) * u_factor(l_alpha) * v_factor(l_beta) * sa * sb * sb
 
 
 def G_of(r: float, s: float) -> float:
-    """gradbounds.G_of on the collar profile a_of_u above."""
+    """gradbounds.G_of on the collar profile a_of_u above, as it was
+    before it took a at r + s itself below T = 0.51."""
     u = math.exp(-(r + s))
     av = a_of_u(u) if u < 1.0 else _a_closed(r + s)
     num = math.exp(-r) + math.exp(-3.0 * r) / 3.0
@@ -268,7 +298,7 @@ _ENVELOPES: dict[str, Callable[[float], float]] = {
 def h_integrand(variant: str) -> Callable[[float], float]:
     """sqrt(2 pi) / sqrt(1 + F(y^2)) for the envelope F of a variant of
     integral_H, at F's limit 0 where y^2 underflows; F_pair_by_factors
-    raises ZeroDivisionError where y^2 is inf."""
+    raises ZeroDivisionError where its series argument rounds to 1."""
     envelope = _ENVELOPES[variant]
 
     def f(y: float) -> float:

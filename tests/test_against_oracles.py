@@ -3,7 +3,10 @@
 The quarter-tree coset kernel against the full-tree kernel; the collar
 profile against its exact sum in mpmath, a_hat's stopping rule and its
 enclosure of the exact sum, and a_hat on both sides of its term cap;
-the saturating F_pair against the one that raised; the one-pass
+F_pair against the one that raised and against its factored form
+where it keeps the rounded series argument, and against its 50-digit
+value where it takes the radius sum from the lengths; G_of likewise
+against its former path and its 50-digit value; the one-pass
 brute-force cosets against the two-pass enumeration; and the
 scalar path under integral_H (collar series, envelope, Simpson rule)
 against the one that built a SeriesEval per collar profile, called
@@ -55,6 +58,31 @@ def _cases(n: int, seed: int) -> list[tuple[float, int]]:
 
 def _ulps(x: float, y: float) -> float:
     return abs(x - y) / math.ulp(x)
+
+
+_SINH_MAX_ARG = math.asinh(sys.float_info.max)
+
+
+def _round_trip(l_alpha: float, l_beta: float) -> bool:
+    """Whether F_pair takes a at -log of its rounded series argument u, as
+    it always did: where u is at most tanh^2 3. Its bits are unchanged
+    there; beyond, it takes a at the radius sum from the lengths."""
+    return math.tanh(0.25 * l_alpha) * math.tanh(0.25 * l_beta) <= gradbounds._NEAR_ONE
+
+
+def _assert_f_pair_within_budget(l_alpha: float, l_beta: float) -> None:
+    """F_pair beyond the round trip: inf where sinh(l_beta / 2) or the
+    50-digit value leaves the double range, and within 32 ulp of that
+    value elsewhere."""
+    got = F_pair(l_alpha, l_beta)
+    if not 0.5 * l_beta <= _SINH_MAX_ARG:
+        assert got == math.inf, (l_alpha, l_beta)
+        return
+    exact = oracles.F_exact(l_alpha, l_beta)
+    if exact > sys.float_info.max:
+        assert got == math.inf, (l_alpha, l_beta)
+    else:
+        assert abs(got - exact) <= 32.0 * math.ulp(float(exact)), (l_alpha, l_beta)
 
 
 def test_kernel_matches_full_tree():
@@ -199,24 +227,29 @@ _POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
 @settings(deadline=None, max_examples=300)
 def test_f_pair_unchanged_where_it_returned(l_alpha, l_beta):
     l_alpha, l_beta = sorted((l_alpha, l_beta))
+    if not _round_trip(l_alpha, l_beta):
+        _assert_f_pair_within_budget(l_alpha, l_beta)
+        return
     try:
         want = oracles.F_pair(l_alpha, l_beta)
-    except (ZeroDivisionError, OverflowError):
+    except OverflowError:
         assert F_pair(l_alpha, l_beta) >= 0.0
         return
     assert F_pair(l_alpha, l_beta) == want
 
 
-@given(ell=st.floats(min_value=30.0, max_value=1500.0))
+@given(ell=st.floats(min_value=1e-3, max_value=1500.0))
+@example(ell=12.0)
+@example(ell=math.nextafter(12.0, math.inf))
 @settings(deadline=None, max_examples=300)
 def test_f_pair_unchanged_on_the_diagonal(ell):
-    # the lengths where tanh(ell/4)^2 and sinh(ell/2) reach their limits
-    try:
-        want = oracles.F_pair(ell, ell)
-    except (ZeroDivisionError, OverflowError):
-        assert F_pair(ell, ell) >= 0.0
-        return
-    assert F_pair(ell, ell) == want
+    # up to t = 12, where tanh(ell/4)^2 reaches tanh^2 3, the former bits;
+    # beyond, where tanh(ell/4)^2 and sinh(ell/2) reach their limits, the
+    # budget
+    if _round_trip(ell, ell):
+        assert F_pair(ell, ell) == oracles.F_pair(ell, ell)
+    else:
+        _assert_f_pair_within_budget(ell, ell)
 
 
 @pytest.mark.parametrize("L", range(7))
@@ -405,18 +438,25 @@ def _same(x: float, y: float) -> bool:
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
+def _assert_factored(l_alpha: float, l_beta: float) -> None:
+    # the factored envelope's bits up to u = tanh^2 3, the budget beyond
+    if _round_trip(l_alpha, l_beta):
+        assert _same(F_pair(l_alpha, l_beta), oracles.F_pair_by_factors(l_alpha, l_beta)), (l_alpha, l_beta)
+    else:
+        _assert_f_pair_within_budget(l_alpha, l_beta)
+
+
 def test_f_pair_matches_factored_envelope():
     lengths = sorted(_LENGTH_GRID)
     for i, la in enumerate(lengths):
         for lb in lengths[i::3] + [la]:
-            assert _same(F_pair(la, lb), oracles.F_pair_by_factors(la, lb)), (la, lb)
+            _assert_factored(la, lb)
 
 
 @given(l_alpha=_POSITIVE, l_beta=_POSITIVE, diagonal=st.booleans())
 @settings(deadline=None, max_examples=300)
 def test_f_pair_matches_factored_envelope_on_draws(l_alpha, l_beta, diagonal):
-    l_alpha, l_beta = sorted((l_alpha, l_alpha if diagonal else l_beta))
-    assert _same(F_pair(l_alpha, l_beta), oracles.F_pair_by_factors(l_alpha, l_beta))
+    _assert_factored(*sorted((l_alpha, l_alpha if diagonal else l_beta)))
 
 
 def _perfbench_workloads():
@@ -470,14 +510,16 @@ def test_integral_h_matches_former_scalar_path(monkeypatch):
 
 
 # Lengths t = y^2 at which the H integrands change branch: the collar
-# profile's switch to its closed form (tanh(t/4)^2 = _A_SERIES_UMAX) and
-# saturation (tanh(t/4)^2 rounds to 1) for t and t/2, the systole kink at
+# profile's switch to its closed form (tanh(t/4)^2 = _A_SERIES_UMAX), F_pair's
+# switch to the radius sum from the lengths (tanh(t/4)^2 = tanh^2 3) and
+# where tanh(t/4)^2 rounds to 1, each for t and t/2; the systole kink at
 # L0, l = 700 for t, t/2 and r_sys(t) = t/4, sinh(t/2) and sinh(t/4)
 # overflowing, the flat points, and t and t/2 underflowing to 0.
-_SINH_MAX_ARG = math.asinh(1.7976931348623157e308)
 _T_EDGES = [
     4.0 * math.atanh(math.sqrt(_A_SERIES_UMAX)),
     8.0 * math.atanh(math.sqrt(_A_SERIES_UMAX)),
+    12.0,
+    24.0,
     76.2462,
     152.4924,
     gradbounds.L0,
@@ -494,15 +536,29 @@ _T_EDGES = [
 ]
 
 
+def _assert_integrand(variant: str, y: float) -> None:
+    """The module-level integrand against the layered one, bit for bit
+    where the envelope is unchanged. Where F_pair takes a at the radius
+    sum, it is the layered formula on F_pair, and F_pair is within its
+    budget."""
+    got = integrals._VARIANTS[variant](y)
+    if variant != "systole":
+        t = integrals._SCALES[variant] * (y * y)
+        if t > 0.0 and not _round_trip(t, t):
+            assert got == integrals.SQRT_2PI / math.sqrt(1.0 + F_pair(t, t)), (variant, y)
+            _assert_f_pair_within_budget(t, t)
+            return
+    assert got == oracles.h_integrand(variant)(y), (variant, y)
+
+
 @pytest.mark.parametrize("variant", sorted(integrals._VARIANTS))
 def test_integrands_match_the_layered_ones_at_branch_edges(variant):
-    got, want = integrals._VARIANTS[variant], oracles.h_integrand(variant)
     for t in _T_EDGES:
         y = math.sqrt(t)
         for _ in range(64):
             y = math.nextafter(y, 0.0)
         for _ in range(129):
-            assert got(y) == want(y), (t, y)
+            _assert_integrand(variant, y)
             y = math.nextafter(y, math.inf)
 
 
@@ -512,21 +568,27 @@ def test_integrands_match_the_layered_ones_at_branch_edges(variant):
 )
 @settings(deadline=None, max_examples=600)
 def test_integrands_match_the_layered_ones_on_draws(y, variant):
-    got = integrals._VARIANTS[variant](y)
-    try:
-        want = oracles.h_integrand(variant)(y)
-    except ZeroDivisionError:
-        # F_pair_by_factors where y^2 is inf; F_pair is inf there
-        assert y * y == math.inf and got == 0.0
-        return
-    assert got == want
+    _assert_integrand(variant, y)
 
 
 @given(r=st.floats(min_value=0.0, exclude_min=True))
+@example(r=0.255)
+@example(r=math.nextafter(0.255, 0.0))
 @settings(deadline=None, max_examples=300)
 def test_systole_envelope_matches_the_former_path(r):
-    # G_of(r, r) on the straight-line collar series, and r_sys without max
-    assert gradbounds.G_of(r, r) == oracles.G_of(r, r)
+    # G_of(r, r) on the straight-line collar series where r + r is at
+    # least 0.51; below, where it takes a at r + r itself, within 32 ulp
+    # of its 50-digit value, or inf where that leaves the double range.
+    # And r_sys without max.
+    got = gradbounds.G_of(r, r)
+    if r + r >= 0.51:
+        assert got == oracles.G_of(r, r)
+    else:
+        exact = oracles.G_exact(r, r)
+        if exact > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert abs(got - exact) <= 32.0 * math.ulp(float(exact))
     assert gradbounds.r_sys(r) == oracles.r_sys(r)
 
 

@@ -4,7 +4,9 @@ constants it pins.
 perfbench/ loads wpstrata through module attributes, and its tracer
 skips a name it cannot find, so a renamed or removed name would first
 show as a broken or silently empty benchmark run. These tests load its
-two library-facing modules by path and check every such name here.
+two library-facing modules by path and check every such name here,
+and that each H integrand reaches its envelope and the collar series
+through the names the tracer patches.
 
 The constants workload holds every record to the seed commit's output:
 bare values bit for bit, enclosures meeting, statuses equal. A changed
@@ -61,6 +63,27 @@ def test_microbenchmark_names(layers):
     toruscoset.grad_sq_bracket(1.0, 2)
     integrals.integral_H(0.0, 4.0 * gradbounds.EPS2, "plain", 1e-6)
 
+
+
+@pytest.mark.parametrize("variant", sorted(integrals._VARIANTS))
+def test_integrands_run_through_the_traced_names(variant, monkeypatch):
+    # perfbench's tracer and its wrong-envelope test patch
+    # gradbounds._a_of_u, integrals.F_pair and integrals.G_of; an integrand
+    # that reached the collar series or its envelope by another route
+    # would hide from both
+    integrand = integrals._VARIANTS[variant]
+    envelope = "G_of" if variant == "systole" else "F_pair"
+    for y in (0.5, 2.0, 3.4):  # y^2 <= 12
+        value = integrand(y)
+        with monkeypatch.context() as m:
+            a_of_u = gradbounds._a_of_u
+            m.setattr(gradbounds, "_a_of_u", lambda u: a_of_u(u) * (1.0 + 1e-8))
+            assert integrand(y) != value, (variant, y)
+        with monkeypatch.context() as m:
+            calls = []
+            f = getattr(integrals, envelope)
+            m.setattr(integrals, envelope, lambda *args: calls.append(args) or f(*args))
+            assert integrand(y) == value and len(calls) == 1, (variant, y)
 
 
 def test_constants_keep_the_seed_records():

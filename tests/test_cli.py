@@ -19,9 +19,9 @@ import pytest
 import wpstrata
 from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
-from wpstrata.gradbounds import u_factor, v_factor
+from wpstrata.gradbounds import u_factor
 from wpstrata.integrals import c_ratio, integral_H, integral_K
-from wpstrata.riera import _a_of_u, a_of_T, a_stable
+from wpstrata.riera import a_of_T, a_stable
 
 EXPECTED_NAMES = [
     "delta11_elementary",
@@ -407,13 +407,15 @@ class TestGridChecks:
     @pytest.mark.parametrize("size", [200, 60])
     def test_f_pair_is_the_factor_product(self, size):
         # The proof bounds the factors F_pair is built from; on the grids
-        # the sampled checks ran, F_pair is their product to a few ulps.
+        # the sampled checks ran, F_pair is at most their product as the
+        # proof pads it, at the one-point box (z, w). Raising u by 2^-48
+        # covers the rounding of the tanh product, which F_pair avoids
+        # where it takes the radius sum from the lengths (u above tanh^2 3).
         zs = np.logspace(-4.0, math.log10(40.0), size).tolist()
         for i, z in enumerate(zs):
             for w in zs[i:]:
-                u = math.tanh(0.25 * z) * math.tanh(0.25 * w)
-                product = _a_of_u(u) * u_factor(z) * v_factor(w) * math.sinh(0.5 * z) * math.sinh(0.5 * w) ** 2
-                assert cli.F_pair(z, w) <= product * (1.0 + 8.0 * 2.0**-52), (z, w)
+                bound = cli._envelope_ratio_bound(z, z, w, w) * math.sinh(0.5 * z) * math.sinh(0.5 * w) ** 2
+                assert cli.F_pair(z, w) <= bound, (z, w)
 
     def test_factors_are_monotone(self):
         # In 60 digits on dense grids: a(T) = a_hat(e^-T) falls in T over

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -287,52 +288,60 @@ class TestSystoleRadius:
 
 
 class TestUlpBudget:
-    """The envelopes against 50-digit mpmath closed forms written from
-    their definitions, here and in oracles.a_exact, on the lengths that
-    h-sweep and constants evaluate, t in [1e-3, 12]. Each is within 32
-    ulp; over 20,000
-    log-spaced t the largest errors are 21.4 (F_pair(t, t)), 20.4
-    (F_pair(t/2, t/2)), 17.1 (G_of(r, r), r = r_sys(t)), 2.4 (r_sys), 4.4
-    (u_factor) and 3.3 ulp (v_factor). The grid stops well below D12's
-    range, t above about 16.6, where F_pair takes its combined radius
-    from a product of tanh within ulps of 1."""
+    """The envelopes and the factors they are built from against 50-digit
+    mpmath closed forms written from their definitions, here and in
+    oracles.F_exact, G_exact and a_exact. F_pair is within 32 ulp on
+    (t, t), (t/2, t/2) and (t/2, t) for t in [1e-3, 1420], wherever it is
+    finite, and inf exactly where the exact value leaves the double range
+    (from t of about 1410 on (t, t)). G_of(r, r) is within 32 ulp for r in
+    [1e-15, 40], on both sides of riera's switch at r + r = 0.51. r_sys,
+    u_factor and v_factor are within 32 ulp for t in [1e-3, 12]. Over
+    10,000 log-spaced t or r the largest errors are 17.5 (F_pair(t, t)),
+    26.7 (F_pair(t/2, t/2)), 19.5 (F_pair(t/2, t)) and 15.3 ulp (G_of);
+    over 20,000 t in [1e-3, 12], 2.4 (r_sys), 4.4 (u_factor) and 3.3 ulp
+    (v_factor)."""
 
     @staticmethod
-    def _r_simple(ell):
-        return mpmath.asinh(1 / mpmath.sinh(ell / 2))
+    def _ulps(got, exact):
+        return float(abs(got - exact) / math.ulp(float(exact)))
 
-    @staticmethod
-    def _u(ell):
-        c = mpmath.cosh(ell / 2)
-        return (2 * c + 1) / (3 * (c + 1) ** 2)
+    def test_f_pair_within_32_ulp_where_finite(self):
+        ts = np.geomspace(1e-3, 1420.0, 160).tolist() + [11.99, 12.0, 12.01, 23.99, 24.0, 24.01, 76.2462]
+        worst = dict.fromkeys(["(t, t)", "(t/2, t/2)", "(t/2, t)"], 0.0)
+        for t in ts:
+            for name, (la, lb) in (("(t, t)", (t, t)), ("(t/2, t/2)", (t / 2, t / 2)), ("(t/2, t)", (t / 2, t))):
+                got, exact = F_pair(la, lb), oracles.F_exact(la, lb)
+                if exact > sys.float_info.max:
+                    assert got == math.inf, (name, t)
+                else:
+                    worst[name] = max(worst[name], self._ulps(got, exact))
+        assert all(w <= 32.0 for w in worst.values()), worst
 
-    @staticmethod
-    def _v(ell):
-        return 1 / (mpmath.atan(1 / mpmath.sinh(ell / 2)) * mpmath.cosh(ell / 2) ** 2 + mpmath.sinh(ell / 2))
-
-    def _F(self, ell):
-        # a(r_a + r_b) u(l_a) v(l_b) sinh(l_a/2) sinh^2(l_b/2) on the diagonal
-        return oracles.a_exact(2 * self._r_simple(ell)) * self._u(ell) * self._v(ell) * mpmath.sinh(ell / 2) ** 3
-
-    def _G(self, r):
-        area = 2 * mpmath.atan(mpmath.sinh(r)) * mpmath.cosh(r) ** 2 + 2 * mpmath.sinh(r)
-        return oracles.a_exact(2 * r) * (mpmath.exp(-r) + mpmath.exp(-3 * r) / 3) / area
+    def test_g_of_within_32_ulp(self):
+        rs = np.geomspace(1e-15, 40.0, 160).tolist() + [0.25, 0.255, math.nextafter(0.255, 0.0), 0.26]
+        assert min(r + r for r in rs) < 0.51 < max(r + r for r in rs)
+        worst = max(self._ulps(G_of(r, r), oracles.G_exact(r, r)) for r in rs)
+        assert worst <= 32.0, worst
 
     def test_within_32_ulp_on_the_production_range(self):
-        def ulps(got, exact):
-            return float(abs(got - exact) / math.ulp(float(exact)))
+        def r_simple(ell):
+            return mpmath.asinh(1 / mpmath.sinh(ell / 2))
 
-        worst = dict.fromkeys(["F(t, t)", "F(t/2, t/2)", "G(r, r)", "r_sys", "u_factor", "v_factor"], 0.0)
+        def uf(ell):
+            c = mpmath.cosh(ell / 2)
+            return (2 * c + 1) / (3 * (c + 1) ** 2)
+
+        def vf(ell):
+            return 1 / (mpmath.atan(1 / mpmath.sinh(ell / 2)) * mpmath.cosh(ell / 2) ** 2 + mpmath.sinh(ell / 2))
+
+        worst = dict.fromkeys(["r_sys", "u_factor", "v_factor"], 0.0)
         with mpmath.workdps(50):
             for t in np.geomspace(1e-3, 12.0, 200).tolist():
-                T, r = mpmath.mpf(t), r_sys(t)
+                T = mpmath.mpf(t)
                 for name, err in (
-                    ("F(t, t)", ulps(F_pair(t, t), self._F(T))),
-                    ("F(t/2, t/2)", ulps(F_pair(t / 2, t / 2), self._F(T / 2))),
-                    ("G(r, r)", ulps(G_of(r, r), self._G(mpmath.mpf(r)))),
-                    ("r_sys", ulps(r, max(T / 4, self._r_simple(T)))),
-                    ("u_factor", ulps(u_factor(t), self._u(T))),
-                    ("v_factor", ulps(v_factor(t), self._v(T))),
+                    ("r_sys", self._ulps(r_sys(t), max(T / 4, r_simple(T)))),
+                    ("u_factor", self._ulps(u_factor(t), uf(T))),
+                    ("v_factor", self._ulps(v_factor(t), vf(T))),
                 ):
                     worst[name] = max(worst[name], err)
         assert all(w <= 32.0 for w in worst.values()), worst

@@ -7,7 +7,9 @@ import math
 import time
 import weakref
 
+import mpmath
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -380,9 +382,35 @@ class TestIntegralH:
         assert (br.lo, br.hi) == (lo, hi)
 
     def test_bits_at_the_flat_point(self):
-        # frozen before the range was ended there
+        # recorded once F_pair took a at the radius sum past t = 12; the
+        # bracket contains H(0, 1421) = 5.33989811986670085978969861168, a
+        # 60-digit mp.quad of the integrand on oracles.F_exact
         br = integral_H(0.0, 1421.0, "plain")
-        assert (br.lo, br.hi) == (5.339898118491281, 5.3398981249636925)
+        assert (br.lo, br.hi) == (5.339898118483728, 5.33989812495697)
+        assert br.contains(5.339898119866701)
+
+    @staticmethod
+    def _plain_exact(b: float) -> float:
+        # H(0, b) by a 60-digit mp.quad in y of the integrand on F_pair's
+        # definition, oracles.F_exact
+        with mpmath.workdps(60):
+
+            def g(y):
+                t = y * y
+                return mpmath.sqrt(2 * mpmath.pi / (1 + oracles.F_exact(t, t, 60))) if t else mpmath.sqrt(2 * mpmath.pi)
+
+            return float(mpmath.quad(g, [0, 1, 2, 3, 4, 6, mpmath.sqrt(b)]))
+
+    def test_long_range_at_tol_1e_11_contains_its_value(self):
+        # ROADMAP D12: the bracket missed 5.3398981198650315 by 1.7e-12
+        # while F_pair took a at -log of a tanh product within ulps of 1
+        assert integral_H(0.0, 100.0, "plain", 1e-11).contains(5.3398981198650315)
+
+    @pytest.mark.parametrize("b", [80.0, 100.0])
+    def test_long_range_at_tol_1e_12_returns_its_value(self, b):
+        # ROADMAP D12: these raised ConvergenceError on F_pair's steps
+        br = integral_H(0.0, b, "plain", 1e-12)
+        assert br.width <= 1e-12 and br.contains(self._plain_exact(b))
 
     def test_known_miss_below_the_flat_point(self):
         # ROADMAP D9: H(0, 2000) >= H(0, 1000), yet the two brackets are
@@ -518,10 +546,13 @@ class TestSeparatingRoutes:
 
     @pytest.mark.parametrize("route", [W1, W2])
     @pytest.mark.parametrize("length", [1e-300, 1000.0])
-    def test_tight_tol_on_a_long_leg_raises(self, route, length):
-        # the second leg at 1e-300, the first at 1000, is long
-        with pytest.raises(ConvergenceError):
-            route(length, 1e-12)
+    def test_tight_tol_on_a_long_leg_returns(self, route, length):
+        # the second leg at 1e-300, the first at 1000, is long; both
+        # raised ConvergenceError while F_pair stepped there (ROADMAP D12).
+        # The quadrature's share is within tol; the series slack of the
+        # long legs, 8e-13 on each side at 1e-300, comes on top.
+        br = route(length, 1e-12)
+        assert _finite(br) and br.width - 2.0 * br.error_budget["series_tail"] <= 1e-12
 
     def test_tight_tol_at_the_route_length_returns(self):
         br = W1(W1_LENGTH, 1e-12)
@@ -705,11 +736,8 @@ class TestTotality:
     )
     @settings(deadline=None, max_examples=20)
     def test_separating_routes_at_any_tol(self, route, length, tol):
-        # ConvergenceError where tol is too tight for a long leg
-        try:
-            br = route(length, tol)
-        except ConvergenceError:
-            return
+        # every leg reaches tol from 1e-12 on
+        br = route(length, tol)
         assert _finite(br) and br.lo > 0.0
 
     @given(t=st.floats(), tol=_TOLS)
