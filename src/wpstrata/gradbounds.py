@@ -35,9 +35,8 @@ _NEAR_ONE = math.tanh(3.0) ** 2
 
 
 def _csch(x: float) -> float:
-    # 1/sinh, safe against overflow of sinh for large x. inf where x
-    # underflowed to 0, the limit as x -> 0+ (1/sinh of a tiny
-    # subnormal is already inf).
+    # 1/sinh, safe against overflow of sinh for large x; inf, the limit as
+    # x -> 0+, where x is 0 or a subnormal so small that 1/sinh overflows.
     if x > 350.0:
         e = math.exp(-x)
         return 2.0 * e / (1.0 - e * e)
@@ -52,32 +51,37 @@ def collar_radius_simple(ell: float) -> float:
 
     Self-dual in the sense collar_radius_simple(2 *
     collar_radius_simple(ell)) == ell / 2; the fixed point of that
-    pairing is ell = 2 arcsinh(1).
+    pairing is ell = 2 arcsinh(1). Where 1 / sinh(ell / 2) overflows
+    (ell below about 1.1e-308) it is log 4 - log ell. Within 32 ulp
+    wherever the exact value is a normal double.
     """
     if not ell > 0.0:
         raise ValueError("length must be positive")
-    return math.asinh(_csch(0.5 * ell))
+    c = _csch(0.5 * ell)
+    return math.asinh(c) if c < math.inf else math.log(4.0) - math.log(ell)
 
 
 def collar_radius_separating(ell: float) -> float:
     """Collar half-width 2 arcsinh(1 / sinh(ell / 4)) of a separating
-    curve, never below the simple one."""
+    curve, never below the simple one, and 2 (log 8 - log ell) where
+    1 / sinh(ell / 4) overflows. Within 32 ulp wherever the exact value
+    is a normal double."""
     if not ell > 0.0:
         raise ValueError("length must be positive")
-    return 2.0 * math.asinh(_csch(0.25 * ell))
+    c = _csch(0.25 * ell)
+    return 2.0 * (math.asinh(c) if c < math.inf else math.log(8.0) - math.log(ell))
 
 
 def u_factor(ell: float) -> float:
     """Decay factor (2 cosh(ell/2) + 1) / (3 (cosh(ell/2) + 1)^2).
 
     Equals 1/4 at ell = 0, strictly decreasing, below (4/3) e^(-ell/2).
-    Within 32 ulp of the exact value for ell in [1e-3, 12].
+    Within 32 ulp wherever the exact value is a normal double.
     """
     if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
     if ell > 700.0:
-        # (c + 1)^2 would overflow; relative error ~ 3 e^-(ell/2) here,
-        # beneath double precision.
+        # (c + 1)^2 would overflow; the relative error 3 e^-(ell/2) is below eps
         return (4.0 / 3.0) * math.exp(-0.5 * ell)
     c = math.cosh(0.5 * ell)
     return (2.0 * c + 1.0) / (3.0 * (c + 1.0) ** 2)
@@ -87,7 +91,7 @@ def v_factor(ell: float) -> float:
     """Decay factor 1 / (arctan(csch(ell/2)) cosh^2(ell/2) + sinh(ell/2)).
 
     Tends to 2/pi as ell -> 0, strictly decreasing, below e^(-ell/2).
-    Within 32 ulp of the exact value for ell in [1e-3, 12].
+    Within 32 ulp wherever the exact value is a normal double.
     """
     if not ell >= 0.0:
         raise ValueError("length must be nonnegative")
@@ -110,7 +114,8 @@ def G_of(r: float, s: float) -> float:
     T = r + s itself below riera's switch point T = 0.51, where its series
     argument e^-T is close to 1, and at e^-T from there on; it and G grow
     without bound as r + s -> 0 and saturate to inf once
-    1 / tanh((r + s) / 2) overflows. Within 32 ulp at r = s in [1e-15, 40].
+    1 / tanh((r + s) / 2) overflows. Within 32 ulp wherever the exact
+    value is a normal double and e^-r is (r below about 708).
     """
     if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")
@@ -125,27 +130,24 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
 
     Equals a(r_a + r_b) u_factor(l_alpha) v_factor(l_beta)
     sinh(l_alpha/2) sinh^2(l_beta/2) with r the simple collar radii,
-    and agrees with G_of(r_a, r_b) to working precision. The combined
-    radius enters through its series argument e^-(r_a + r_b) =
-    tanh(l_alpha/4) tanh(l_beta/4), which avoids the inverse solve
-    entirely. Where that product is close to 1, above tanh^2 3 (beyond
-    t = 12 on the diagonal), a is taken at the exact radius sum
-    T = 2 atanh(e^-(l_alpha/2)) + 2 atanh(e^-(l_beta/2)) instead, and
-    each decay factor is paired with its sinh (products near 2/3 and
-    1/2), so that subnormal factors cannot underflow the product.
-    Within 32 ulp of the exact value on (t, t), (t/2, t/2) and (t/2, t)
-    for t in [1e-3, 1420].
-
-    Where sinh(l_beta/2) leaves the double range (l_beta above about
-    1421, or inf) the value is inf, so an integrand 1 / sqrt(1 + F) is exactly
-    0; F is past 1e300 well before that.
+    and agrees with G_of(r_a, r_b) to working precision. a is taken at
+    the series argument e^-(r_a + r_b) = tanh(l_alpha/4) tanh(l_beta/4),
+    which avoids the inverse solve, up to tanh^2 3 (t = 12 on the
+    diagonal), and at the exact radius sum T = 2 atanh(e^-(l_alpha/2)) +
+    2 atanh(e^-(l_beta/2)) beyond. The diagonal below tanh^2 3, the pair
+    the H integrands evaluate, writes both decay factors out on one
+    cosh; every other pair pairs each factor with its sinh (products
+    below 2/3 and 1/2), so no partial product leaves the normal range
+    before the value does. Within 32 ulp wherever the exact value is a
+    normal double and l_alpha/2 is one too; inf where sinh(l_beta/2)
+    overflows (l_beta above about 1421, or inf), so an integrand
+    1 / sqrt(1 + F) is exactly 0.
     """
     if not (l_alpha > 0.0 and l_beta > 0.0):
         raise ValueError("lengths must be positive")
     if l_alpha > l_beta:
         raise ValueError("requires l_alpha <= l_beta")
-    # Each hyperbolic function of a length is taken once; on the
-    # diagonal the second length reuses the first one's.
+    # On the diagonal the second length reuses the first one's sinh.
     same = l_alpha == l_beta
     try:
         sa = math.sinh(0.5 * l_alpha)
@@ -156,19 +158,16 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
         return math.inf
     ta = math.tanh(0.25 * l_alpha)
     u = ta * ta if same else ta * math.tanh(0.25 * l_beta)
-    if u > _NEAR_ONE:
-        T = 2.0 * (math.atanh(math.exp(-0.5 * l_alpha)) + math.atanh(math.exp(-0.5 * l_beta)))
-        return _a_closed(T) * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
-    # u_factor and v_factor by their formulas on the cosh above (l_alpha <= 12
-    # here); v_factor's own branches for l_beta past 700 or l_beta / 2 at 0.
-    ca = math.cosh(0.5 * l_alpha)
-    uf = (2.0 * ca + 1.0) / (3.0 * (ca + 1.0) ** 2)
-    if sb != 0.0 and l_beta <= 700.0:
-        cb = ca if same else math.cosh(0.5 * l_beta)
-        vf = 1.0 / (math.atan(1.0 / sb) * cb * cb + sb)
+    if u <= _NEAR_ONE:
+        if same and sa != 0.0:  # l_alpha = l_beta <= 12, and 1 / sa defined
+            c = math.cosh(0.5 * l_alpha)
+            uf = (2.0 * c + 1.0) / (3.0 * (c + 1.0) ** 2)
+            vf = 1.0 / (math.atan(1.0 / sa) * c * c + sa)
+            return _a_of_u(u) * uf * vf * sa * sa * sa
+        a = _a_of_u(u)
     else:
-        vf = v_factor(l_beta)
-    return _a_of_u(u) * uf * vf * sa * sb * sb
+        a = _a_closed(2.0 * (math.atanh(math.exp(-0.5 * l_alpha)) + math.atanh(math.exp(-0.5 * l_beta))))
+    return a * (u_factor(l_alpha) * sa) * (v_factor(l_beta) * sb) * sb
 
 
 def grad_sq_upper_single(ell: float) -> float:
@@ -219,8 +218,8 @@ def r_sys(t: float) -> float:
 
     max(t / 4, collar_radius_simple(t)): the simple branch wins below
     L0, the linear branch above, and the function has its one local
-    minimum at the crossing. Within 32 ulp of the exact value for t in
-    [1e-3, 12].
+    minimum at the crossing. Within 32 ulp wherever the exact value is a
+    normal double, as collar_radius_simple is.
     """
     # collar_radius_simple checks t; t / 4 on a tie, as max gives
     q = 0.25 * t
@@ -234,8 +233,8 @@ def grad_sq_upper_systole(ell: float) -> float:
     Valid when ell is the systole. The envelope term peaks at L0 and
     dies off in both directions, so the bound approaches the universal
     lower bound 2 ell / pi at both ends. It is exactly 2 ell / pi below
-    about 1.1e-308, where the collar radius 1 / sinh(ell / 2) overflows
-    to inf and G_of(inf, inf) is 0.
+    about 1e-5, where 1 + G_of(r, r) rounds to 1; G_of is 0 once the
+    collar area saturates past r = 700 (ell below about 4e-304).
     """
     if not ell > 0.0:
         raise ValueError("length must be positive")

@@ -208,11 +208,11 @@ def a_stable(T: float) -> float:
     """Collar profile a(T) over the full range of T.
 
     Below the switch point T = 0.51 the closed form at T itself, so
-    arbitrarily small positive T stays cheap and accurate (within 8 ulp
-    of the exact profile, 6.4 at most over 40,000 T in [1e-16, 0.51]);
-    it is inf once the logarithmic blowup overflows (T under about
-    1.1e-308). From there on the series at u = e^-T, bit for bit as
-    a_of_T. Raises ValueError unless T > 0.
+    arbitrarily small positive T stays cheap and accurate; from there on
+    the series at u = e^-T, bit for bit as a_of_T. Within 32 ulp
+    wherever the exact value is a normal double, except below T of about
+    1.1e-308: there coth(T/2) overflows and the value is inf, although
+    a(T) is about 1417. Raises ValueError unless T > 0.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")

@@ -87,10 +87,20 @@ def test_integrands_run_through_the_traced_names(variant, monkeypatch):
 
 
 def test_constants_keep_the_seed_records():
+    # the workload's own check, and two it leaves out: the records in the
+    # seed's order, and each bare seed record (lo = hi) still bare and the
+    # seed's value bit for bit
     constants = _load("workloads").WORKLOADS["constants"]
-    verdict, widths = constants.summary(None, constants.op(None))
+    out = constants.op(None)
+    verdict, widths = constants.summary(None, out)
     assert verdict == "ok"
     assert len(widths) == len(constants.WIDTH_RECORDS)
+    records = out[0]
+    assert [r.name for r in records] == list(constants.SEED)
+    for r in records:
+        _, lo, hi = constants.SEED[r.name]
+        if lo == hi:
+            assert r.lo == r.hi == lo, r.name
 
 
 # (a, b, variant, tol) -> lo, hi and error budget, recorded at commit
