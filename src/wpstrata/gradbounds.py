@@ -46,30 +46,31 @@ def _csch(x: float) -> float:
         return math.inf
 
 
+def _asinh_csch(ell: float, k: float) -> float:
+    # arcsinh(1 / sinh(ell / k)), or log 2k - log ell where 1 / sinh
+    # overflows: from ell itself, as a subnormal ell / k may have rounded.
+    if not ell > 0.0:
+        raise ValueError("length must be positive")
+    c = _csch(ell / k)
+    return math.asinh(c) if c < math.inf else math.log(2.0 * k) - math.log(ell)
+
+
 def collar_radius_simple(ell: float) -> float:
     """Embedded collar half-width arcsinh(1 / sinh(ell / 2)).
 
-    Self-dual in the sense collar_radius_simple(2 *
-    collar_radius_simple(ell)) == ell / 2; the fixed point of that
-    pairing is ell = 2 arcsinh(1). Where 1 / sinh(ell / 2) overflows
-    (ell below about 1.1e-308) it is log 4 - log ell. Within 32 ulp
-    wherever the exact value is a normal double.
+    Self-dual: collar_radius_simple(2 * collar_radius_simple(ell)) ==
+    ell / 2, fixed at ell = 2 arcsinh(1). log 4 - log ell below about
+    1.1e-308, where 1 / sinh(ell / 2) overflows. Within 32 ulp wherever
+    the exact value is a normal double.
     """
-    if not ell > 0.0:
-        raise ValueError("length must be positive")
-    c = _csch(0.5 * ell)
-    return math.asinh(c) if c < math.inf else math.log(4.0) - math.log(ell)
+    return _asinh_csch(ell, 2.0)
 
 
 def collar_radius_separating(ell: float) -> float:
     """Collar half-width 2 arcsinh(1 / sinh(ell / 4)) of a separating
-    curve, never below the simple one, and 2 (log 8 - log ell) where
-    1 / sinh(ell / 4) overflows. Within 32 ulp wherever the exact value
-    is a normal double."""
-    if not ell > 0.0:
-        raise ValueError("length must be positive")
-    c = _csch(0.25 * ell)
-    return 2.0 * (math.asinh(c) if c < math.inf else math.log(8.0) - math.log(ell))
+    curve, never below the simple one; 2 (log 8 - log ell) where 1 /
+    sinh(ell / 4) overflows. Within 32 ulp as collar_radius_simple."""
+    return 2.0 * _asinh_csch(ell, 4.0)
 
 
 def u_factor(ell: float) -> float:
@@ -138,10 +139,9 @@ def F_pair(l_alpha: float, l_beta: float) -> float:
     the H integrands evaluate, writes both decay factors out on one
     cosh; every other pair pairs each factor with its sinh (products
     below 2/3 and 1/2), so no partial product leaves the normal range
-    before the value does. Within 32 ulp wherever the exact value is a
-    normal double and l_alpha/2 is one too; inf where sinh(l_beta/2)
-    overflows (l_beta above about 1421, or inf), so an integrand
-    1 / sqrt(1 + F) is exactly 0.
+    before the value does. Within 32 ulp wherever the exact value and
+    l_alpha/2 are normal doubles; inf where sinh(l_beta/2) overflows
+    (l_beta above about 1421, or inf), so 1 / sqrt(1 + F) is exactly 0.
     """
     if not (l_alpha > 0.0 and l_beta > 0.0):
         raise ValueError("lengths must be positive")

@@ -417,8 +417,8 @@ def c_ratio(t: float, tol: float = 1e-7) -> float:
 def _route(length: float, other: float, tol: float) -> Bracket:
     # H_sep(0, length) + H_sep(0, other), each leg to tol / 2. The second
     # leg underflows to 0 past a length of about 2980 and adds nothing;
-    # it is inf below about 2.2e-308, where csch(length / 4) overflows,
-    # and then taken at the flat point, as integral_H takes any longer leg.
+    # below about 2.2e-308 it is 4 x 1421 or more, past the flat point,
+    # and is taken there, as integral_H takes any longer leg.
     first = integral_H(0.0, length, "separating", 0.5 * tol)
     if other == 0.0:
         return first

@@ -457,12 +457,14 @@ def _assert_factored(l_alpha: float, l_beta: float) -> None:
 
 
 def test_f_pair_matches_factored_envelope():
-    # each length on the diagonal, and every 16th pair above it: each pair
-    # off the diagonal costs a 50-digit evaluation
+    # each length on the diagonal; above it every 3rd pair past tanh^2 3,
+    # and every 16th pair below it, where each pair also costs a 50-digit
+    # evaluation now that only the diagonal keeps its bits
     lengths = sorted(_LENGTH_GRID)
     for i, la in enumerate(lengths):
-        for lb in lengths[i::16] + [la]:
-            _assert_factored(la, lb)
+        for j, lb in enumerate(lengths[i:]):
+            if j % (16 if _round_trip(la, lb) else 3) == 0:
+                _assert_factored(la, lb)
     for la, lb in _OFF_DIAGONAL_UNDERFLOWS:
         _assert_factored(la, lb)
 

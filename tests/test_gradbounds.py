@@ -358,7 +358,13 @@ class TestUlpBudget:
             collar_radius_separating: lambda ell: 2 * mpmath.asinh(1 / mpmath.sinh(ell / 4)),
             r_sys: lambda t: max(t / 4, r_simple(t)),
         }
-        lengths = np.geomspace(1e-320, 1e4, 200).tolist() + [5e-324, 1e-308, 2.2e-308, 1e-3, 12.0]
+        # dense on the production range [1e-3, 12], where r_sys crosses at
+        # L0; sparse over the rest of (0, 1e4], with the subnormal edges
+        lengths = (
+            np.geomspace(1e-3, 12.0, 200).tolist()
+            + np.geomspace(1e-320, 1e4, 200).tolist()
+            + [5e-324, 1e-308, 2.2e-308]
+        )
         worst = {}
         with mpmath.workdps(50):
             for t in lengths:
