@@ -114,9 +114,8 @@ def G_of(r: float, s: float) -> float:
     underflowing exponentials make far tails exact zeros. a is taken at
     T = r + s itself below riera's switch point T = 0.51, where its series
     argument e^-T is close to 1, and at e^-T from there on; it and G grow
-    without bound as r + s -> 0 and saturate to inf once
-    1 / tanh((r + s) / 2) overflows. Within 32 ulp wherever the exact
-    value is a normal double and e^-r is (r below about 708).
+    without bound as r + s -> 0. Within 32 ulp wherever the exact value
+    is a normal double and e^-r is (r below about 708).
     """
     if not (r > 0.0 and s > 0.0):
         raise ValueError("collar radii must be positive")

@@ -142,13 +142,15 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
 
 def _a_closed(T: float) -> float:
     # e^(2T) R(cosh T); cancellation-free only for small T, where
-    # log(coth(T/2)) is large. inf once coth(T/2) overflows, and where
-    # T/2 underflows to 0.
+    # log(coth(T/2)) is large. That log is log 2 - log T where coth(T/2)
+    # overflows or T/2 underflows to 0 (T below about 1.1e-308), from T
+    # itself, as for the collar radii.
     try:
         coth = 1.0 / math.tanh(0.5 * T)
     except ZeroDivisionError:
-        return math.inf
-    return math.exp(2.0 * T) * (2.0 * math.cosh(T) * math.log(coth) - 2.0)
+        coth = math.inf
+    log_coth = math.log(coth) if coth < math.inf else math.log(2.0) - math.log(T)
+    return math.exp(2.0 * T) * (2.0 * math.cosh(T) * log_coth - 2.0)
 
 
 def _a_of_u_source() -> str:
@@ -210,9 +212,8 @@ def a_stable(T: float) -> float:
     Below the switch point T = 0.51 the closed form at T itself, so
     arbitrarily small positive T stays cheap and accurate; from there on
     the series at u = e^-T, bit for bit as a_of_T. Within 32 ulp
-    wherever the exact value is a normal double, except below T of about
-    1.1e-308: there coth(T/2) overflows and the value is inf, although
-    a(T) is about 1417. Raises ValueError unless T > 0.
+    wherever the exact value is a normal double, down to the least
+    subnormal T, where a(T) is about 1488. Raises ValueError unless T > 0.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")

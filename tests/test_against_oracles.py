@@ -676,9 +676,9 @@ def test_c_min_is_the_least_ratio_on_its_grid(tol):
 
 
 def test_c_min_bound_is_under_the_ratio():
-    for t in cli._C_MIN_GRID:
-        if t <= gradbounds.L0:
-            assert cli._c_ratio_floor(t) <= integrals.c_ratio(t, 1e-8), t
+    low = [t for t in cli._C_MIN_GRID if t <= gradbounds.L0]
+    for t, ratio in zip(low, integrals.c_ratios(low, 1e-8)):
+        assert cli._c_ratio_floor(t) <= ratio, t
 
 
 def test_c_min_screens_23_lengths_and_integrates_2_to_tol(monkeypatch):

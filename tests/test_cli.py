@@ -20,7 +20,7 @@ import wpstrata
 from wpstrata import cli
 from wpstrata.cli import compute_constant_records, main
 from wpstrata.gradbounds import u_factor
-from wpstrata.integrals import c_ratio, integral_H, integral_K
+from wpstrata.integrals import c_ratios, integral_H, integral_K
 from wpstrata.riera import a_of_T, a_stable
 
 EXPECTED_NAMES = [
@@ -262,7 +262,7 @@ class TestPlotCommand:
         capsys.readouterr()
         ratio = [[float(x) for x in line.split(",")] for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
         assert [t for t, _ in ratio] == np.logspace(-3.0, 2.0, 16).tolist()
-        assert all(v == c_ratio(t, 1e-6) for t, v in ratio)
+        assert all(v == c_ratios([t], 1e-6)[0] for t, v in ratio)
         hk = [[float(x) for x in line.split(",")] for line in (tmp_path / "k.csv").read_text().splitlines()[1:]]
         assert [t for t, _, _ in hk] == np.linspace(0.0, 10.0, 16).tolist()
         assert hk[0] == [0.0, 0.0, 0.0]
@@ -286,27 +286,23 @@ class TestPlotCommand:
 
 
 class TestVerifyCommand:
-    def test_fast_suite(self, capsys):
-        rc = main(["verify", "fast"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        ok_lines = [l for l in out.splitlines() if l.startswith("ok ")]
-        assert len(ok_lines) == 18
-        assert "18 passed, 0 failed" in out
-        assert "FAIL" not in out
-
-    def test_default_suite_is_fast(self, capsys):
-        rc = main(["verify"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "18 passed" in out
+    def test_one_suite(self, capsys):
+        # verify runs every check, with "all" or without
+        for argv in (["verify"], ["verify", "all"]):
+            rc = main(argv)
+            out = capsys.readouterr().out
+            assert rc == 0
+            ok_lines = [l for l in out.splitlines() if l.startswith("ok ")]
+            assert len(ok_lines) == 27
+            assert out.endswith("27 passed, 0 failed\n")
+            assert "FAIL" not in out
 
     def test_raising_check_is_reported_and_the_run_goes_on(self, monkeypatch, capsys):
         def raises() -> None:
             raise ValueError("commutator error 1e-9")
 
-        monkeypatch.setattr(cli, "_FAST_CHECKS", [("raises", raises), ("passes", lambda: None)])
-        rc = main(["verify", "fast"])
+        monkeypatch.setattr(cli, "_ALL_CHECKS", [("raises", raises), ("passes", lambda: None)])
+        rc = main(["verify"])
         out = capsys.readouterr().out
         assert rc == 1
         assert out == "FAIL raises: ValueError: commutator error 1e-9\nok passes\n1 passed, 1 failed\n"
@@ -336,9 +332,9 @@ class TestVerifyCommand:
             assert set(cli._verify_run) == {"refined"}
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_FAST_CHECKS", [("interrupted", interrupted)])
+        monkeypatch.setattr(cli, "_ALL_CHECKS", [("interrupted", interrupted)])
         with pytest.raises(KeyboardInterrupt):
-            main(["verify", "fast"])
+            main(["verify"])
         assert cli._verify_run is None
 
 
@@ -461,13 +457,15 @@ class TestUsage:
             ["delta11", "--tol", "inf"],
             ["delta11", "--tol", "abc"],
             ["constants", "--tol", "-1e-8"],
-            ["constants", "--max-word-length", "40"],
+            # options that are gone
+            ["constants", "--max-word-length", "8"],
+            ["verify", "fast"],
             ["plot", "h-vs-k", "--tol", "nan"],
             ["plot", "hsys-ratio", "--samples", "8"],
             ["plot", "hsys-ratio", "--samples", "100001"],
             ["plot", "hsys-ratio", "--samples", "abc"],
             # an --out into a missing directory is refused when written
-            ["constants", "--max-word-length", "0", "--out", "{missing}"],
+            ["constants", "--out", "{missing}"],
             ["delta11", "--max-word-length", "0", "--out", "{missing}"],
             ["plot", "hsys-ratio", "--samples", "16", "--out", "{missing}"],
             # a --tol the quadrature cannot reach is refused when it fails
@@ -504,7 +502,6 @@ class TestUsage:
     # written, after the work (test_bad_option_values_exit_2).
     _BAD_VALUES = {
         ("constants", "--tol"): ["abc", "0", "-1e-8", "nan", "inf", "1e999", "5e-324"],
-        ("constants", "--max-word-length"): ["-1", "15", "2.5", "abc"],
         ("constants", "--format"): ["xml"],
         ("delta11", "--tol"): ["abc", "0", "-1e-6", "nan", "-inf", "5e-324"],
         ("delta11", "--max-word-length"): ["-3", "15", "1e3", ""],
@@ -513,7 +510,7 @@ class TestUsage:
         ("plot", "--samples"): ["8", "15", "100001", "100000000000", "abc", "16.0"],
         ("plot", "--tol"): ["nan", "0", "abc", "5e-324"],
         ("plot", "--out"): ["x.csv"],
-        ("verify", "suite"): ["slow"],
+        ("verify", "suite"): ["slow", "fast"],
     }
 
     def test_every_option_is_checked_before_any_command_runs(self, tmp_path, monkeypatch, capsys):
@@ -542,6 +539,27 @@ class TestUsage:
                     main(argv)
                 assert exc.value.code == 2, argv
                 assert "error:" in capsys.readouterr().err
+
+    def test_readme_usage_lines_match_the_parser(self):
+        # each ``` usage line of README's "Command line" section names the
+        # --options and positional choices its subcommand's parser has
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in re.findall(r"^```\n(wpstrata .*)\n```$", section, re.M):
+            _, command, *words = line.split()
+            rest = " ".join(words)
+            options = set(re.findall(r"--[\w-]+", rest))
+            bare = re.sub(r"\[?--[\w-]+(?: [^\s\]]+)?\]?", " ", rest)
+            choices = {c for word in bare.split() for c in word.strip("[]").split("|")}
+            documented[command] = (options, choices)
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        parsed = {}
+        for command, sub in subparsers.choices.items():
+            options = {o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+            choices = {c for a in sub._actions if not a.option_strings for c in a.choices}
+            parsed[command] = (options, choices)
+        assert documented == parsed
 
     def test_module_invocation(self, tmp_path):
         # the module runs standalone with the documented exit semantics;

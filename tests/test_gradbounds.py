@@ -294,16 +294,15 @@ class TestUlpBudget:
     double, and inf where it is above the double range (a subnormal exact
     value is not held to it). The exact values are 50-digit mpmath closed
     forms written from the definitions, here and in oracles.F_exact,
-    G_exact and a_exact. Three places fall outside it and are not
-    tested: F_pair where l_alpha / 2 is subnormal, G_of where e^-r is
-    (r above about 708), and a_stable below T of about 1.1e-308, where
-    it is inf.
+    G_exact and a_exact. Two places fall outside it and are not
+    tested: F_pair where l_alpha / 2 is subnormal, and G_of where e^-r
+    is (r above about 708).
 
     F_pair is held on (t, t), (t/2, t/2) and (t/2, t) for t in [1e-3,
     1420] and on a log grid of pairs l_alpha <= l_beta over [1e-300,
     1420] with l_beta = 1400, 1416 and 1419; G_of on r = s in [1e-15, 40]
     and on a grid of (r, s) there; u_factor, v_factor and the collar
-    radii on (0, 1e4]; a_stable on T in [1e-16, 700]. The largest errors
+    radii on (0, 1e4]; a_stable on T in [5e-324, 700]. The largest errors
     seen on denser grids: 17.5 (F_pair(t, t)), 26.7 (F_pair(t/2, t/2)),
     21.7 (F_pair(t/2, t)), 13.6 (F_pair over 20,072 pairs), 15.3 (G_of(r,
     r)), 12.8 (G_of over 3600 pairs), 3.8 (u_factor), 2.3 (v_factor), 1.3
@@ -370,7 +369,10 @@ class TestUlpBudget:
             for t in lengths:
                 for fn, closed in exact.items():
                     self._within(worst, fn.__name__, fn(t), closed(mpmath.mpf(t)), t)
-        for T in np.geomspace(1e-16, 700.0, 100).tolist() + [math.nextafter(0.51, 0.0), 0.51]:
+        profile = np.geomspace(1e-16, 700.0, 100).tolist() + [math.nextafter(0.51, 0.0), 0.51]
+        # and below, with the subnormal edges, where coth(T/2) overflows
+        profile += np.geomspace(1e-320, 1e-16, 40).tolist()[:-1] + [5e-324, 1e-308, 1.1e-308, 1.2e-308]
+        for T in profile:
             self._within(worst, "a_stable", a_stable(T), oracles.a_exact(T), T)
         assert len(worst) == 6 and all(w <= 32.0 for w in worst.values()), worst
 

@@ -27,12 +27,10 @@ from wpstrata.integrals import (
     W2_LENGTH,
     adaptive_simpson,
     brock_bromberg_compare,
-    c_ratio,
     c_ratios,
     calibrate_eps2,
     integral_H,
     integral_K,
-    lobachevsky,
     pa_translation_bounds,
     strata_separation,
     thin_pair_sum,
@@ -452,34 +450,34 @@ class TestIntegralH:
 class TestEfficiencyRatio:
     def test_frozen_minimum_region(self):
         assert math.isclose(
-            c_ratio(4.350078045577681, 1e-8), 0.9438579834869257, abs_tol=1e-8
+            c_ratios([4.350078045577681], 1e-8)[0], 0.9438579834869257, abs_tol=1e-8
         )
 
     def test_frozen_large(self):
-        assert math.isclose(c_ratio(100.0, 1e-8), 0.9866111070328599, abs_tol=1e-8)
+        assert math.isclose(c_ratios([100.0], 1e-8)[0], 0.9866111070328599, abs_tol=1e-8)
 
     def test_ends_near_one(self):
-        assert abs(c_ratio(1e-4) - 1.0) < 0.02
-        assert abs(c_ratio(1e4) - 1.0) < 0.02
+        assert abs(c_ratios([1e-4])[0] - 1.0) < 0.02
+        assert abs(c_ratios([1e4])[0] - 1.0) < 0.02
 
     def test_global_floor(self):
         floor = math.sqrt(2.0 / math.pi)
         for t in np.logspace(-3.0, 2.0, 25):
-            assert c_ratio(float(t), 1e-6) > floor
+            assert c_ratios([float(t)], 1e-6)[0] > floor
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            c_ratio(0.0)
+            c_ratios([0.0])
 
     def test_nodes_underflowing(self):
         # every node's t = y^2 is 0: H_sys(0, t) = K(0, t)
-        assert c_ratio(5e-324) == 1.0
+        assert c_ratios([5e-324])[0] == 1.0
 
     def test_past_the_systole_flat_point(self):
         # past t = 996 H and K grow alike, so 1 - ratio is their fixed
         # difference over K
         gap = integral_K(0.0, 996.0) - integral_H(0.0, 996.0, "systole").midpoint
-        assert math.isclose(1.0 - c_ratio(1e20), gap / integral_K(0.0, 1e20), rel_tol=1e-3)
+        assert math.isclose(1.0 - c_ratios([1e20])[0], gap / integral_K(0.0, 1e20), rel_tol=1e-3)
 
     def test_sweep_of_nothing(self):
         assert c_ratios([]) == []
@@ -488,7 +486,7 @@ class TestEfficiencyRatio:
 
     def test_sweep_repeats_and_order(self):
         ts = [5.0, 0.5, 5.0, 3.0, 0.5]
-        assert c_ratios(ts, 1e-8) == [c_ratio(t, 1e-8) for t in ts]
+        assert c_ratios(ts, 1e-8) == [c_ratios([t], 1e-8)[0] for t in ts]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, -0.0, math.inf, -math.inf])
     def test_sweep_domain(self, bad):
@@ -568,15 +566,6 @@ class TestThinPairSum:
     def test_calibration_round_trip(self):
         assert abs(calibrate_eps2() - EPS2) < 5e-12
 
-    def test_calibration_out_of_reach(self):
-        with pytest.raises(ValueError):
-            calibrate_eps2(target=100.0)
-
-    @pytest.mark.parametrize("target", [-math.inf, math.inf, math.nan])
-    def test_calibration_rejects_nonfinite_target(self, target):
-        # A NaN target once passed both range guards and walked to lo.
-        with pytest.raises(ValueError):
-            calibrate_eps2(target=target)
 
 
 class TestStrataSeparation:
@@ -655,40 +644,15 @@ class TestPointPushing:
 
 
 class TestLobachevsky:
-    def test_odd_and_zero(self):
-        assert lobachevsky(0.0) == 0.0
-        assert lobachevsky(-0.3) == -lobachevsky(0.3)
-
-    def test_vanishes_at_half_pi(self):
-        assert abs(lobachevsky(0.5 * math.pi)) < 1e-15
-
-    def test_maximum_at_pi_sixth(self):
-        peak = lobachevsky(math.pi / 6.0)
-        assert peak > lobachevsky(0.45)
-        assert peak > lobachevsky(0.60)
+    """V3 = 2 L(pi/6) = Cl_2(pi/3), L the Lobachevsky function."""
 
     def test_tetrahedron_volume(self):
-        assert math.isclose(V3, 1.0149416064096533, abs_tol=1e-13)
+        assert V3 == 1.0149416064096533
 
     def test_mpmath_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            want = float(mp.clsin(2, mp.pi / 3))
-        assert math.isclose(V3, want, rel_tol=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lobachevsky(2.0)
-
-    def test_nan_rejected(self):
-        # NaN used to pass the range check and never end the series
-        with pytest.raises(ValueError):
-            lobachevsky(math.nan)
-
-    @given(theta=st.floats(min_value=1e-6, max_value=1.5))
-    @settings(deadline=None)
-    def test_positive_on_open_interval(self, theta):
-        assert lobachevsky(theta) > 0.0
+        with mpmath.workdps(40):
+            want = mpmath.clsin(2, mpmath.pi / 3)
+            assert abs(V3 - want) <= 2.0 * math.ulp(V3)
 
 
 # Lengths and tolerances for the totality tests: every float up to 1e4,
@@ -706,16 +670,6 @@ def _finite(br: Bracket) -> bool:
 
 class TestTotality:
     """Each public function returns a finite value or raises ValueError."""
-
-    @given(theta=st.floats())
-    @settings(deadline=None, max_examples=200)
-    def test_lobachevsky(self, theta):
-        try:
-            v = lobachevsky(theta)
-        except ValueError:
-            assert not abs(theta) <= 0.5 * math.pi + 1e-15
-            return
-        assert math.isfinite(v) and abs(v) < 0.51
 
     @pytest.mark.parametrize("route", [W1, W2])
     @given(length=_LENGTHS)
@@ -744,7 +698,7 @@ class TestTotality:
     @settings(deadline=None, max_examples=15)
     def test_c_ratio(self, t, tol):
         try:
-            v = c_ratio(t, tol)
+            v = c_ratios([t], tol)[0]
         except ValueError:
             assert not 0.0 < t < math.inf
             return
@@ -804,16 +758,17 @@ class TestTotality:
             return
         assert 0 < 2 * g - 2 + n < 2**1020 and 0.0 < v < 1.0
 
-    @given(target=st.one_of(st.floats(), st.floats(min_value=7.61137, max_value=7.61141)))
-    @settings(deadline=None, max_examples=10)
-    def test_calibrate_eps2(self, target):
-        # in reach: the pair sums at the interval's ends, 7.6113763 and 7.6114096
-        try:
-            e = calibrate_eps2(target)
-        except ValueError:
-            assert not 7.6113763 <= target <= 7.6114096
-            return
-        assert math.asinh(1.0) <= e <= math.asinh(1.0) + 1e-5
+    def test_calibrate_eps2(self):
+        # the pair sum crosses its target inside the bisection interval,
+        # so the bisection ends at a root there
+        lo = math.asinh(1.0)
+        hi = lo + 1e-5
+        sums = [
+            integral_H(0.0, 4.0 * e, "plain", 1e-10).midpoint + integral_H(0.0, 2.0 * e, "plain", 1e-10).midpoint
+            for e in (lo, hi)
+        ]
+        assert sums[0] < 7.611385 < sums[1]
+        assert lo <= calibrate_eps2() <= hi
 
     @given(tol=st.floats())
     @settings(deadline=None, max_examples=15)

@@ -29,6 +29,7 @@ _STDOUT = [
         0,
         "1176055acbb5f9fd5700100129c8a54d8c31742031ef04e63537807eede68573",
     ),
+    (["verify"], 0, "b374d688f708321f8bed095ccb7c096ed8585db6a115d93a293eb5c76885f36f"),
     (["verify", "all"], 0, "b374d688f708321f8bed095ccb7c096ed8585db6a115d93a293eb5c76885f36f"),
 ]
 

@@ -276,7 +276,9 @@ class TestSeriesArgumentAtOne:
         assert math.isclose(a_stable(T), 2.0 * math.log(2.0 / T) - 2.0, rel_tol=1e-14)
 
     def test_a_stable_where_t_halves_to_zero(self):
-        assert a_stable(5e-324) == math.inf
+        # log coth(T/2) is taken as log 2 - log T there
+        exact = oracles.a_exact(5e-324)
+        assert abs(a_stable(5e-324) - exact) <= 32.0 * math.ulp(float(exact))
 
     @pytest.mark.parametrize("fn", [a_stable, a_of_T])
     def test_nan_rejected(self, fn):
@@ -333,8 +335,7 @@ class TestTotality:
         except ValueError:
             assert not T > 0.0
             return
-        # inf once coth(T/2) overflows
-        assert v >= EIGHT_THIRDS and (math.isfinite(v) or T < 1.2e-308)
+        assert v >= EIGHT_THIRDS and math.isfinite(v)
 
     @given(x=_ANY, crossing=st.booleans())
     @settings(deadline=None, max_examples=300)
