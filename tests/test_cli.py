@@ -286,16 +286,23 @@ class TestPlotCommand:
 
 
 class TestVerifyCommand:
-    def test_one_suite(self, capsys):
-        # verify runs every check, with "all" or without
-        for argv in (["verify"], ["verify", "all"]):
-            rc = main(argv)
-            out = capsys.readouterr().out
-            assert rc == 0
-            ok_lines = [l for l in out.splitlines() if l.startswith("ok ")]
-            assert len(ok_lines) == 27
-            assert out.endswith("27 passed, 0 failed\n")
-            assert "FAIL" not in out
+    def test_fast_suite(self, capsys):
+        # the whole suite is the quick one: "verify all" runs all 27 checks
+        rc = main(["verify", "all"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        ok_lines = [l for l in out.splitlines() if l.startswith("ok ")]
+        assert len(ok_lines) == 27
+        assert out.endswith("27 passed, 0 failed\n")
+        assert "FAIL" not in out
+
+    def test_default_suite_is_fast(self, capsys):
+        # "verify" with no argument runs the same one suite as "verify all"
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == out
+        assert out.endswith("27 passed, 0 failed\n")
 
     def test_raising_check_is_reported_and_the_run_goes_on(self, monkeypatch, capsys):
         def raises() -> None:
