@@ -23,7 +23,8 @@ from .riera import _A_SWITCH_T, _a_closed, _a_of_u
 
 # Thin part length threshold for the strata distance integrals.
 # Calibrated so that the paired integral H(0, 4 e) + H(0, 2 e) evaluates
-# to 7.611385 (see integrals.calibrate_eps2). Sits 2.62e-6 above the
+# to 7.611385; the fit is in tests/oracles.py, and TestThinPairSum holds
+# these bits within 5e-12 of its root. Sits 2.62e-6 above the
 # collar identity value arcsinh(1), the self-dual point of the simple
 # collar radius.
 EPS2 = 0.8813761988109772
@@ -189,27 +190,10 @@ def grad_sq_upper_separating(ell: float) -> float:
     return (2.0 * ell / math.pi) * (1.0 + (F_pair(half, half) if half > 0.0 else 0.0))
 
 
-_L0_TOL = 1e-13
-
-
-def solve_L0() -> float:
-    """Length where the systole collar regimes meet.
-
-    Unique root of sinh(t/4) sinh(t/2) = 1, located by bisection on
-    [1, 4] down to a bracket of _L0_TOL. The product is strictly
-    increasing, so the bracket is safe.
-    """
-    lo, hi = 1.0, 4.0
-    while hi - lo > _L0_TOL:
-        mid = 0.5 * (lo + hi)
-        if math.sinh(0.25 * mid) * math.sinh(0.5 * mid) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-L0 = solve_L0()
+# Where the systole collar regimes meet: the root of sinh(L0/4) sinh(L0/2)
+# = 1, as bisection on [1, 4] to a bracket of 1e-13 returns it. That
+# bisection is in tests/oracles.py; test_oracle_rebuilds_the_bits holds it.
+L0 = 2.437511453743994
 
 
 def r_sys(t: float) -> float:

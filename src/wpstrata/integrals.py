@@ -33,11 +33,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Per-point slack for the truncated collar profile series inside F.
 _SERIES_SLACK = 1.5e-14
 
-# Subdivision cap of adaptive_simpson, the panels it evaluates per round,
-# and the bisection width at which calibrate_eps2 stops.
+# Subdivision cap of adaptive_simpson and the panels it evaluates per round.
 _MAX_DEPTH = 48
 _BATCH_PANELS = 8
-_CALIBRATE_XTOL = 1e-12
 
 
 def _merge_budgets(b1: dict[str, float], b2: dict[str, float]) -> dict[str, float]:
@@ -566,29 +564,3 @@ def brock_bromberg_compare(g: int, n: int) -> float:
     if not 0 < chi < 2**1020:
         raise ValueError("requires 0 < 2g - 2 + n < 2**1020")
     return 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi * chi))
-
-
-def calibrate_eps2() -> float:
-    """Solve H(0, 4e) + H(0, 2e) = 7.611385 for the threshold e.
-
-    The sum is strictly increasing in e with slope about 3.34, and is
-    7.6113763 and 7.6114096 at the ends of [arcsinh(1), arcsinh(1) +
-    1e-5], so bisection there converges quickly. The frozen module
-    constant gradbounds.EPS2 is the root.
-    """
-
-    def pair_sum(e: float) -> float:
-        return (
-            integral_H(0.0, 4.0 * e, "plain", 1e-10).midpoint
-            + integral_H(0.0, 2.0 * e, "plain", 1e-10).midpoint
-        )
-
-    lo = math.asinh(1.0)
-    hi = lo + 1e-5
-    while hi - lo > _CALIBRATE_XTOL:
-        mid = 0.5 * (lo + hi)
-        if pair_sum(mid) < 7.611385:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -33,6 +33,11 @@ integrals.adaptive_simpson announces up to 16 per round.
 
 c_ratios is the systole ratio sweep as it was before integrals.c_ratios
 shared one integrand across lengths: one integral_H per t.
+
+Last, the two solvers whose roots wpstrata keeps as literals: solve_L0,
+the bisection for gradbounds.L0, which the tests hold equal to it bit
+for bit; and calibrate_eps2, the fit of gradbounds.EPS2 to the published
+thin pair sum, which the tests hold within 5e-12 of it.
 """
 
 from __future__ import annotations
@@ -421,3 +426,53 @@ def c_ratios(ts: list[float], tol: float) -> list[float]:
             raise ValueError("t must be positive")
         out.append(integral_H(0.0, t, "systole", tol).midpoint / integral_K(0.0, t))
     return out
+
+
+_L0_TOL = 1e-13
+
+
+def solve_L0() -> float:
+    """Length where the systole collar regimes meet.
+
+    Unique root of sinh(t/4) sinh(t/2) = 1, located by bisection on
+    [1, 4] down to a bracket of _L0_TOL. The product is strictly
+    increasing, so the bracket is safe.
+    """
+    lo, hi = 1.0, 4.0
+    while hi - lo > _L0_TOL:
+        mid = 0.5 * (lo + hi)
+        if math.sinh(0.25 * mid) * math.sinh(0.5 * mid) >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+# The bisection width at which calibrate_eps2 stops.
+_CALIBRATE_XTOL = 1e-12
+
+
+def calibrate_eps2() -> float:
+    """Solve H(0, 4e) + H(0, 2e) = 7.611385 for the threshold e.
+
+    The sum is strictly increasing in e with slope about 3.34, and is
+    7.6113763 and 7.6114096 at the ends of [arcsinh(1), arcsinh(1) +
+    1e-5], so bisection there converges quickly. The frozen module
+    constant gradbounds.EPS2 is the root.
+    """
+
+    def pair_sum(e: float) -> float:
+        return (
+            integral_H(0.0, 4.0 * e, "plain", 1e-10).midpoint
+            + integral_H(0.0, 2.0 * e, "plain", 1e-10).midpoint
+        )
+
+    lo = math.asinh(1.0)
+    hi = lo + 1e-5
+    while hi - lo > _CALIBRATE_XTOL:
+        mid = 0.5 * (lo + hi)
+        if pair_sum(mid) < 7.611385:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -6,13 +6,16 @@ and an upper end rounds up to it. Where a published decimal does not
 survive recomputation (two of the point-pushing floors, the comparison
 value), the test asserts the disagreement as it stands: the computed
 value against an independent oracle, and the mismatch status that the
-constants table reports for it.
+constants table reports for it. The thin threshold's two readings, the
+fitted EPS2 and the collar identity value arcsinh 1, are asserted the
+same way.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 
@@ -151,3 +154,58 @@ def test_c8_comparison_value_documented():
     # the computed decimal genuinely differs; the record must say so
     assert _trunc_str(rec.lo).lstrip("0") != rec.paper
     assert rec.status == "mismatch"
+
+
+def _threshold_records(eps: float, tol: float = 1e-8) -> dict[str, tuple[float, float]]:
+    """The seven records that depend on the thin threshold, as (lo, hi),
+    built as `constants` builds them but at threshold eps."""
+    pair = integral_H(0.0, 4.0 * eps, "plain", 0.5 * tol) + integral_H(0.0, 2.0 * eps, "plain", 0.5 * tol)
+    h2 = integral_H(0.0, 2.0 * eps, "plain", tol)
+    hs4 = integral_H(0.0, 4.0 * eps, "separating", tol)
+    gap = pair.lo - delta11_bracket(0, 1e-9).hi
+    case_i2 = integral_H(2.0 * eps, 4.0 * eps, "plain", tol).lo
+    case_i1 = integral_H(2.0 * eps, 6.0 * eps, "plain", tol).lo
+    return {
+        "hsum_thin_pair": (pair.lo, pair.hi),
+        "h_0_2eps2": (h2.lo, h2.hi),
+        "hs_0_4eps2": (hs4.lo, hs4.hi),
+        "gap_genus": (gap, gap),
+        "pa_case_i2": (case_i2, case_i2),
+        "pa_case_i1": (case_i1, case_i1),
+        "pa_general": (0.5 * case_i1, 0.5 * case_i1),
+    }
+
+
+def _nearest_str(x: float) -> str:
+    """The exact binary value of x rounded to nearest, to five places."""
+    return str(Decimal(x).quantize(Decimal("1e-5"), ROUND_HALF_EVEN))
+
+
+def test_c9_thin_threshold_read_both_ways():
+    """The fitted EPS2 against arcsinh 1, the collar identity value, each
+    read outward and to nearest (ROADMAP D19). At arcsinh 1 every end
+    rounds to nearest to its published string, and the outward reading
+    fails four records; at EPS2 rounding to nearest fails three, and the
+    outward reading only the two case floors. Asserted as it stands."""
+    fitted = _threshold_records(EPS2)
+    records = {r.name: r for r in compute_constant_records(1e-8)}
+    assert {name: (records[name].lo, records[name].hi) for name in fitted} == fitted
+
+    def outward_misses(values):
+        return {name for name, (lo, hi) in values.items() if not cli._reproduces(name, lo, hi)}
+
+    def nearest(values):
+        return {name: (_nearest_str(lo), _nearest_str(hi)) for name, (lo, hi) in values.items()}
+
+    published = {name: (cli._PUBLISHED[name][0],) * 2 for name in fitted}
+    at_identity = _threshold_records(math.asinh(1.0))
+    assert nearest(at_identity) == published
+    assert outward_misses(at_identity) == {"hsum_thin_pair", "hs_0_4eps2", "pa_case_i2", "pa_case_i1"}
+
+    assert nearest(fitted) == published | {
+        "hsum_thin_pair": ("7.61138", "7.61139"),
+        "h_0_2eps2": ("3.27467", "3.27467"),
+        "pa_case_i1": ("1.56948", "1.56948"),
+        "gap_genus": ("0.95536", "0.95536"),
+    }
+    assert outward_misses(fitted) == {"pa_case_i2", "pa_case_i1"}

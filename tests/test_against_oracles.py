@@ -17,10 +17,14 @@ against the count it tabulates, ulp by ulp around every step; and the
 systole ratio sweep against one integral_H per length; the straight-line
 collar series against a_hat, and the module-level H integrands and
 the systole envelope against the layered ones they replaced.
+
+The references stay on the test side: no production module imports
+anything but the standard library, numpy and its own package.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import math
 import random
@@ -710,3 +714,22 @@ def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
     assert integrals.c_ratios(cli._C_MIN_GRID, 1e-8) == want
     assert len(nodes) == len(set(nodes)) == len(set(per_length)) < len(per_length)
     assert set(nodes) == set(per_length)
+
+
+def test_production_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency; mpmath, scipy and the oracles
+    # are test-side only. Imports inside functions count too.
+    outside = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []

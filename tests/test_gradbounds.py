@@ -23,7 +23,6 @@ from wpstrata.gradbounds import (
     grad_sq_upper_single,
     grad_sq_upper_systole,
     r_sys,
-    solve_L0,
     u_factor,
     v_factor,
 )
@@ -92,7 +91,11 @@ class TestThreshold:
             lambda t: math.sinh(0.25 * t) * math.sinh(0.5 * t) - 1.0, 1.0, 4.0,
             xtol=1e-14,
         )
-        assert abs(solve_L0() - root) < 1e-12
+        assert abs(oracles.solve_L0() - root) < 1e-12
+
+    def test_oracle_rebuilds_the_bits(self):
+        # L0 is a literal; the bisection that found it returns it exactly
+        assert oracles.solve_L0() == L0
 
     def test_thin_threshold_constants(self):
         # the calibrated threshold sits just above the collar identity value

@@ -28,7 +28,6 @@ from wpstrata.integrals import (
     adaptive_simpson,
     brock_bromberg_compare,
     c_ratios,
-    calibrate_eps2,
     integral_H,
     integral_K,
     pa_translation_bounds,
@@ -564,7 +563,7 @@ class TestThinPairSum:
         assert br.width <= 1e-8
 
     def test_calibration_round_trip(self):
-        assert abs(calibrate_eps2() - EPS2) < 5e-12
+        assert abs(oracles.calibrate_eps2() - EPS2) < 5e-12
 
 
 
@@ -768,7 +767,7 @@ class TestTotality:
             for e in (lo, hi)
         ]
         assert sums[0] < 7.611385 < sums[1]
-        assert lo <= calibrate_eps2() <= hi
+        assert lo <= oracles.calibrate_eps2() <= hi
 
     @given(tol=st.floats())
     @settings(deadline=None, max_examples=15)

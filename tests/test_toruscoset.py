@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpstrata import toruscoset
+from wpstrata.gradbounds import grad_sq_upper_single
 from wpstrata.hyp2 import GeodesicH2, INF, UValue, compose_many, translate_geodesic, translation_length, u_value
 from wpstrata.integrals import ConvergenceError
 from wpstrata.riera import riera_R
@@ -439,6 +440,55 @@ class TestGradBracket:
             grad_sq_bracket(1.0, True)
         with pytest.raises(ValueError):
             grad_sq_bracket(1.0, MAX_WORD_LENGTH + 1)
+
+
+# grad_sq_upper_single's 32-ulp accuracy contract, as a relative pad.
+_ENVELOPE_PAD = 1.0 + 32 * 2.0**-52
+
+# ROADMAP D8: the points of np.logspace(-6, -1, 2000) where the lower end
+# at L = 8 exceeds Wolpert's bound by more than the pad, by 970 to 8407
+# ulp, and by as much at L = 1. The chain term u log1p(2 / (u - 1)) - 2 of
+# B and B^-1, at u = 1 + 2 / sinh(t/2)^2 just under PRUNE_U, cancels there.
+_WOLPERT_MISSES = [
+    0.0002859091892859722,
+    0.0002925722398530119,
+    0.0002993905713432353,
+    0.000311707228314113,
+    0.00031350763657888024,
+    0.0003153184439285111,
+    0.00031713971042769657,
+    0.00033018655090652813,
+    0.00033209369498651126,
+    0.0003359410935318217,
+    0.0003417959272220763,
+    0.0003477527998655898,
+    0.0003517816135303143,
+]
+
+
+class TestWolpertBound:
+    """Wolpert's effective bound (2t/pi)(1 + F(t, t)) over the exact
+    squared gradient's lower end on the square family."""
+
+    @pytest.mark.parametrize("L", [1, 8])
+    def test_lower_end_under_the_bound(self, L):
+        # everywhere on the grid but the recorded misses, which are
+        # asserted as they stand; a kernel rounding budget flips them
+        grid = np.logspace(-6.0, math.log10(5.0), 200).tolist() + [T0] + _WOLPERT_MISSES
+        over = [t for t in grid if grad_sq_bracket(t, L).lo > grad_sq_upper_single(t) * _ENVELOPE_PAD]
+        assert over == _WOLPERT_MISSES
+
+    def test_first_miss_is_kernel_rounding(self):
+        # the 50-digit length 1 partial value is under the bound, and the
+        # computed lower end 2.6e-12 relative above it
+        mp = pytest.importorskip("mpmath")
+        t = _WOLPERT_MISSES[0]
+        with mp.workdps(50):
+            u = 1 + 2 / mp.sinh(mp.mpf(t) / 2) ** 2
+            exact = 2 / mp.pi * (t + 2 * (u * mp.log1p(2 / (u - 1)) - 2))
+            lo = grad_sq_bracket(t, 1).lo
+            assert exact <= grad_sq_upper_single(t) < lo
+            assert 2.5e-12 < (lo - exact) / exact < 2.7e-12
 
 
 class TestDistanceBracket:
