@@ -50,10 +50,6 @@ from .hyp2 import (
 )
 from .integrals import (
     Bracket,
-    W1,
-    W1_LENGTH,
-    W2,
-    W2_LENGTH,
     ConvergenceError,
     brock_bromberg_compare,
     c_ratios,
@@ -61,7 +57,6 @@ from .integrals import (
     integral_K,
     pa_translation_bounds,
     strata_separation,
-    thin_pair_sum,
 )
 from .riera import _TOL, _a_of_u, a_hat, a_of_T, a_stable, riera_R
 from .toruscoset import (
@@ -200,22 +195,20 @@ def _c_ratio_floor(t: float) -> float:
 def compute_constant_records(tol: float = 1e-8) -> list[ConstantRecord]:
     """Recompute every named constant and classify it against its
     published decimals."""
-    elementary = delta11_bracket(0, min(tol, 1e-9))
-    pair = thin_pair_sum(tol)
-    w2 = W2(W2_LENGTH, tol)
+    sep = strata_separation(delta11_bracket(0, min(tol, 1e-9)), tol)
     pa = pa_translation_bounds(tol)
     values = {
-        "delta11_elementary": elementary,
+        "delta11_elementary": sep.delta11,
         "delta11_refined": delta11_bracket(8, 1e-6),
-        "hsum_thin_pair": pair,
+        "hsum_thin_pair": sep.thin_pair,
         "h_0_2eps2": integral_H(0.0, 2.0 * EPS2, "plain", tol),
         "hs_0_4eps2": integral_H(0.0, 4.0 * EPS2, "separating", tol),
-        "w1_3678": W1(W1_LENGTH, tol),
-        "w2_2420": w2,
-        "delta04_sqrt2": elementary.scaled(math.sqrt(2.0)),
-        "two_delta11": elementary.scaled(2.0),
-        "gap_genus": pair.lo - elementary.hi,
-        "gap_sphere": w2.lo - math.sqrt(2.0) * elementary.hi,
+        "w1_3678": sep.w1,
+        "w2_2420": sep.w2,
+        "delta04_sqrt2": sep.sphere_twice,
+        "two_delta11": sep.two_delta11,
+        "gap_genus": sep.gap_genus,
+        "gap_sphere": sep.gap_sphere,
         "lipschitz_sys": _lipschitz(),
         "c_min_ratio": _c_min(tol),
         "pa_case_i2": pa.case_i2,
@@ -605,8 +598,9 @@ def _verify_cor_grid() -> None:
         _check(lhs <= rhs * (1.0 + 1e-12), f"coarse upper fails at {lf}")
 
 
-# refined_delta11 and path_bracket_contract share delta11_bracket(8, 1e-6), built at
-# most once per cmd_verify run and dropped on return; outside a run each builds its own.
+# separation_monotone, refined_delta11 and path_bracket_contract share
+# delta11_bracket(8, 1e-6), built at most once per cmd_verify run and dropped on
+# return; outside a run each builds its own.
 _verify_run: dict[str, Bracket] | None = None
 
 
@@ -757,21 +751,10 @@ def _verify_axis_conjugation() -> None:
 
 
 def _verify_separation_monotone() -> None:
-    d11 = delta11_bracket(4, 1e-6)
-    genus = [strata_separation(k, "has-genus", d11, 1e-6).value.lo for k in range(4)]
-    _check(
-        all(x <= y + 1e-12 for x, y in zip(genus, genus[1:])),
-        "genus verdicts not monotone in k",
-    )
-    sphere = [
-        strata_separation(k, "punctured-sphere", d11, 1e-6).value.lo for k in (0, 2, 4, 6)
-    ]
-    _check(
-        all(x <= y + 1e-12 for x, y in zip(sphere, sphere[1:])),
-        "sphere verdicts not monotone in k",
-    )
-    zero = strata_separation(0, "has-genus", d11, 1e-6)
-    _check(zero.kind == "lower-bound" and zero.value.hi == 0.0, "k=0 verdict malformed")
+    sep = strata_separation(_refined(), 1e-6)
+    _check(sep.delta11.lo > 0.0, "one-handle distance not positive")
+    _check(sep.gap_genus > 0.0, "genus routes past one crossing do not clear delta11")
+    _check(sep.gap_sphere > 0.0, "sphere routes past two crossings do not clear sqrt(2) delta11")
 
 
 _ALL_CHECKS = [

@@ -14,16 +14,16 @@ K(a, b) = sqrt(2 pi b) - sqrt(2 pi a) is the closed form obtained by
 dropping F; it dominates H and the two agree as b -> 0. The remaining
 functions combine H brackets into distance lower bounds between thin
 strata: thin_pair_sum for the generic two-curve configuration, W1 and
-W2 for the separating routes, strata_separation for the
-per-configuration verdicts, and pa_translation_bounds for the
-point-pushing translation lengths.
+W2 for the separating routes, strata_separation for every route of
+the separation theorem at one delta11 bracket, and
+pa_translation_bounds for the point-pushing translation lengths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple
 
 from .gradbounds import EPS2, F_pair, G_of, L0, collar_radius_separating, r_sys
@@ -36,13 +36,6 @@ _SERIES_SLACK = 1.5e-14
 # Subdivision cap of adaptive_simpson and the panels it evaluates per round.
 _MAX_DEPTH = 48
 _BATCH_PANELS = 8
-
-
-def _merge_budgets(b1: dict[str, float], b2: dict[str, float]) -> dict[str, float]:
-    out = dict(b1)
-    for k, v in b2.items():
-        out[k] = out.get(k, 0.0) + v
-    return out
 
 
 @dataclass(frozen=True)
@@ -72,17 +65,13 @@ class Bracket:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
-    def within(self, lo: float, hi: float) -> bool:
-        return lo <= self.lo and self.hi <= hi
-
     def __add__(self, other: Bracket) -> Bracket:
         if not isinstance(other, Bracket):
             return NotImplemented
-        return Bracket(
-            self.lo + other.lo,
-            self.hi + other.hi,
-            _merge_budgets(self.error_budget, other.error_budget),
-        )
+        budget = dict(self.error_budget)
+        for key, v in other.error_budget.items():
+            budget[key] = budget.get(key, 0.0) + v
+        return Bracket(self.lo + other.lo, self.hi + other.hi, budget)
 
     def scaled(self, c: float) -> Bracket:
         """Bracket for c times the value, c >= 0."""
@@ -454,72 +443,59 @@ def thin_pair_sum(tol: float = 1e-7) -> Bracket:
     )
 
 
-@dataclass(frozen=True)
-class SeparationVerdict:
-    """Distance verdict for a pair of strata meeting in k points.
+class StrataSeparation(NamedTuple):
+    """Every route of the separation theorem at one delta11 bracket,
+    by the case table of strata_separation."""
 
-    kind is "exact" when the value bracket pins the distance itself
-    (genus route k = 1, sphere route k = 2) and "lower-bound" when it
-    only bounds the distance from below.
-    """
+    delta11: Bracket
+    thin_pair: Bracket
+    sphere_twice: Bracket
+    two_delta11: Bracket
+    w1: Bracket
+    w2: Bracket
 
-    intersection: int
-    surface_class: str
-    kind: str
-    value: Bracket
+    @property
+    def sphere_more(self) -> Bracket:
+        """The sphere route for k >= 4 with the least lower end, the
+        first of them on a tie."""
+        return min(self.two_delta11, self.w1, self.w2, key=attrgetter("lo"))
+
+    @property
+    def gap_genus(self) -> float:
+        return self.thin_pair.lo - self.delta11.hi
+
+    @property
+    def gap_sphere(self) -> float:
+        return self.sphere_more.lo - self.sphere_twice.hi
 
 
-def strata_separation(
-    k: int,
-    surface_class: str,
-    delta11: Bracket,
-    tol: float = 1e-7,
-) -> SeparationVerdict:
-    """Distance verdict between strata whose curves meet in k points.
+def strata_separation(delta11: Bracket, tol: float = 1e-7) -> StrataSeparation:
+    """Every route of the separation theorem, each built once.
+
+    Strata whose curves meet in k points lie apart by:
+
+    - k = 0: 0, as their closures meet.
+    - On a surface with genus, k = 1: exactly delta11, the least
+      separation of strata whose closures do not meet. k >= 2: at
+      least thin_pair, which exceeds delta11 by gap_genus.
+    - On a punctured sphere k is even. k = 2: exactly sqrt(2) delta11
+      (sphere_twice). k >= 4: at least sphere_more, the least of
+      two_delta11 and the separating routes w1 and w2, which exceeds
+      sphere_twice by gap_sphere.
 
     delta11 is a certified bracket for the elementary one-handle
-    distance, as produced by wpstrata.toruscoset.delta11_bracket.
-    surface_class is "has-genus" or "punctured-sphere"; the sphere
-    class only admits even k. For k >= 2 on the genus route the
-    general two-curve branch is reported and the alternative
-    sqrt(2) delta11 branch is recorded in the error budget notes.
+    distance, as wpstrata.toruscoset.delta11_bracket gives. The thin
+    pair sum and the routes W1(W1_LENGTH) and W2(W2_LENGTH) are each
+    taken at tol, and raise as they do.
     """
-    if surface_class not in ("has-genus", "punctured-sphere"):
-        raise ValueError(f"unknown surface class {surface_class!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise TypeError("k must be an int")
-    if k < 0:
-        raise ValueError("intersection count must be nonnegative")
-
-    if k == 0:
-        return SeparationVerdict(k, surface_class, "lower-bound", Bracket(0.0, 0.0))
-
-    if surface_class == "has-genus":
-        if k == 1:
-            return SeparationVerdict(k, surface_class, "exact", delta11)
-        pair = thin_pair_sum(tol)
-        alt = math.sqrt(2.0) * delta11.lo
-        value = Bracket(
-            pair.lo,
-            pair.hi,
-            _merge_budgets(pair.error_budget, {"branch_sqrt2_delta11_lo": alt}),
-        )
-        return SeparationVerdict(k, surface_class, "lower-bound", value)
-
-    if k % 2 != 0:
-        raise ValueError("sphere strata curves meet in an even number of points")
-    if k == 2:
-        return SeparationVerdict(k, surface_class, "exact", delta11.scaled(math.sqrt(2.0)))
-    candidates = {
-        "branch_2_delta11": delta11.scaled(2.0),
-        "branch_w1": W1(W1_LENGTH, tol),
-        "branch_w2": W2(W2_LENGTH, tol),
-    }
-    best_key = min(candidates, key=lambda key: candidates[key].lo)
-    best = candidates[best_key]
-    notes = {f"{key}_lo": br.lo for key, br in candidates.items() if key != best_key}
-    value = Bracket(best.lo, best.hi, _merge_budgets(best.error_budget, notes))
-    return SeparationVerdict(k, surface_class, "lower-bound", value)
+    return StrataSeparation(
+        delta11,
+        thin_pair_sum(tol),
+        delta11.scaled(math.sqrt(2.0)),
+        delta11.scaled(2.0),
+        W1(W1_LENGTH, tol),
+        W2(W2_LENGTH, tol),
+    )
 
 
 class PATranslationBounds(NamedTuple):

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 import wpstrata
-from wpstrata import cli
+from wpstrata import cli, integrals
 from wpstrata.cli import compute_constant_records, main
 from wpstrata.gradbounds import u_factor
-from wpstrata.integrals import c_ratios, integral_H, integral_K
+from wpstrata.integrals import Bracket, c_ratios, integral_H, integral_K, strata_separation
 from wpstrata.riera import a_of_T, a_stable
 
 EXPECTED_NAMES = [
@@ -72,6 +72,41 @@ class TestRecords:
         for r in records:
             assert r.lo <= r.hi
             assert r.paper
+
+
+    def test_constants_read_the_separation(self, records):
+        by_name = {r.name: (r.lo, r.hi) for r in records}
+        elementary = by_name["delta11_elementary"]
+        sep = strata_separation(Bracket(*elementary), 1e-8)
+        for name, route in (
+            ("hsum_thin_pair", sep.thin_pair),
+            ("w1_3678", sep.w1),
+            ("w2_2420", sep.w2),
+            ("delta04_sqrt2", sep.sphere_twice),
+            ("two_delta11", sep.two_delta11),
+        ):
+            assert by_name[name] == (route.lo, route.hi), name
+        # the gaps keep the formulas they had before they were read from sep
+        gap_genus = sep.thin_pair.lo - elementary[1]
+        gap_sphere = sep.w2.lo - math.sqrt(2.0) * elementary[1]
+        assert by_name["gap_genus"] == (sep.gap_genus, sep.gap_genus) == (gap_genus, gap_genus)
+        assert by_name["gap_sphere"] == (sep.gap_sphere, sep.gap_sphere) == (gap_sphere, gap_sphere)
+
+
+    def test_each_route_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, build):
+            def call(*args):
+                calls.append(name)
+                return build(*args)
+
+            return call
+
+        for name in ("thin_pair_sum", "W1", "W2"):
+            monkeypatch.setattr(integrals, name, counted(name, getattr(integrals, name)))
+        compute_constant_records()
+        assert sorted(calls) == ["W1", "W2", "thin_pair_sum"]
 
 
 class TestComparisonRule:
@@ -315,8 +350,10 @@ class TestVerifyCommand:
         assert out == "FAIL raises: ValueError: commutator error 1e-9\nok passes\n1 passed, 1 failed\n"
 
     def test_one_refined_bracket_per_run(self, monkeypatch, capsys):
-        # refined_delta11 and path_bracket_contract share one bracket in a
-        # run; nothing outlives the run, and a check alone builds its own.
+        # separation_monotone, refined_delta11 and path_bracket_contract
+        # share one bracket in a run, and no other delta11 bracket at that
+        # tol is built; nothing outlives the run, and a check alone builds
+        # its own.
         calls = []
         build = cli.delta11_bracket
 
@@ -328,6 +365,7 @@ class TestVerifyCommand:
         for runs in (1, 2):
             assert main(["verify", "all"]) == 0
             assert calls.count((8, 1e-6)) == runs and cli._verify_run is None
+            assert (4, 1e-6) not in calls
         cli._verify_refined_delta11()
         cli._verify_path_bracket_contract()
         assert calls.count((8, 1e-6)) == 4
@@ -567,6 +605,13 @@ class TestUsage:
             choices = {c for a in sub._actions if not a.option_strings for c in a.choices}
             parsed[command] = (options, choices)
         assert documented == parsed
+
+    def test_readme_records_table_matches_the_published_table(self):
+        # the first column of README's records table is _PUBLISHED's keys, in order
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| record | paper claim | computed by |\n|---|---|---|\n", 1)[1]
+        rows = re.findall(r"^\| `(\w+)` \|", table.split("\n\n", 1)[0], re.M)
+        assert rows == list(cli._PUBLISHED)
 
     def test_module_invocation(self, tmp_path):
         # the module runs standalone with the documented exit semantics;

@@ -48,7 +48,6 @@ class TestBracket:
         assert br.width == 2.0
         assert br.midpoint == 2.0
         assert br.contains(1.0) and br.contains(3.0) and not br.contains(3.5)
-        assert br.within(0.5, 3.5) and not br.within(1.5, 3.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -568,66 +567,34 @@ class TestThinPairSum:
 
 
 class TestStrataSeparation:
-    def test_disjoint(self):
-        v = strata_separation(0, "has-genus", DELTA11_ELEMENTARY)
-        assert v.kind == "lower-bound"
-        assert (v.value.lo, v.value.hi) == (0.0, 0.0)
+    @pytest.fixture(scope="class")
+    def sep(self):
+        return strata_separation(DELTA11_ELEMENTARY, 1e-8)
 
-    def test_genus_single_crossing_exact(self):
-        v = strata_separation(1, "has-genus", DELTA11_ELEMENTARY)
-        assert v.kind == "exact"
-        assert v.value is DELTA11_ELEMENTARY
+    def test_genus_single_crossing_exact(self, sep):
+        assert sep.delta11 is DELTA11_ELEMENTARY
 
-    def test_genus_multi_crossing(self):
-        v = strata_separation(3, "has-genus", DELTA11_ELEMENTARY, tol=1e-8)
-        assert v.kind == "lower-bound"
+    def test_genus_multi_crossing(self, sep):
         pair = thin_pair_sum(1e-8)
-        assert (v.value.lo, v.value.hi) == (pair.lo, pair.hi)
-        assert math.isclose(
-            v.value.error_budget["branch_sqrt2_delta11_lo"],
-            math.sqrt(2.0) * DELTA11_ELEMENTARY.lo,
-            rel_tol=1e-15,
-        )
+        assert (sep.thin_pair.lo, sep.thin_pair.hi) == (pair.lo, pair.hi)
 
-    def test_sphere_double_crossing_exact(self):
-        v = strata_separation(2, "punctured-sphere", DELTA11_ELEMENTARY)
-        assert v.kind == "exact"
-        assert math.isclose(
-            v.value.lo, math.sqrt(2.0) * DELTA11_ELEMENTARY.lo, rel_tol=1e-15
-        )
+    def test_sphere_double_crossing_exact(self, sep):
+        assert sep.sphere_twice.lo == math.sqrt(2.0) * DELTA11_ELEMENTARY.lo
 
-    def test_sphere_many_crossings_picks_best(self):
-        v = strata_separation(4, "punctured-sphere", DELTA11_ELEMENTARY, tol=1e-8)
-        assert v.kind == "lower-bound"
-        w2 = W2(W2_LENGTH, 1e-8)
-        assert v.value.lo == w2.lo
-        notes = v.value.error_budget
-        assert math.isclose(notes["branch_2_delta11_lo"], 2.0 * DELTA11_ELEMENTARY.lo)
-        assert math.isclose(notes["branch_w1_lo"], W1(W1_LENGTH, 1e-8).lo)
+    def test_sphere_many_crossings_picks_best(self, sep):
+        # W2 10.097 < W1 10.766 < 2 delta11 13.145
+        assert sep.sphere_more is sep.w2
+        w1 = W1(W1_LENGTH, 1e-8)
+        assert (sep.w1.lo, sep.w1.hi) == (w1.lo, w1.hi)
 
-    def test_monotone_in_k(self):
-        genus = [
-            strata_separation(k, "has-genus", DELTA11_ELEMENTARY, 1e-7).value.lo
-            for k in (0, 1, 2)
-        ]
-        assert genus[0] < genus[1] < genus[2]
-        sphere = [
-            strata_separation(k, "punctured-sphere", DELTA11_ELEMENTARY, 1e-7).value.lo
-            for k in (0, 2, 4)
-        ]
-        assert sphere[0] < sphere[1] < sphere[2]
+    def test_monotone_in_k(self, sep):
+        assert sep.gap_genus > 0.0 and sep.gap_sphere > 0.0
 
-    def test_sphere_odd_rejected(self):
-        with pytest.raises(ValueError):
-            strata_separation(3, "punctured-sphere", DELTA11_ELEMENTARY)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            strata_separation(1, "torus", DELTA11_ELEMENTARY)
-        with pytest.raises(TypeError):
-            strata_separation(True, "has-genus", DELTA11_ELEMENTARY)
-        with pytest.raises(ValueError):
-            strata_separation(-1, "has-genus", DELTA11_ELEMENTARY)
+    def test_sphere_more_follows_delta11(self):
+        # 2 delta11 = [8.0, 8.2] undercuts both separating routes
+        sep = strata_separation(Bracket(4.0, 4.1), 1e-6)
+        assert sep.sphere_more is sep.two_delta11
+        assert sep.gap_sphere == 8.0 - math.sqrt(2.0) * 4.1
 
 
 class TestPointPushing:
@@ -716,22 +683,15 @@ class TestTotality:
         assert all(math.isfinite(v) and 0.9 < v < 1.1 for v in got)
 
     @given(
-        k=st.integers(min_value=-2, max_value=8),
-        surface_class=st.sampled_from(["has-genus", "punctured-sphere", "torus"]),
         lo=st.floats(min_value=-1e6, max_value=1e6),
         width=st.floats(min_value=0.0, max_value=1e6),
         tol=_TOLS,
     )
     @settings(deadline=None, max_examples=15)
-    def test_strata_separation(self, k, surface_class, lo, width, tol):
-        try:
-            v = strata_separation(k, surface_class, Bracket(lo, lo + width), tol)
-        except ValueError:
-            # an unknown class, k < 0, or odd k on the sphere
-            assert surface_class == "torus" or k < 0 or (surface_class == "punctured-sphere" and k % 2)
-            return
-        assert _finite(v.value) and v.kind in ("exact", "lower-bound")
-
+    def test_strata_separation(self, lo, width, tol):
+        sep = strata_separation(Bracket(lo, lo + width), tol)
+        assert all(_finite(route) for route in sep)
+        assert all(sep.sphere_more.lo <= route.lo for route in (sep.two_delta11, sep.w1, sep.w2))
 
     @given(a=st.floats(), b=st.floats())
     @settings(deadline=None, max_examples=300)

@@ -536,7 +536,7 @@ class TestDistanceBracket:
     def test_refined_inside_elementary(self):
         outer = delta11_bracket(0, 1e-9)
         inner = delta11_bracket(6, 1e-7)
-        assert inner.within(outer.lo - 1e-5, outer.hi + 1e-5)
+        assert outer.lo - 1e-5 <= inner.lo and inner.hi <= outer.hi + 1e-5
 
     def test_budget_keys(self):
         br = delta11_bracket(2, 1e-6)
