@@ -49,16 +49,16 @@ from .hyp2 import (
     u_value,
 )
 from .integrals import (
+    BROCK_BROMBERG_11,
     Bracket,
     ConvergenceError,
-    brock_bromberg_compare,
     c_ratios,
     integral_H,
     integral_K,
     pa_translation_bounds,
     strata_separation,
 )
-from .riera import _TOL, _a_of_u, a_hat, a_of_T, a_stable, riera_R
+from .riera import _A_SWITCH_T, _TOL, _a_of_u, a_hat, a_of_T, a_stable, riera_R
 from .toruscoset import (
     MAX_WORD_LENGTH,
     delta11_bracket,
@@ -111,14 +111,14 @@ class ConstantRecord:
 
 # Both round the exact binary value of x, so a float an ulp past a
 # decimal is never read as that decimal.
-def _trunc_str(x: float, places: int = 5) -> str:
-    """Decimal truncation toward zero, as a fixed-point string."""
-    return str(Decimal(x).quantize(Decimal(1).scaleb(-places), ROUND_DOWN))
+def _trunc_str(x: float) -> str:
+    """Decimal truncation toward zero, as a five-place string."""
+    return str(Decimal(x).quantize(Decimal("1e-5"), ROUND_DOWN))
 
 
-def _ceil_str(x: float, places: int = 5) -> str:
-    """Decimal rounding toward +inf, as a fixed-point string."""
-    return str(Decimal(x).quantize(Decimal(1).scaleb(-places), ROUND_CEILING))
+def _ceil_str(x: float) -> str:
+    """Decimal rounding toward +inf, as a five-place string."""
+    return str(Decimal(x).quantize(Decimal("1e-5"), ROUND_CEILING))
 
 
 def _ends(paper: str) -> list[str]:  # the decimals of "(a, b)" or "[a, b]"
@@ -192,6 +192,10 @@ def _c_ratio_floor(t: float) -> float:
     return 1.0 / math.sqrt(1.0 + G_of(r, r))
 
 
+# delta11_bracket's (max_word_length, quad_tol) for delta11_refined.
+_REFINED = (8, 1e-6)
+
+
 def compute_constant_records(tol: float = 1e-8) -> list[ConstantRecord]:
     """Recompute every named constant and classify it against its
     published decimals."""
@@ -199,7 +203,7 @@ def compute_constant_records(tol: float = 1e-8) -> list[ConstantRecord]:
     pa = pa_translation_bounds(tol)
     values = {
         "delta11_elementary": sep.delta11,
-        "delta11_refined": delta11_bracket(8, 1e-6),
+        "delta11_refined": delta11_bracket(*_REFINED),
         "hsum_thin_pair": sep.thin_pair,
         "h_0_2eps2": integral_H(0.0, 2.0 * EPS2, "plain", tol),
         "hs_0_4eps2": integral_H(0.0, 4.0 * EPS2, "separating", tol),
@@ -214,7 +218,7 @@ def compute_constant_records(tol: float = 1e-8) -> list[ConstantRecord]:
         "pa_case_i2": pa.case_i2,
         "pa_case_i1": pa.case_i1,
         "pa_general": pa.general,
-        "brock_bromberg_11": brock_bromberg_compare(1, 1),
+        "brock_bromberg_11": BROCK_BROMBERG_11,
     }
     records = []
     for name, (paper, _, provenance) in _PUBLISHED.items():
@@ -429,7 +433,7 @@ def _verify_collar_profile() -> None:
             _check(v <= prev, f"a(T) increasing at T={T}")
         prev = v
         # a_stable's series branch, whose term count _BREAKS tabulates
-        if T >= 0.51:
+        if T >= _A_SWITCH_T:
             _check(a_of_T(T) == v, f"a_of_T != a_stable at T={T}")
 
 
@@ -599,16 +603,16 @@ def _verify_cor_grid() -> None:
 
 
 # separation_monotone, refined_delta11 and path_bracket_contract share
-# delta11_bracket(8, 1e-6), built at most once per cmd_verify run and dropped on
-# return; outside a run each builds its own.
+# delta11_bracket(*_REFINED), built at most once per cmd_verify run and
+# dropped on return; outside a run each builds its own.
 _verify_run: dict[str, Bracket] | None = None
 
 
 def _refined() -> Bracket:
     if _verify_run is None:
-        return delta11_bracket(8, 1e-6)
+        return delta11_bracket(*_REFINED)
     if "refined" not in _verify_run:
-        _verify_run["refined"] = delta11_bracket(8, 1e-6)
+        _verify_run["refined"] = delta11_bracket(*_REFINED)
     return _verify_run["refined"]
 
 

@@ -522,21 +522,8 @@ def pa_translation_bounds(tol: float = 1e-7) -> PATranslationBounds:
 # ulp under it and 2 ulp under its nearest double 1.0149416064096537.
 V3 = 1.0149416064096533
 
-
-def brock_bromberg_compare(g: int, n: int) -> float:
-    """Comparison value 4 V3 / (3 sqrt(2 pi (2g - 2 + n))).
-
-    Published alongside a slightly different decimal for the (1, 1)
-    case; cmd_constants records both and flags the mismatch rather than
-    asserting equality. Raises TypeError unless g and n are ints, bools
-    refused, and ValueError unless 0 < 2g - 2 + n < 2**1020.
-    """
-    if isinstance(g, bool) or isinstance(n, bool):
-        raise TypeError("g and n must be ints")
-    if not isinstance(g, int) or not isinstance(n, int):
-        raise TypeError("g and n must be ints")
-    chi = 2 * g - 2 + n
-    # below 2^1020, 2 pi (2g - 2 + n) is a finite float
-    if not 0 < chi < 2**1020:
-        raise ValueError("requires 0 < 2g - 2 + n < 2**1020")
-    return 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi * chi))
+# Brock and Bromberg's comparison value 4 V3 / (3 sqrt(2 pi (2g - 2 + n)))
+# for the one-holed torus, (g, n) = (1, 1). It is published alongside a
+# slightly different decimal; constants records both and flags the
+# mismatch rather than asserting equality.
+BROCK_BROMBERG_11 = 4.0 * V3 / (3.0 * math.sqrt(2.0 * math.pi))

@@ -18,16 +18,16 @@ a_hat sums the series term by term, with x = u^2 and x^n built by
 repeated multiplication, each term rounding as
 8 (n + 1) x^n / ((2n + 1) (2n + 3)) from the exact numerators and
 denominators in _COEF. It stops at the first count n whose tail bound
-2 x^n / (n (1 - x)) is at most tol, and returns that bound, the same
-float it tested. So n is the least such count, and the bound never
-exceeds tol. It raises, after summing them, where 128 terms
-(_MAX_TERMS) do not reach tol: above about u = 0.8906 at the default
-tol, so a_of_T raises below T of about 0.1158.
+2 x^n / (n (1 - x)) is at most its one tolerance _TOL = 1e-14, and
+returns that bound, the same float it tested. So n is the least such
+count, and the bound never exceeds _TOL. It raises, after summing them,
+where 128 terms (_MAX_TERMS) do not reach _TOL: above about u = 0.8906,
+so a_of_T raises below T of about 0.1158.
 
-The collar profile _a_of_u runs at the default tol only. There the
-count is a step function of x, monotone because every rounded step of
-the bound is, with 29 steps below the switch point, listed in the
-literal table _BREAKS; tests/test_against_oracles.py pins the table to
+The collar profile _a_of_u sums the same terms. Its count is a step
+function of x, monotone because every rounded step of the bound is,
+with 29 steps below the switch point, listed in the literal table
+_BREAKS; tests/test_against_oracles.py pins the table to
 the count ulp by ulp around every step. _a_of_u is straight-line code,
 built once at import from _COEF and _BREAKS: it adds term after term
 as a_hat does and returns as soon as x is below the next step, so
@@ -60,7 +60,7 @@ _MAX_TERMS = 128
 # denominator: each term rounds as 8 (n + 1) u^(2n) / den.
 _COEF = tuple((8.0 * (n + 1), (2.0 * n + 1.0) * (2.0 * n + 3.0)) for n in range(_MAX_TERMS))
 
-# a_hat's default tol, the one the collar profile runs at.
+# a_hat's tolerance, the one the collar profile runs at.
 _TOL = 1e-14
 
 # _BREAKS[k] is the least double x at which a_hat's count at _TOL reaches
@@ -108,25 +108,22 @@ def riera_R(u: UValue) -> float:
     return x * math.log1p(2.0 / (x - 1.0)) - 2.0
 
 
-def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
+def a_hat(u: float) -> SeriesEval:
     """Partial sum of sum_n 8 (n+1) / ((2n+1)(2n+3)) u^(2n).
 
     Sums term by term and stops after the least count n whose tail
-    bound 2 u^(2n) / (n (1 - u^2)) is at most tol, so that tail_bound <=
-    tol always; the bound holds because c_m <= 2/m for m >= 1. Requires
-    0 <= u < 1 and tol > 0. Raises RuntimeError after summing the cap of
-    _MAX_TERMS = 128 terms if their bound is still above tol: at the
-    default tol that is u above about 0.8906, and at tol 1e-6 above
-    about 0.9540.
+    bound 2 u^(2n) / (n (1 - u^2)) is at most _TOL = 1e-14, so that
+    tail_bound <= _TOL always; the bound holds because c_m <= 2/m for
+    m >= 1. Requires 0 <= u < 1. Raises RuntimeError after summing the
+    cap of _MAX_TERMS = 128 terms if their bound is still above _TOL,
+    which is where u is above 0.8906235512167543.
 
     The collar profile _a_of_u sums the same terms in straight-line
-    code, with the default-tol count's steps written in, and
+    code, with the count's steps written in, and
     tests/test_against_oracles.py holds the two to the same bits.
     """
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     x = u * u
     rem = 1.0 - x
     total = 0.0
@@ -135,7 +132,7 @@ def a_hat(u: float, tol: float = _TOL) -> SeriesEval:
         total += num * p / den
         p *= x
         tail = 2.0 * p / (n * rem)
-        if tail <= tol:
+        if tail <= _TOL:
             return SeriesEval(total, tail, n)
     raise RuntimeError("series tolerance not reached within term cap")
 
@@ -179,7 +176,7 @@ def _a_of_u_source() -> str:
 
 
 # The collar profile at series argument u in (0, 1), branch-switched: the
-# series up to _A_SERIES_UMAX at a_hat's default tol, in straight-line
+# series up to _A_SERIES_UMAX at a_hat's tolerance, in straight-line
 # code built here from _COEF and _BREAKS, and the closed form above. Its
 # source is put in linecache, so tracebacks, pdb and inspect show it.
 _A_OF_U_FILE = "<riera._a_of_u>"
@@ -190,8 +187,7 @@ del _source
 
 
 def a_of_T(T: float) -> float:
-    """Collar profile a(T) = a_hat(e^-T), by the series alone at a_hat's
-    default tol.
+    """Collar profile a(T) = a_hat(e^-T), by the series alone.
 
     Strictly decreasing from a logarithmic blowup at T = 0 to the limit
     8/3, and pinched by 8/3 <= a(T) <= 8/3 - 2 log(1 - e^-2T). The term

@@ -17,9 +17,9 @@ The scalar path under integral_H is kept as it was before it was
 tuned, for bit-for-bit comparison: a_hat with its own term count and
 loop, which raises over riera's term cap of 128 without summing. Its
 count, term_count, is the least n whose tail bound 2 x^n / (n (1 - x)),
-x^n built by repeated multiplication, is at most tol: the rule riera's
-a_hat stops by, and the count that riera's table of term counts at the
-default tol, _BREAKS, is derived from and checked against. Then
+x^n built by repeated multiplication, is at most 1e-14: the rule riera's
+a_hat stops by, and the count that riera's table of term counts,
+_BREAKS, is derived from and checked against. Then
 a_closed, the closed form that raised where T/2 is 0, and a_exact, the
 same closed form in mpmath that the float ones are measured against,
 with F_exact and G_exact, the envelopes' definitions in mpmath; a_of_u,
@@ -167,26 +167,24 @@ def delta11_sides(max_word_length: int, quad_tol: float) -> list[tuple[float, fl
     return [adaptive_simpson(f, 0.0, y_top, half) for f in (f_lower, f_upper)]
 
 
-def term_count(x: float, tol: float = 1e-14, cap: int = 128) -> int:
-    """The least n >= 1 with 2 x^n / (n (1 - x)) <= tol, x^n built by
-    repeated multiplication, for x in [0, 1); cap + 1 where it is over
-    cap."""
+def term_count(x: float) -> int:
+    """The least n >= 1 with 2 x^n / (n (1 - x)) <= 1e-14, x^n built by
+    repeated multiplication, for x in [0, 1); 129 where it is over the
+    term cap of 128."""
     p = 1.0
-    for n in range(1, cap + 1):
+    for n in range(1, 129):
         p *= x
-        if 2.0 * p / (n * (1.0 - x)) <= tol:
+        if 2.0 * p / (n * (1.0 - x)) <= 1e-14:
             return n
-    return cap + 1
+    return 129
 
 
-def a_hat(u: float, tol: float = 1e-14) -> SeriesEval:
+def a_hat(u: float) -> SeriesEval:
     """riera.a_hat with its own term count and its own scalar loop."""
     if not 0.0 <= u < 1.0:
         raise ValueError("series argument must satisfy 0 <= u < 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     x = u * u
-    n = term_count(x, tol)
+    n = term_count(x)
     if n > 128:
         raise RuntimeError("series tolerance not reached within term cap")
     total = 0.0

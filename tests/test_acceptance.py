@@ -18,6 +18,7 @@ import time
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
+from scipy.integrate import quad
 
 from wpstrata import cli
 from wpstrata.cli import _ALL_CHECKS, _ceil_str, _trunc_str, compute_constant_records
@@ -96,8 +97,6 @@ def _plain_h_oracle(a: float, b: float) -> tuple[float, float]:
     u = tanh^2(t/4), times the decay factors (2c + 1) / (3 (c + 1)^2) and
     1 / (arctan(1/s) c^2 + s), times s^3, with s, c = sinh(t/2), cosh(t/2).
     """
-    quad = pytest.importorskip("scipy.integrate").quad
-
     def integrand(y: float) -> float:
         t = y * y
         u = math.tanh(0.25 * t) ** 2

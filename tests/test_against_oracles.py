@@ -12,8 +12,8 @@ scalar path under integral_H (collar series, envelope, Simpson rule)
 against the one that built a SeriesEval per collar profile, called
 u_factor and v_factor and checked each node in a wrapper, bit for bit;
 the batched Simpson driver against the depth-first recursion it
-replaced; the collar profile's table of term counts at the default tol
-against the count it tabulates, ulp by ulp around every step; and the
+replaced; the collar profile's table of term counts against the count
+it tabulates, ulp by ulp around every step; and the
 systole ratio sweep against one integral_H per length; the straight-line
 collar series against a_hat, and the module-level H integrands and
 the systole envelope against the layered ones they replaced.
@@ -45,6 +45,7 @@ from wpstrata.riera import (
     _A_SERIES_UMAX,
     _BREAKS,
     _MAX_TERMS,
+    _TOL,
     _a_of_u,
     a_hat,
     a_of_T,
@@ -188,42 +189,22 @@ def test_long_sum_matches_direct_blocks(T):
         assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack, T
 
 
-def _least_tol_within_cap(x: float) -> float:
-    """The least double tol at which a_hat's count at x is at most
-    _MAX_TERMS, by bisection over the bit patterns of positive doubles."""
-    count = lambda bits: oracles.term_count(x, _as_float(bits))
-    lo, hi = 1, int(np.float64(2.0 / (1.0 - x)).view(np.int64))  # count(lo) > cap >= count(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if count(mid) <= _MAX_TERMS else (mid, hi)
-    return _as_float(hi)
+# a_hat's term cap: the largest u whose count is within it, and the next
+# double, from which on the bound after 128 terms is still over _TOL.
+_U_CAP = 0.8906235512167543
 
 
-@pytest.mark.parametrize("n", [262143, 262144, 262145, 294911, 294912, 294913])
-@pytest.mark.parametrize("log_x", [-1e-4, -1e-5, -1e-6])
-def test_long_sum_at_the_moment_threshold(n, log_x):
-    """a_hat at the term cap, at u = e^(log_x / 2) next to 1, where a
-    count of 128 takes a tol from about 150 to 15000. The least tol whose
-    count is within the cap is the bound after 128 terms itself: there
-    a_hat sums exactly 128 terms, bit for bit as the oracle's loop, and
-    returns that tol as its tail bound; one double below, the count is
-    over the cap and it raises. So it does at the tol that bounds the
-    tail after n terms, about 2^18 of them, as the moment path once
-    summed."""
-    u = math.exp(0.5 * log_x)
-    x = u * u
-    tol = _least_tol_within_cap(x)
-    ev = a_hat(u, tol)
-    assert ev.terms_used == _MAX_TERMS and ev == oracles.a_hat(u, tol)
-    assert ev.tail_bound == tol
-    below = math.nextafter(tol, 0.0)
-    assert oracles.term_count(x, below) > _MAX_TERMS
+def test_a_hat_on_both_sides_of_the_term_cap():
+    """At _U_CAP a_hat sums exactly 128 terms, bit for bit as the
+    oracle's loop; one double above, the count is over the cap and it
+    raises."""
+    ev = a_hat(_U_CAP)
+    assert ev.terms_used == _MAX_TERMS and ev == oracles.a_hat(_U_CAP)
+    above = math.nextafter(_U_CAP, 1.0)
+    assert above == 0.8906235512167544
+    assert oracles.term_count(above * above) > _MAX_TERMS
     with pytest.raises(RuntimeError, match="term cap"):
-        a_hat(u, below)
-    tol_n = 2.0 * x**n / (n * (1.0 - x))
-    assert oracles.term_count(x, tol_n) > _MAX_TERMS
-    with pytest.raises(RuntimeError, match="term cap"):
-        a_hat(u, tol_n)
+        a_hat(above)
 
 
 _POSITIVE = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
@@ -301,46 +282,41 @@ def test_collar_profile_matches_a_hat_route_on_draws(u):
     assert _a_of_u(u) == oracles.a_of_u(u)
 
 
-@pytest.mark.parametrize("tol", [1e-14, 1e-6, 1e-29, 2.5, math.inf])
-def test_a_hat_matches_its_own_count(tol):
-    # tol = inf needs one term. Where the count is over the term cap, from
-    # u = 0.9 on at tol 1e-6 and tighter and next to 1 at 2.5, the oracle
+def test_a_hat_matches_its_own_count():
+    # Where the count is over the term cap, from u = 0.9 on, the oracle
     # raises, and a_hat must raise too.
     for u in _U_GRID[::40] + _U_EDGES + [0.95, 0.99]:
         try:
-            want = oracles.a_hat(u, tol)
+            want = oracles.a_hat(u)
         except RuntimeError:
             with pytest.raises(RuntimeError, match="term cap"):
-                a_hat(u, tol)
+                a_hat(u)
             continue
-        assert a_hat(u, tol) == want, u
+        assert a_hat(u) == want, u
 
 
 # a_hat's stopping rule: the tail bound it returns is the one it tested,
-# so it is at most tol, and the count is the least one; n terms, each
+# so it is at most _TOL, and the count is the least one; n terms, each
 # rounded once, keep the exact sum at x = fl(u^2) within n ulp of the
 # bracket [value, value + tail_bound]. Over the cap it raises, and only
-# where the bound after 128 terms is still above tol.
-@given(
-    u=st.floats(min_value=0.0, max_value=0.89),
-    tol=st.one_of(st.floats(min_value=1e-15, max_value=1e3), st.just(math.inf)),
-)
+# where the bound after 128 terms is still above _TOL.
+@given(u=st.floats(min_value=0.0, max_value=0.95))
 @settings(deadline=None, max_examples=200)
-@example(u=0.00031622775811114394, tol=1e-14)
-def test_a_hat_stops_at_its_own_tail_bound(u, tol):
+@example(u=0.00031622775811114394)
+def test_a_hat_stops_at_its_own_tail_bound(u):
     x = u * u
     bounds, p = [], 1.0
     for n in range(1, _MAX_TERMS + 1):
         p *= x
         bounds.append(2.0 * p / (n * (1.0 - x)))
     try:
-        ev = a_hat(u, tol)
+        ev = a_hat(u)
     except RuntimeError as e:
-        assert "term cap" in str(e) and bounds[-1] > tol
+        assert "term cap" in str(e) and bounds[-1] > _TOL
         return
     n = ev.terms_used
-    assert ev.tail_bound == bounds[n - 1] <= tol
-    assert n == 1 or bounds[n - 2] > tol
+    assert ev.tail_bound == bounds[n - 1] <= _TOL
+    assert n == 1 or bounds[n - 2] > _TOL
     exact = _exact_profile(mpmath.mpf(x)) if x else mpmath.mpf(8) / 3
     slack = n * math.ulp(ev.value)
     assert ev.value - slack <= exact <= ev.value + ev.tail_bound + slack

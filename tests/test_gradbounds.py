@@ -11,6 +11,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from wpstrata.gradbounds import (
     EPS2,
@@ -86,7 +87,6 @@ class TestThreshold:
         assert abs(math.sinh(0.25 * L0) * math.sinh(0.5 * L0) - 1.0) < 1e-12
 
     def test_scipy_cross_check(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
         root = brentq(
             lambda t: math.sinh(0.25 * t) * math.sinh(0.5 * t) - 1.0, 1.0, 4.0,
             xtol=1e-14,

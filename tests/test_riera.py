@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpstrata import riera
 from wpstrata.hyp2 import UValue
 from wpstrata.riera import (
     _MAX_TERMS,
+    _TOL,
     SeriesEval,
     a_hat,
     a_of_T,
@@ -27,15 +29,15 @@ EIGHT_THIRDS = 8.0 / 3.0
 _ANY = st.floats()
 
 
-def _a_hat_within_cap(u: float, tol: float = 1e-14) -> SeriesEval | None:
-    """a_hat(u, tol), or None where it raises for its term cap, which
-    must be exactly where the oracle's count exceeds the cap."""
+def _a_hat_within_cap(u: float) -> SeriesEval | None:
+    """a_hat(u), or None where it raises for its term cap, which must be
+    exactly where the oracle's count exceeds the cap."""
     x = u * u
-    if x > 0.0 and oracles.term_count(x, tol) > _MAX_TERMS:
+    if x > 0.0 and oracles.term_count(x) > _MAX_TERMS:
         with pytest.raises(RuntimeError, match="term cap"):
-            a_hat(u, tol)
+            a_hat(u)
         return None
-    ev = a_hat(u, tol)
+    ev = a_hat(u)
     assert ev.terms_used <= _MAX_TERMS
     return ev
 
@@ -77,7 +79,6 @@ class TestKernel:
         assert abs(below - above) < 1e-15
 
     def test_asymptotic_branch_oracle(self):
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(50):
             u = mp.mpf(10) ** 8
             exact = float(u * mp.log((u + 1) / (u - 1)) - 2)
@@ -124,23 +125,6 @@ class TestAHat:
             return
         assert ev.value - 1e-12 <= target <= ev.value + ev.tail_bound + 1e-12
 
-    def test_least_count_where_n_log_x_under_3(self):
-        # x = u^2 from 1 - 1e-4 down to e^-3 and tol log-uniform in
-        # [1e-3, 1e6], where the least count n has n |log x| < 3: a_hat
-        # must sum exactly n terms and return a tail bound within tol
-        rng = np.random.default_rng(18)
-        checked = 0
-        for _ in range(3000):
-            u = math.sqrt(1.0 - 10.0 ** rng.uniform(-4.0, math.log10(1.0 - math.exp(-3.0))))
-            tol = 10.0 ** rng.uniform(-3.0, 6.0)
-            x = u * u
-            least = oracles.term_count(x, tol)
-            if least <= _MAX_TERMS and least * -math.log(x) < 3.0:
-                ev = a_hat(u, tol)
-                assert ev.terms_used == least and ev.tail_bound <= tol, (u, tol)
-                checked += 1
-        assert checked > 1000
-
     def test_domain_rejection(self):
         with pytest.raises(ValueError):
             a_hat(1.0)
@@ -160,7 +144,6 @@ class TestAHat:
         # the midpoint of a bracket at most 1e-14 wide, within 16 ulp over
         # T in [0.51, 50] and within 2e-15 relative, 12 ulp, at T = 5.
         # a_hat sums at x = fl(u^2), and is over its term cap up to T = 0.1
-        mp = pytest.importorskip("mpmath")
         u = math.exp(-T)
 
         def exact(x):
@@ -183,14 +166,20 @@ class TestAHat:
     @given(u=st.floats(min_value=0.0, max_value=0.98))
     @settings(deadline=None)
     def test_tail_bound_is_sound(self, u):
-        coarse = _a_hat_within_cap(u, tol=1e-6)
-        fine = _a_hat_within_cap(u, tol=1e-14)
-        if fine is None:  # over the cap from about u = 0.8906, coarse from 0.9539
-            assert u > 0.89 and (coarse is not None or u > 0.95)
+        ev = _a_hat_within_cap(u)
+        if ev is None:  # over the cap from u = 0.8906235512167544 on
+            assert u > 0.89
             return
-        # truth lies above every partial sum and under value + tail
-        assert coarse.value <= fine.value + 1e-15
-        assert fine.value <= coarse.value + coarse.tail_bound + 1e-15
+        # truth lies above every partial sum and under value + tail: a sum
+        # of twice the terms, each rounded once, lands in that bracket
+        x = u * u
+        longer, p = 0.0, 1.0
+        for m in range(2 * ev.terms_used):
+            longer += 8.0 * (m + 1) * p / ((2.0 * m + 1.0) * (2.0 * m + 3.0))
+            p *= x
+        slack = 2 * ev.terms_used * math.ulp(ev.value)
+        assert ev.value <= longer
+        assert longer <= ev.value + ev.tail_bound + slack
 
     @given(u=st.floats(min_value=0.0, max_value=0.98))
     @settings(deadline=None)
@@ -237,7 +226,6 @@ class TestCollarProfile:
         # the term cap, the closed form against itself in 50 digits at T:
         # a_stable takes T itself, so only the closed form's own rounding
         # is left
-        pytest.importorskip("mpmath")
         for T in (1e-16, 1e-12, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1):
             assert math.isclose(a_stable(T), float(oracles.a_exact(T)), rel_tol=2e-15)
 
@@ -290,27 +278,21 @@ class TestTotality:
     """Each public function returns a finite value or its documented inf,
     or raises ValueError."""
 
-    @given(u=st.one_of(_ANY, st.floats(min_value=0.0, max_value=0.999)), tol=_ANY)
+    @given(u=st.one_of(_ANY, st.floats(min_value=0.0, max_value=0.999)))
     @settings(deadline=None, max_examples=150)
-    # x near 1 with a loose tol, where the least count n has
-    # n |log x| < 3: 2, 86, 5 and 17 terms meet the bound
-    @example(u=math.sqrt(0.99962), tol=5012.0)
-    @example(u=0.99498743710662, tol=1.0)
-    @example(u=0.95, tol=2.5)
-    @example(u=math.sqrt(0.9428617844177509), tol=0.8005379468069017)
-    def test_a_hat(self, u, tol):
+    def test_a_hat(self, u):
         try:
-            ev = a_hat(u, tol)
+            ev = a_hat(u)
         except ValueError:
-            assert not (0.0 <= u < 1.0 and tol > 0.0)
+            assert not 0.0 <= u < 1.0
             return
         except RuntimeError as e:
             # the documented term cap, only where the least count exceeds it
-            assert "term cap" in str(e) and oracles.term_count(u * u, tol) > _MAX_TERMS
+            assert "term cap" in str(e) and oracles.term_count(u * u) > _MAX_TERMS
             return
         assert math.isfinite(ev.value) and ev.value >= EIGHT_THIRDS
-        assert 0.0 <= ev.tail_bound <= tol and 1 <= ev.terms_used <= _MAX_TERMS
-        assert ev.terms_used == oracles.term_count(u * u, tol)
+        assert 0.0 <= ev.tail_bound <= _TOL and 1 <= ev.terms_used <= _MAX_TERMS
+        assert ev.terms_used == oracles.term_count(u * u)
 
     @given(T=st.one_of(st.floats(min_value=1e-6), st.floats(max_value=0.0), st.just(math.nan)))
     @settings(deadline=None, max_examples=30)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -421,7 +422,6 @@ class TestGradBracket:
         # Above t ~ 38.8 the chain's u = cosh(s) rounds to 1. Its term is
         # pruned, not read as a crossing (689.5 instead of about 36.6), so
         # the lower end stays under the exact length 1 partial value.
-        mp = pytest.importorskip("mpmath")
         t = 40.0
         with mp.workdps(50):
             u = mp.cosh(2 * mp.asinh(1 / mp.sinh(mp.mpf(t) / 2)))
@@ -481,7 +481,6 @@ class TestWolpertBound:
     def test_first_miss_is_kernel_rounding(self):
         # the 50-digit length 1 partial value is under the bound, and the
         # computed lower end 2.6e-12 relative above it
-        mp = pytest.importorskip("mpmath")
         t = _WOLPERT_MISSES[0]
         with mp.workdps(50):
             u = 1 + 2 / mp.sinh(mp.mpf(t) / 2) ** 2
