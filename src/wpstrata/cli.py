@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -380,7 +381,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     plot = _plot_hsys_ratio if args.which == "hsys-ratio" else _plot_h_vs_k
     svg, sidecar = plot(args.samples, args.tol)
     out = args.out or "plot.svg"
-    csv_path = out[: out.rfind(".")] + ".csv" if "." in out.rsplit("/", 1)[-1] else out + ".csv"
+    csv_path = os.path.splitext(out)[0] + ".csv"
     _write(out, svg)
     _write(csv_path, sidecar)
     sys.stdout.write(f"wrote {out} and {csv_path}\n")

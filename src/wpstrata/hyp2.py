@@ -40,9 +40,7 @@ def _boundary(x: float) -> float:
 
 
 def _same_point(x: float, y: float) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return math.isinf(x) and math.isinf(y)
-    return abs(x - y) <= TANGENCY_TOL * max(1.0, abs(x), abs(y))
+    return math.isclose(x, y, rel_tol=TANGENCY_TOL, abs_tol=TANGENCY_TOL)
 
 
 @dataclass(frozen=True, eq=False)

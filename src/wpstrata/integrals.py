@@ -21,6 +21,7 @@ pa_translation_bounds for the point-pushing translation lengths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
@@ -371,28 +372,20 @@ def c_ratios(ts: Iterable[float], tol: float = 1e-7) -> list[float]:
     The ratio tends to 1 at both ends of the t range and dips to its
     global minimum just above 0.94 near t = 4.35.
 
-    Every t shares one integrand, which keeps a table of the values it
-    has computed, node y -> value, for this call only. A node that
-    several brackets meet is evaluated once: above L0 every t integrates
-    the panel [0, sqrt(L0)], each at its own share of tol, and a looser
-    panel's nodes are among a tighter one's. Each ratio is bit for bit
-    the one that integral_H(0, t, "systole", tol) gives. Raises
-    ValueError unless every t is positive and finite and tol > 0.
+    Every t shares one integrand, wrapped in functools.cache for this
+    call only. A node that several brackets meet is evaluated once:
+    above L0 every t integrates the panel [0, sqrt(L0)], each at its
+    own share of tol, and a looser panel's nodes are among a tighter
+    one's. Each ratio is bit for bit the one that
+    integral_H(0, t, "systole", tol) gives. Raises ValueError unless
+    every t is positive and finite and tol > 0.
     """
     ts = list(ts)
     if not all(0.0 < t < math.inf for t in ts):
         raise ValueError("every t must be positive and finite")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    integrand = _VARIANTS["systole"]
-    table: dict[float, float] = {}
-
-    def f(y: float) -> float:
-        v = table.get(y)
-        if v is None:
-            v = table[y] = integrand(y)
-        return v
-
+    f = functools.cache(_VARIANTS["systole"])
     return [_bracket(f, 0.0, t, "systole", tol).midpoint / integral_K(0.0, t) for t in ts]
 
 

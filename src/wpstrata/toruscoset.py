@@ -91,7 +91,7 @@ pruned, which is harmless for the bound direction.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,7 +122,6 @@ _FLAT_T = 1e-6
 _TINY_T = 2.0**-1020
 
 _REL_TOL = 1e-12
-_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,11 @@ class RectTorusPoint:
         rel = math.sinh(0.5 * self.t) * math.sinh(0.5 * self.s)
         if abs(rel - 1.0) > _REL_TOL:
             raise ValueError("generators must satisfy sinh(t/2) sinh(s/2) = 1")
-        comm = self.A @ self.B @ self.A.inverse() @ self.B.inverse()
-        if abs(comm.trace() + 2.0) > _TRACE_TOL:
-            raise ValueError("commutator trace is not -2")
+        # These shapes give tr [A, B] = 2 - 4 sinh^2(t/2) sinh^2(s/2) = -2.
+        if self.A.b or self.A.c or self.A.a != math.exp(0.5 * self.t):
+            raise ValueError("A must be diag(e^(t/2), e^(-t/2))")
+        if self.B.b != self.B.c or not math.isclose(self.B.b, math.sinh(0.5 * self.s), rel_tol=_REL_TOL):
+            raise ValueError("B must be symmetric with off-diagonal sinh(s/2)")
 
 
 def _node_entries(t: float) -> tuple[float, float, float]:
@@ -201,16 +202,14 @@ def _node_entries(t: float) -> tuple[float, float, float]:
 def holonomy(t: float) -> RectTorusPoint:
     """Square family point at first-curve length t.
 
-    Raises ValueError unless t is positive and finite, and where the
-    rounded generators fail RectTorusPoint's checks, which happens at
-    both ends of the family; dense scans found every t from about
-    1.8e-3 to 1418.17 accepted. Below, det B = ch^2 - sh^2 with
-    sh = csch(t/2) cancels, or the commutator trace drifts from -2:
-    some t fail from about 1.8e-3 down and every t from about 1e-4
-    ("determinant 0.0 is not 1" at t = 1e-8), and below about 1.4e-154
-    ch^2 overflows ("determinant nan"). Above, the products of the
-    commutator check overflow ("determinant nan"), and from about
-    1419.57 on e^(t/2) itself is inf.
+    Raises ValueError unless t is positive and finite, and where a
+    rounded generator fails MoebiusMap's determinant check, which
+    happens only at the ends of the family; dense scans found every t
+    from about 3.03e-5 to 1419.565 accepted. Below, det B = ch^2 - sh^2
+    with sh = csch(t/2) cancels: some t fail from about 3.02e-5 down
+    and about half of them below 1e-5 ("determinant 0.0 is not 1" at
+    t = 1e-8), and below about 1.4e-154 ch^2 overflows ("determinant
+    nan"). From about 1419.5654 on e^(t/2) is inf ("determinant nan").
     """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
@@ -548,15 +547,15 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
             ends.update(zip(ts, node_ends))
             pruned += cut
 
-    def f_lower(y: float) -> float:
-        return 4.0 * y / math.sqrt(ends[y * y][1]) if y else 2.0 * SQRT_2PI
+    def side(k: int) -> Callable[[float], float]:
+        def f(y: float) -> float:
+            return 4.0 * y / math.sqrt(ends[y * y][k]) if y else 2.0 * SQRT_2PI
 
-    def f_upper(y: float) -> float:
-        return 4.0 * y / math.sqrt(ends[y * y][0]) if y else 2.0 * SQRT_2PI
+        return f
 
     half = 0.5 * quad_tol
-    v_lo, e_lo, n_lo = adaptive_simpson(f_lower, 0.0, y_top, half, prefetch=prefetch)
-    v_hi, e_hi, n_hi = adaptive_simpson(f_upper, 0.0, y_top, half, prefetch=prefetch)
+    v_lo, e_lo, n_lo = adaptive_simpson(side(1), 0.0, y_top, half, prefetch=prefetch)
+    v_hi, e_hi, n_hi = adaptive_simpson(side(0), 0.0, y_top, half, prefetch=prefetch)
     lo = v_lo - e_lo
     hi = v_hi + e_hi
     if lo > hi:

@@ -223,7 +223,7 @@ def _on_the_former_diagonal(l_alpha: float, l_beta: float) -> bool:
 @example(l_alpha=1e-300, l_beta=100.0)
 @example(l_alpha=1e-300, l_beta=1419.0)
 @example(l_alpha=1.78e-193, l_beta=1400.0)
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_f_pair_unchanged_where_it_returned(l_alpha, l_beta):
     l_alpha, l_beta = sorted((l_alpha, l_beta))
     if _on_the_former_diagonal(l_alpha, l_beta):
@@ -235,7 +235,7 @@ def test_f_pair_unchanged_where_it_returned(l_alpha, l_beta):
 @given(ell=st.floats(min_value=1e-3, max_value=1500.0))
 @example(ell=12.0)
 @example(ell=math.nextafter(12.0, math.inf))
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_f_pair_unchanged_on_the_diagonal(ell):
     # up to t = 12, where tanh(ell/4)^2 reaches tanh^2 3, the former bits;
     # beyond, where tanh(ell/4)^2 and sinh(ell/2) reach their limits, the
@@ -277,7 +277,7 @@ def test_collar_profile_matches_a_hat_route():
 
 
 @given(u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_collar_profile_matches_a_hat_route_on_draws(u):
     assert _a_of_u(u) == oracles.a_of_u(u)
 
@@ -301,7 +301,7 @@ def test_a_hat_matches_its_own_count():
 # bracket [value, value + tail_bound]. Over the cap it raises, and only
 # where the bound after 128 terms is still above _TOL.
 @given(u=st.floats(min_value=0.0, max_value=0.95))
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @example(u=0.00031622775811114394)
 def test_a_hat_stops_at_its_own_tail_bound(u):
     x = u * u
@@ -402,7 +402,7 @@ def test_unrolled_profile_matches_series_around_every_step():
 
 
 @given(u=st.floats(min_value=0.0, max_value=_A_SERIES_UMAX))
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_unrolled_profile_matches_series_on_draws(u):
     assert _a_of_u(u) == _series_profile(u)
 
@@ -453,7 +453,7 @@ def test_f_pair_matches_factored_envelope():
 @example(l_alpha=1e-300, l_beta=100.0, diagonal=False)
 @example(l_alpha=1e-300, l_beta=1419.0, diagonal=False)
 @example(l_alpha=1.78e-193, l_beta=1400.0, diagonal=False)
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_f_pair_matches_factored_envelope_on_draws(l_alpha, l_beta, diagonal):
     _assert_factored(*sorted((l_alpha, l_alpha if diagonal else l_beta)))
 
@@ -550,7 +550,7 @@ def test_integrands_match_the_layered_ones_at_branch_edges(variant):
     y=st.one_of(st.floats(min_value=0.0), st.floats(min_value=0.0, max_value=60.0)),
     variant=st.sampled_from(sorted(integrals._VARIANTS)),
 )
-@settings(deadline=None, max_examples=600)
+@settings(max_examples=600)
 def test_integrands_match_the_layered_ones_on_draws(y, variant):
     _assert_integrand(variant, y)
 
@@ -558,7 +558,7 @@ def test_integrands_match_the_layered_ones_on_draws(y, variant):
 @given(r=st.floats(min_value=0.0, exclude_min=True))
 @example(r=0.255)
 @example(r=math.nextafter(0.255, 0.0))
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 def test_systole_envelope_matches_the_former_path(r):
     # G_of(r, r) on the straight-line collar series where r + r is at
     # least 0.51; below, where it takes a at r + r itself, within 32 ulp
@@ -590,7 +590,7 @@ _SIMPSON_INTEGRANDS = {
     width=st.floats(min_value=1e-3, max_value=3.0),
     tol=st.floats(min_value=1e-12, max_value=1e-3),
 )
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 def test_simpson_rounds_match_the_recursive_rule(name, a, width, tol):
     # The batched driver against the depth-first recursion it replaced: the
     # same (value, err, evals), bit for bit, with and without prefetch. y is

@@ -313,6 +313,13 @@ class TestPlotCommand:
         assert (tmp_path / "plot.csv").exists()
         assert "plot.svg" in out and "plot.csv" in out
 
+    def test_sidecar_of_a_dot_file(self, tmp_path, capsys):
+        # ".fig" has no extension as os.path.splitext reads it, so the
+        # sidecar appends ".csv" instead of dropping the name
+        assert main(["plot", "h-vs-k", "--samples", "16", "--out", str(tmp_path / ".fig")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".fig", ".fig.csv"]
+        assert capsys.readouterr().out == f"wrote {tmp_path / '.fig'} and {tmp_path / '.fig.csv'}\n"
+
     def test_samples_floor(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["plot", "hsys-ratio", "--samples", "8"])

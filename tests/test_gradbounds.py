@@ -39,7 +39,6 @@ class TestCollarRadii:
         )
 
     @given(ell=st.floats(min_value=1e-3, max_value=40.0))
-    @settings(deadline=None)
     def test_simple_duality(self, ell):
         r = collar_radius_simple(ell)
         assert math.isclose(collar_radius_simple(2.0 * r), 0.5 * ell, rel_tol=1e-12)
@@ -196,7 +195,6 @@ class TestEnvelope:
         r=st.floats(min_value=0.01, max_value=8.0),
         s=st.floats(min_value=0.01, max_value=8.0),
     )
-    @settings(deadline=None)
     def test_g_positive(self, r, s):
         assert G_of(r, s) > 0.0
 
@@ -242,7 +240,7 @@ class TestGradientBounds:
             assert grad_sq_upper_separating(ell) <= grad_sq_upper_single(ell)
 
     @given(ell=st.floats(min_value=1e-300, max_value=630.0))
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_separating_is_single_at_half_length(self, ell):
         # ROADMAP direction 6: both take F_pair(ell / 2, ell / 2), and the
         # factors of 2 scale exactly while nothing under- or overflows
@@ -403,7 +401,7 @@ class TestLargeLengths:
         assert v_factor(5e-324) == 2.0 / math.pi
 
     @given(x=st.floats(), y=st.floats())
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_total_over_every_float(self, x, y):
         # NaN, negatives and +-inf included: a float >= 0, possibly inf,
         # and ValueError exactly where an argument is out of the domain
@@ -430,7 +428,7 @@ class TestLargeLengths:
             assert valid and isinstance(v, float) and v >= 0.0
 
     @given(ell=st.floats(min_value=0.0, max_value=1e-300, exclude_min=True))
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_tiny_lengths_give_the_universal_bound(self, ell):
         # the envelopes vanish, leaving 2 ell / pi, subnormal ell included
         assert grad_sq_upper_systole(ell) == 2.0 * ell / math.pi

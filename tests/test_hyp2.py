@@ -147,7 +147,6 @@ class TestTranslationLength:
         t=st.floats(min_value=0.05, max_value=4.0),
         n=st.integers(min_value=1, max_value=10),
     )
-    @settings(deadline=None)
     def test_power_scaling(self, t, n):
         m = MoebiusMap(math.exp(t / 2), 0.0, 0.0, math.exp(-t / 2))
         p = m
@@ -357,7 +356,7 @@ class TestTotality:
     """Each public function returns a documented value or raises ValueError."""
 
     @given(p=_FLOATS, q=_FLOATS)
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_geodesic(self, p, q):
         try:
             g = GeodesicH2(p, q)
@@ -370,7 +369,7 @@ class TestTotality:
         assert g == GeodesicH2(q, p)
 
     @given(a=_FLOATS, b=_FLOATS, c=_FLOATS, d=_FLOATS)
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_moebius_map(self, a, b, c, d):
         try:
             m = MoebiusMap(a, b, c, d)
@@ -381,7 +380,7 @@ class TestTotality:
         assert math.isfinite(m.trace())
 
     @given(m=_maps(), x=_FLOATS)
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_mobius_apply(self, m, x):
         if m is None:
             return
@@ -393,7 +392,7 @@ class TestTotality:
         assert not math.isnan(w)
 
     @given(maps=st.lists(_maps(), max_size=4))
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     def test_compose_many(self, maps):
         try:
             m = compose_many(m for m in maps if m is not None)
@@ -402,7 +401,7 @@ class TestTotality:
         assert abs(m.a * m.d - m.b * m.c - 1.0) <= 1e-6
 
     @given(m=_maps())
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_translation_length(self, m):
         if m is None:
             return
@@ -414,7 +413,7 @@ class TestTotality:
         assert math.isfinite(ell) and ell > 0.0
 
     @given(m=_maps())
-    @settings(deadline=None, max_examples=500)
+    @settings(max_examples=500)
     def test_axis_of(self, m):
         if m is None:
             return
@@ -431,7 +430,7 @@ class TestTotality:
                 assert z == INF or _root_within(m, z, 1e-9), (m, axis, z)
 
     @given(p1=_FLOATS, q1=_FLOATS, p2=_FLOATS, q2=_FLOATS)
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_u_value(self, p1, q1, p2, q2):
         try:
             g1, g2 = GeodesicH2(p1, q1), GeodesicH2(p2, q2)

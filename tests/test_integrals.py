@@ -324,7 +324,7 @@ class TestIntegralH:
         extra=st.floats(min_value=0.01, max_value=36.0),
         tol=st.floats(min_value=1e-12, max_value=1e-6),
     )
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_separating_is_plain_rescaled(self, a, extra, tol):
         # ROADMAP direction 6: t = 2s gives H_sep(a, b) = sqrt(2) H_plain(a/2, b/2).
         # At tol / sqrt(2) the plain run takes the same panels, except where
@@ -435,7 +435,7 @@ class TestIntegralH:
         b=st.floats(min_value=0.0, max_value=1e4),
         variant=st.sampled_from(["plain", "separating", "systole"]),
     )
-    @settings(deadline=None, max_examples=60)
+    @settings(max_examples=60)
     def test_total_up_to_1e4(self, a, b, variant):
         a, b = sorted((a, b))
         try:
@@ -638,7 +638,7 @@ class TestTotality:
 
     @pytest.mark.parametrize("route", [W1, W2])
     @given(length=_LENGTHS)
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_separating_routes(self, route, length):
         # ValueError only for an invalid length: <= 0 or NaN
         try:
@@ -653,14 +653,14 @@ class TestTotality:
         length=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         tol=st.floats(min_value=1e-12, max_value=1.0),
     )
-    @settings(deadline=None, max_examples=20)
+    @settings(max_examples=20)
     def test_separating_routes_at_any_tol(self, route, length, tol):
         # every leg reaches tol from 1e-12 on
         br = route(length, tol)
         assert _finite(br) and br.lo > 0.0
 
     @given(t=st.floats(), tol=_TOLS)
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_c_ratio(self, t, tol):
         try:
             v = c_ratios([t], tol)[0]
@@ -670,7 +670,7 @@ class TestTotality:
         assert math.isfinite(v) and 0.9 < v < 1.1
 
     @given(ts=st.lists(st.one_of(_LENGTHS, st.just(math.inf)), max_size=4), tol=_TOLS)
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_c_ratios(self, ts, tol):
         # a repeated length gives the same ratio again
         try:
@@ -686,14 +686,14 @@ class TestTotality:
         width=st.floats(min_value=0.0, max_value=1e6),
         tol=_TOLS,
     )
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_strata_separation(self, lo, width, tol):
         sep = strata_separation(Bracket(lo, lo + width), tol)
         assert all(_finite(route) for route in sep)
         assert all(sep.sphere_more.lo <= route.lo for route in (sep.two_delta11, sep.w1, sep.w2))
 
     @given(a=st.floats(), b=st.floats())
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_integral_k(self, a, b):
         try:
             v = integral_K(a, b)
@@ -716,7 +716,7 @@ class TestTotality:
         assert lo <= oracles.calibrate_eps2() <= hi
 
     @given(tol=st.floats())
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_thin_pair_sum(self, tol):
         # ValueError below 2e-323, where tol / 2 is under integral_H's least
         # tol, and for NaN; ConvergenceError past what the quadrature reaches
@@ -731,7 +731,7 @@ class TestTotality:
         assert _finite(br) and br.lo <= 7.611385 <= br.hi
 
     @given(tol=st.floats())
-    @settings(deadline=None, max_examples=15)
+    @settings(max_examples=15)
     def test_pa_translation_bounds(self, tol):
         try:
             pa = pa_translation_bounds(tol)

@@ -164,7 +164,6 @@ class TestAHat:
             assert ev.value - slack <= series <= ev.value + ev.tail_bound + slack
 
     @given(u=st.floats(min_value=0.0, max_value=0.98))
-    @settings(deadline=None)
     def test_tail_bound_is_sound(self, u):
         ev = _a_hat_within_cap(u)
         if ev is None:  # over the cap from u = 0.8906235512167544 on
@@ -182,7 +181,6 @@ class TestAHat:
         assert longer <= ev.value + ev.tail_bound + slack
 
     @given(u=st.floats(min_value=0.0, max_value=0.98))
-    @settings(deadline=None)
     def test_returns_series_eval(self, u):
         ev = _a_hat_within_cap(u)
         if ev is None:
@@ -279,7 +277,7 @@ class TestTotality:
     or raises ValueError."""
 
     @given(u=st.one_of(_ANY, st.floats(min_value=0.0, max_value=0.999)))
-    @settings(deadline=None, max_examples=150)
+    @settings(max_examples=150)
     def test_a_hat(self, u):
         try:
             ev = a_hat(u)
@@ -295,7 +293,7 @@ class TestTotality:
         assert ev.terms_used == oracles.term_count(u * u)
 
     @given(T=st.one_of(st.floats(min_value=1e-6), st.floats(max_value=0.0), st.just(math.nan)))
-    @settings(deadline=None, max_examples=30)
+    @settings(max_examples=30)
     def test_a_of_T(self, T):
         try:
             v = a_of_T(T)
@@ -310,7 +308,7 @@ class TestTotality:
         assert math.isfinite(v) and v >= EIGHT_THIRDS
 
     @given(T=_ANY)
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_a_stable(self, T):
         try:
             v = a_stable(T)
@@ -320,7 +318,7 @@ class TestTotality:
         assert v >= EIGHT_THIRDS and math.isfinite(v)
 
     @given(x=_ANY, crossing=st.booleans())
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_riera_R(self, x, crossing):
         try:
             u = UValue(x, crossing)

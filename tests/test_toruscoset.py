@@ -249,14 +249,14 @@ class TestOracleTotality:
     not an int)."""
 
     @given(t=st.floats())
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_holonomy_total_over_every_float(self, t):
-        # dense scans found every t from about 1.8e-3 to 1418.17 accepted;
-        # asserted on [5e-3, 1418] (see the holonomy docstring)
+        # dense scans found every t from about 3.03e-5 to 1419.565
+        # accepted; asserted on [3.1e-5, 1419.5] (see the holonomy docstring)
         try:
             p = holonomy(t)
         except ValueError:
-            assert not 5e-3 <= t <= 1418.0
+            assert not 3.1e-5 <= t <= 1419.5
             return
         assert 0.0 < t < 1419.57 and p.t == t and math.isfinite(p.s) and p.s > 0.0
 
@@ -268,6 +268,20 @@ class TestOracleTotality:
         with pytest.raises(ValueError, match=message):
             holonomy(t)
 
+    def test_holonomy_on_a_log_grid(self):
+        # from 3.1e-5, since B's own determinant check refuses some t up
+        # to about 3.02e-5; 1e-3 and 1419.0 lie near both ends
+        for t in np.geomspace(3.1e-5, 1419.5, 2000).tolist() + [1e-3, 1419.0]:
+            p = holonomy(t)
+            assert p.t == t and 0.0 < p.s < math.inf
+
+    def test_swapped_generators_are_refused(self):
+        # tr [B, A] = tr [A, B] = -2, but the first generator must be the
+        # diagonal one of length t
+        good = holonomy(1.0)
+        with pytest.raises(ValueError, match="A must be diag"):
+            RectTorusPoint(t=1.0, s=good.s, A=good.B, B=good.A)
+
     @given(
         kind=st.one_of(st.sampled_from(["AA", "AB"]), st.text(max_size=3)),
         length=st.one_of(
@@ -277,7 +291,7 @@ class TestOracleTotality:
             st.floats(),
         ),
     )
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     # an AB word starts with a B letter and ends with an A letter
     @example(kind="AB", length=1)
     def test_enumerate_cosets_total(self, kind, length):
@@ -303,7 +317,7 @@ class TestOracleTotality:
         first=st.sampled_from([2, 3]),
         steps=st.lists(st.integers(min_value=0, max_value=2), max_size=7),
     )
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_u_of_coset_total(self, t, first, steps):
         # canonical cosets of up to 8 letters; the identity crosses at u = 0
         p = holonomy(t)
@@ -384,7 +398,7 @@ class TestGradBracket:
         t=st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
         L=st.integers(min_value=0, max_value=6),
     )
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     def test_total_over_positive_floats(self, t, L):
         # a bracket, its upper end possibly inf; RuntimeWarnings are errors
         br = grad_sq_bracket(t, L)
@@ -492,7 +506,7 @@ class TestWolpertBound:
 
 class TestDistanceBracket:
     @given(L=st.integers(min_value=0, max_value=3), quad_tol=st.floats())
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     def test_total_over_every_quad_tol(self, L, quad_tol):
         # ValueError unless quad_tol is finite and halves to a positive
         # float; ConvergenceError only below what the quadrature reaches,
