@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Any, Callable
 from decimal import ROUND_CEILING, ROUND_DOWN, Decimal
 
@@ -527,40 +527,30 @@ def _verify_lipschitz() -> None:
     _check(_reproduces("lipschitz_sys", lip, lip), "lipschitz constant digits off")
 
 
-def _brute_force_cosets(max_word_length: int) -> dict[str, set[tuple[int, ...]]]:
-    # Independent road: all reduced words up to length cap, each
-    # stripped of its leading A letters and then of its trailing A
-    # letters (an AA coset) or its trailing B letters (an AB coset).
+def _brute_force_cosets(max_word_length: int) -> dict[str, set[str]]:
+    # Independent road: all reduced words up to length cap, spelled in
+    # CosetWord's letters AaBb, stripped of leading A letters and then of
+    # trailing A letters (an AA coset) or trailing B letters (an AB coset).
     # Longer words add none: a core of length <= cap is itself a reduced
     # word of length <= cap, and strips to itself.
-    inv = (1, 0, 3, 2)
-    aa: set[tuple[int, ...]] = set()
-    ab: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = [()]
+    aa: set[str] = set()
+    ab: set[str] = set()
+    frontier = [""]
     for _ in range(max_word_length):
-        frontier = [w + (l,) for w in frontier for l in range(4) if not w or inv[w[-1]] != l]
+        frontier = [w + l for w in frontier for l in "AaBb" if not w or w[-1] != l.swapcase()]
         for w in frontier:
-            n = len(w)
-            i = 0
-            while i < n and w[i] < 2:
-                i += 1
-            j = n
-            while j > i and w[j - 1] < 2:
-                j -= 1
-            if 0 < j - i <= max_word_length:
-                aa.add(w[i:j])
-            j = n
-            while j > i and w[j - 1] >= 2:
-                j -= 1
-            if 0 < j - i <= max_word_length:
-                ab.add(w[i:j])
+            core = w.lstrip("Aa")
+            aa.add(core.rstrip("Aa"))
+            ab.add(core.rstrip("Bb"))
+    aa.discard("")
+    ab.discard("")
     return {"AA": aa, "AB": ab}
 
 
 def _verify_brute_force() -> None:
     brute = _brute_force_cosets(5)
     for kind in ("AA", "AB"):
-        direct = {w.letters for w in enumerate_cosets(kind, 5)}
+        direct = {str(w) for w in enumerate_cosets(kind, 5)}
         _check(direct == brute[kind], f"{kind} enumeration disagrees with brute force")
 
 
@@ -604,17 +594,11 @@ def _verify_cor_grid() -> None:
 
 
 # separation_monotone, refined_delta11 and path_bracket_contract share
-# delta11_bracket(*_REFINED), built at most once per cmd_verify run and
-# dropped on return; outside a run each builds its own.
-_verify_run: dict[str, Bracket] | None = None
-
-
+# delta11_bracket(*_REFINED), which cmd_verify clears on entry and on exit,
+# also when cut short; checks called outside a run share it until then.
+@cache
 def _refined() -> Bracket:
-    if _verify_run is None:
-        return delta11_bracket(*_REFINED)
-    if "refined" not in _verify_run:
-        _verify_run["refined"] = delta11_bracket(*_REFINED)
-    return _verify_run["refined"]
+    return delta11_bracket(*_REFINED)
 
 
 def _verify_refined_delta11() -> None:
@@ -794,10 +778,9 @@ _ALL_CHECKS = [
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    global _verify_run
     checks = _ALL_CHECKS  # the module's list at call time, which tests and tracers swap
     failed = 0
-    _verify_run = {}
+    _refined.cache_clear()
     try:
         for name, fn in checks:
             try:
@@ -811,7 +794,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 sys.stdout.write(f"ok {name}\n")
     finally:
-        _verify_run = None
+        _refined.cache_clear()
     sys.stdout.write(f"{len(checks) - failed} passed, {failed} failed\n")
     return 0 if failed == 0 else 1
 

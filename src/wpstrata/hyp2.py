@@ -110,14 +110,11 @@ def compose_many(maps: Iterable[MoebiusMap]) -> MoebiusMap:
     for m in maps:
         a, b = a * m.a + b * m.c, a * m.b + b * m.d
         c, d = c * m.a + d * m.c, c * m.b + d * m.d
-    s = _unit_scale(a * d - b * c)
-    return MoebiusMap(a * s, b * s, c * s, d * s)
-
-
-def _unit_scale(det: float) -> float:
+    det = a * d - b * c
     if det == 0.0 or not math.isfinite(det):
         raise ValueError(f"product lost its determinant to rounding (a d - b c = {det!r})")
-    return 1.0 / math.sqrt(abs(det))
+    s = 1.0 / math.sqrt(abs(det))
+    return MoebiusMap(a * s, b * s, c * s, d * s)
 
 
 def mobius_apply(m: MoebiusMap, x: float) -> float:

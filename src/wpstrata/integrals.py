@@ -228,21 +228,19 @@ def adaptive_simpson(
     return value, err, n_evals
 
 
-def _check_range(a: float, b: float, strict: bool) -> None:
+def _check_range(a: float, b: float) -> None:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("endpoints must be finite")
     if a < 0.0:
         raise ValueError("requires a >= 0")
-    if strict and not a < b:
-        raise ValueError("requires a < b")
-    if not strict and not a <= b:
+    if not a <= b:
         raise ValueError("requires a <= b")
 
 
 def integral_K(a: float, b: float) -> float:
     """Closed form baseline sqrt(2 pi b) - sqrt(2 pi a); ValueError unless
     0 <= a <= b, both finite."""
-    _check_range(a, b, strict=False)
+    _check_range(a, b)
     return SQRT_2PI * (math.sqrt(b) - math.sqrt(a))
 
 
@@ -346,16 +344,17 @@ def integral_H(a: float, b: float, variant: str = "plain", tol: float = 1e-7) ->
     ("systole"), the integrand is exactly 0, 0 or sqrt(2 pi), and that
     part of the range is added in closed form. The bracket width comes
     out at or below tol plus the series slack, 3e-14 per unit of y.
-    Raises ValueError if sqrt(a) and sqrt(b) round to the same double,
-    where the substitution cannot resolve the range, if tol is below
-    1e-323, twice the least subnormal, or NaN, or if a panel's share of
+    Raises ValueError unless 0 <= a <= b, both finite, if sqrt(a) and
+    sqrt(b) round to the same double (a == b among them), where the
+    substitution cannot resolve the range, if tol is below 1e-323,
+    twice the least subnormal, or NaN, or if a panel's share of
     tol underflows to 0 on a very narrow range, as in integral_H(0,
     5e-324, "plain", 1e-200); and ConvergenceError, a RuntimeError,
     where tol is below what the quadrature reaches.
     F tends to 0 as t -> 0, so the integrand takes its y = 0 value
     sqrt(2 pi) wherever y^2 underflows to 0.
     """
-    _check_range(a, b, strict=True)
+    _check_range(a, b)
     # The panels share half of tol, so the least subnormal is too small.
     if not 0.5 * tol > 0.0:
         raise ValueError("tol must be at least 1e-323")

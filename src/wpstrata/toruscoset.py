@@ -140,11 +140,11 @@ class CosetWord:
     def __post_init__(self) -> None:
         if self.kind not in ("AA", "AB"):
             raise ValueError(f"unknown coset kind {self.kind!r}")
+        if not all(type(l) is int and 0 <= l <= 3 for l in self.letters):
+            raise ValueError("letters must be in 0..3")
         for a, b in zip(self.letters, self.letters[1:]):
             if _INV[a] == b:
                 raise ValueError("word is not freely reduced")
-        if not all(0 <= l <= 3 for l in self.letters):
-            raise ValueError("letters must be in 0..3")
         if not self.letters:
             if self.kind != "AB":
                 raise ValueError("only the AB identity coset may be empty")
@@ -222,11 +222,11 @@ def holonomy(t: float) -> RectTorusPoint:
     )
 
 
-def _check_word_length(max_word_length: int, least: int) -> None:
+def _check_word_length(max_word_length: int) -> None:
     if not isinstance(max_word_length, int) or isinstance(max_word_length, bool):
         raise TypeError("max_word_length must be an int")
-    if not least <= max_word_length <= MAX_WORD_LENGTH:
-        raise ValueError(f"max_word_length must be in {least}..{MAX_WORD_LENGTH}")
+    if not 0 <= max_word_length <= MAX_WORD_LENGTH:
+        raise ValueError(f"max_word_length must be in 0..{MAX_WORD_LENGTH}")
 
 
 @lru_cache(maxsize=8)
@@ -249,11 +249,11 @@ def enumerate_cosets(kind: str, max_word_length: int) -> list[CosetWord]:
     A, A^-1, B, B^-1. The identity AB coset is not included; it is
     available flagged from identity_coset(). Every word starts with a B
     letter, and an AB word ends with an A letter, so AB words have
-    length at least 2 and enumerate_cosets("AB", 1) is [].
+    length at least 2: enumerate_cosets("AB", 1) is [], as is length 0.
     """
     if kind not in ("AA", "AB"):
         raise ValueError(f"unknown coset kind {kind!r}")
-    _check_word_length(max_word_length, 1)
+    _check_word_length(max_word_length)
     ends = (2, 3) if kind == "AA" else (0, 1)
     return [CosetWord(w, kind) for words in _word_tables(max_word_length) for w in words if w[-1] in ends]
 
@@ -497,7 +497,7 @@ def grad_sq_bracket(t: float, max_word_length: int = 8) -> Bracket:
     """
     if t <= 0.0 or not math.isfinite(t):
         raise ValueError("length must be positive and finite")
-    _check_word_length(max_word_length, 0)
+    _check_word_length(max_word_length)
     ((lower, upper),), pruned = _grad_sq_ends([t], max_word_length)
     return Bracket(
         lower,
@@ -529,7 +529,7 @@ def delta11_bracket(max_word_length: int = 8, quad_tol: float = 1e-6) -> Bracket
     RuntimeError, where quad_tol is below what the quadrature reaches
     (1e-14 from word length 1 on, 1e-300 at 0).
     """
-    _check_word_length(max_word_length, 0)
+    _check_word_length(max_word_length)
     # Each side gets half of quad_tol, so the least subnormal is too small.
     if not (0.5 * quad_tol > 0.0 and math.isfinite(quad_tol)):
         raise ValueError("quad_tol must be finite and at least 1e-323")

@@ -250,7 +250,8 @@ def test_f_pair_unchanged_on_the_diagonal(ell):
 def test_brute_force_one_pass_matches_two_passes(L):
     got = cli._brute_force_cosets(L)
     for kind in ("AA", "AB"):
-        assert got[kind] == oracles.brute_force_words(kind, L)
+        want = oracles.brute_force_words(kind, L)
+        assert got[kind] == {"".join(toruscoset._LETTER_CHARS[l] for l in w) for w in want}
 
 
 # Series arguments: a dense sweep up to the switch point, the edges where
@@ -709,3 +710,14 @@ def test_production_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_production_holds_no_global_statement():
+    # module state is set at import or held in a cache, never rebound
+    # from inside a function
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+    assert found == []

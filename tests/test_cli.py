@@ -359,8 +359,8 @@ class TestVerifyCommand:
     def test_one_refined_bracket_per_run(self, monkeypatch, capsys):
         # separation_monotone, refined_delta11 and path_bracket_contract
         # share one bracket in a run, and no other delta11 bracket at that
-        # tol is built; nothing outlives the run, and a check alone builds
-        # its own.
+        # tol is built; nothing outlives the run, and checks called alone
+        # share one bracket until the next run clears it.
         calls = []
         build = cli.delta11_bracket
 
@@ -369,25 +369,28 @@ class TestVerifyCommand:
             return build(*args)
 
         monkeypatch.setattr(cli, "delta11_bracket", counting)
-        for runs in (1, 2):
-            assert main(["verify", "all"]) == 0
-            assert calls.count((8, 1e-6)) == runs and cli._verify_run is None
-            assert (4, 1e-6) not in calls
-        cli._verify_refined_delta11()
-        cli._verify_path_bracket_contract()
-        assert calls.count((8, 1e-6)) == 4
+        try:
+            for runs in (1, 2):
+                assert main(["verify", "all"]) == 0
+                assert calls.count((8, 1e-6)) == runs and cli._refined.cache_info().currsize == 0
+                assert (4, 1e-6) not in calls
+            cli._verify_refined_delta11()
+            cli._verify_path_bracket_contract()
+            assert calls.count((8, 1e-6)) == 3
+        finally:
+            cli._refined.cache_clear()  # it may hold a bracket the patched builder made
         capsys.readouterr()
 
     def test_an_interrupted_run_drops_its_bracket(self, monkeypatch):
         def interrupted() -> None:
             cli._verify_refined_delta11()
-            assert set(cli._verify_run) == {"refined"}
+            assert cli._refined.cache_info().currsize == 1
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_ALL_CHECKS", [("interrupted", interrupted)])
         with pytest.raises(KeyboardInterrupt):
             main(["verify"])
-        assert cli._verify_run is None
+        assert cli._refined.cache_info().currsize == 0
 
 
 _PROFILE_GRID = np.logspace(-6.0, math.log10(50.0), 40).tolist()

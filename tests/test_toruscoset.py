@@ -75,8 +75,7 @@ class TestEnumeration:
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_cosets("BB", 3)
-        with pytest.raises(ValueError):
-            enumerate_cosets("AA", 0)
+        assert enumerate_cosets("AA", 0) == []
         with pytest.raises(TypeError):
             enumerate_cosets("AA", True)
         with pytest.raises(TypeError):
@@ -127,13 +126,6 @@ class TestCosetWord:
 
 
 class TestHolonomy:
-    def test_defining_relation_grid(self):
-        for t in np.linspace(0.05, 10.0, 50):
-            p = holonomy(float(t))
-            assert abs(math.sinh(0.5 * p.t) * math.sinh(0.5 * p.s) - 1.0) < 1e-12
-            comm = p.A @ p.B @ p.A.inverse() @ p.B.inverse()
-            assert abs(comm.trace() + 2.0) < 1e-8
-
     def test_translation_lengths(self):
         p = holonomy(1.7)
         assert math.isclose(translation_length(p.A), 1.7, rel_tol=1e-12)
@@ -244,9 +236,9 @@ def _canonical_word(first: int, steps: list[int]) -> CosetWord:
 
 
 class TestOracleTotality:
-    """holonomy, enumerate_cosets and u_of_coset over their whole domains:
-    a documented value or ValueError (TypeError for a word length that is
-    not an int)."""
+    """holonomy, CosetWord, enumerate_cosets and u_of_coset over their
+    whole domains: a documented value or ValueError (TypeError for a word
+    length that is not an int)."""
 
     @given(t=st.floats())
     @settings(max_examples=300)
@@ -294,6 +286,7 @@ class TestOracleTotality:
     @settings(max_examples=200)
     # an AB word starts with a B letter and ends with an A letter
     @example(kind="AB", length=1)
+    @example(kind="AA", length=0)
     def test_enumerate_cosets_total(self, kind, length):
         # lengths 6..MAX_WORD_LENGTH are valid too, but 3^14 words are
         # too many for a draw
@@ -304,13 +297,30 @@ class TestOracleTotality:
             assert kind in ("AA", "AB") and not valid_length
             return
         except ValueError:
-            assert kind not in ("AA", "AB") or (valid_length and not 1 <= length <= MAX_WORD_LENGTH)
+            assert kind not in ("AA", "AB") or (valid_length and not 0 <= length <= MAX_WORD_LENGTH)
             return
-        assert valid_length and 1 <= length <= 5
-        # empty exactly for enumerate_cosets("AB", 1)
+        assert valid_length and 0 <= length <= 5
+        # empty exactly at length 0 and for enumerate_cosets("AB", 1)
         shortest = 2 if kind == "AB" else 1
         assert bool(words) == (length >= shortest)
         assert all(w.kind == kind and shortest <= len(w.letters) <= length for w in words)
+
+    @given(
+        letters=st.lists(st.one_of(st.integers(-2, 6), st.floats(), st.booleans()), max_size=6).map(tuple),
+        kind=st.one_of(st.sampled_from(["AA", "AB"]), st.text(max_size=3)),
+    )
+    @settings(max_examples=300)
+    @example(letters=(4, 2), kind="AA")  # past the inverse table
+    @example(letters=(2.0, 0), kind="AB")  # not an int
+    @example(letters=(True, 2), kind="AA")  # a bool, not the letter 1
+    @example(letters=(2, True), kind="AB")
+    def test_coset_word_total(self, letters, kind):
+        try:
+            word = CosetWord(letters, kind)
+        except ValueError:
+            return
+        assert kind in ("AA", "AB") and all(type(l) is int and 0 <= l <= 3 for l in letters)
+        assert str(word) == ("".join("AaBb"[l] for l in letters) or "e")
 
     @given(
         t=st.floats(min_value=5e-3, max_value=1418.0),
