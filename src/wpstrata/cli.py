@@ -830,12 +830,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_, tol, tol_help in (
         ("constants", cmd_constants, "recompute and compare the named constants", 1e-8, "bracket width target"),
-        ("delta11", cmd_delta11, "refined one-handle distance bracket", 1e-6, "quadrature tolerance"),
+        ("delta11", cmd_delta11, "refined one-handle distance bracket", _REFINED[1], "quadrature tolerance"),
     ):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--tol", type=_tol, default=tol, help=tol_help)
         if name == "delta11":
-            p.add_argument("--max-word-length", type=_word_length, default=8)
+            p.add_argument("--max-word-length", type=_word_length, default=_REFINED[0])
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write to this path instead of stdout")
         p.set_defaults(fn=fn)

@@ -219,7 +219,5 @@ def grad_sq_upper_systole(ell: float) -> float:
     about 1e-5, where 1 + G_of(r, r) rounds to 1; G_of is 0 once the
     collar area saturates past r = 700 (ell below about 4e-304).
     """
-    if not ell > 0.0:
-        raise ValueError("length must be positive")
-    r = r_sys(ell)
+    r = r_sys(ell)  # refuses a length that is not positive
     return (2.0 * ell / math.pi) * (1.0 + G_of(r, r))

@@ -43,26 +43,23 @@ def _same_point(x: float, y: float) -> bool:
     return math.isclose(x, y, rel_tol=TANGENCY_TOL, abs_tol=TANGENCY_TOL)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GeodesicH2:
-    """Unoriented geodesic given by an unordered pair of ideal endpoints."""
+    """Unoriented geodesic given by an unordered pair of ideal endpoints,
+    stored in ascending order, oo last, so p is always finite."""
 
     p: float
     q: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _boundary(self.p))
-        object.__setattr__(self, "q", _boundary(self.q))
-        if _same_point(self.p, self.q):
+        p = _boundary(self.p)
+        q = _boundary(self.q)
+        if q < p:
+            p, q = q, p
+        if _same_point(p, q):
             raise ValueError("geodesic needs two distinct ideal endpoints")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GeodesicH2):
-            return NotImplemented
-        return {self.p, self.q} == {other.p, other.q}
-
-    def __hash__(self) -> int:
-        return hash(frozenset((self.p, self.q)))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -225,17 +222,16 @@ def u_value(g1: GeodesicH2, g2: GeodesicH2) -> UValue:
     ):
         raise ValueError("geodesics share an ideal endpoint")
 
-    if math.isinf(p1):
-        p1, q1 = q1, p1
+    # Endpoints are stored ascending, so only q1 and q2 can be oo.
     if math.isinf(q1):
         # Translation z -> z - p1 takes (p1, oo) to (0, oo).
-        p = q2 - p1 if not math.isinf(q2) else INF
-        q = p2 - p1 if not math.isinf(p2) else INF
+        p = q2 - p1
+        q = p2 - p1
         if math.isinf(p) or math.isinf(q):
             raise ValueError("pair is tangent at infinity")
     else:
         # z -> (z - p1) / (z - q1) takes (p1, q1) to (0, oo); oo maps to 1.
-        p = 1.0 if math.isinf(p2) else (p2 - p1) / (p2 - q1)
+        p = (p2 - p1) / (p2 - q1)
         q = 1.0 if math.isinf(q2) else (q2 - p1) / (q2 - q1)
 
     s = abs(p + q)

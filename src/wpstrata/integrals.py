@@ -388,13 +388,13 @@ def c_ratios(ts: Iterable[float], tol: float = 1e-7) -> list[float]:
     return [_bracket(f, 0.0, t, "systole", tol).midpoint / integral_K(0.0, t) for t in ts]
 
 
-def _route(length: float, other: float, tol: float) -> Bracket:
-    # H_sep(0, length) + H_sep(0, other), each leg to tol / 2. The second
-    # leg underflows to 0 past a length of about 2980 and adds nothing.
-    first = integral_H(0.0, length, "separating", 0.5 * tol)
-    if other == 0.0:
+def _two_legs(variant: str, b1: float, b2: float, tol: float) -> Bracket:
+    # H(0, b1) + H(0, b2), each leg to tol / 2. A second leg of 0, as a
+    # separating route's past a length of about 2980, adds nothing.
+    first = integral_H(0.0, b1, variant, 0.5 * tol)
+    if b2 == 0.0:
         return first
-    return first + integral_H(0.0, other, "separating", 0.5 * tol)
+    return first + integral_H(0.0, b2, variant, 0.5 * tol)
 
 
 def W1(length: float, tol: float = 1e-7) -> Bracket:
@@ -408,9 +408,7 @@ def W1(length: float, tol: float = 1e-7) -> Bracket:
     returns at tol down to 1e-14; at 5e-15 long legs raise, as at
     L = 1e-300 and 1e10.
     """
-    if not length > 0.0:
-        raise ValueError("length must be positive")
-    return _route(length, 4.0 * collar_radius_separating(length), tol)
+    return _two_legs("separating", length, 4.0 * collar_radius_separating(length), tol)
 
 
 def W2(length: float, tol: float = 1e-7) -> Bracket:
@@ -421,18 +419,14 @@ def W2(length: float, tol: float = 1e-7) -> Bracket:
     collar radii of L and 2L. Raises as W1 does, at about the same
     lengths and tols.
     """
-    if not length > 0.0:
-        raise ValueError("length must be positive")
     other = 2.0 * (collar_radius_separating(length) + collar_radius_separating(2.0 * length))
-    return _route(length, other, tol)
+    return _two_legs("separating", length, other, tol)
 
 
 def thin_pair_sum(tol: float = 1e-7) -> Bracket:
     """H(0, 4 EPS2) + H(0, 2 EPS2), the generic two-curve threshold sum,
     each to tol / 2; raises as integral_H does at tol / 2."""
-    return integral_H(0.0, 4.0 * EPS2, "plain", 0.5 * tol) + integral_H(
-        0.0, 2.0 * EPS2, "plain", 0.5 * tol
-    )
+    return _two_legs("plain", 4.0 * EPS2, 2.0 * EPS2, tol)
 
 
 class StrataSeparation(NamedTuple):

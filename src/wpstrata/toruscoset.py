@@ -128,16 +128,17 @@ _REL_TOL = 1e-12
 class CosetWord:
     """Canonical double coset representative in the free group on A, B.
 
-    letters encode A, A^-1, B, B^-1 as 0..3. An AA representative is a
-    reduced word that starts and ends with a B letter; an AB
-    representative starts with a B letter and ends with an A letter,
-    the empty word standing for the identity coset.
+    letters, any sequence, kept as a tuple, encode A, A^-1, B, B^-1 as
+    0..3. An AA representative is a reduced word that starts and ends
+    with a B letter; an AB representative starts with a B letter and
+    ends with an A letter, the empty word the identity coset.
     """
 
     letters: tuple[int, ...]
     kind: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
         if self.kind not in ("AA", "AB"):
             raise ValueError(f"unknown coset kind {self.kind!r}")
         if not all(type(l) is int and 0 <= l <= 3 for l in self.letters):

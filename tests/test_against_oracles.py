@@ -721,3 +721,16 @@ def test_production_holds_no_global_statement():
             if isinstance(node, ast.Global):
                 found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
     assert found == []
+
+
+def test_production_classes_define_no_eq_or_hash():
+    # a value type reaches its canonical form in __post_init__, so the
+    # dataclass's own field-wise __eq__ and __hash__ are the right ones
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__"):
+                        found.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
+    assert found == []

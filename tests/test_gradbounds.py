@@ -436,7 +436,7 @@ class TestLargeLengths:
 
 
 
-# (id, function, arguments, the function's own message)
+# (id, function, arguments, the message it raises)
 _NAN_CALLS = [
     ("collar_radius_simple", collar_radius_simple, (math.nan,), "length must be positive"),
     ("collar_radius_separating", collar_radius_separating, (math.nan,), "length must be positive"),

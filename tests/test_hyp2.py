@@ -47,6 +47,10 @@ class TestGeodesic:
         g = GeodesicH2(0.0, INF)
         assert (g.p, g.q) == (0.0, INF)
         assert GeodesicH2(INF, 0.0) == g
+        # endpoints are stored ascending, oo last
+        assert GeodesicH2(INF, 0.0).p == 0.0
+        reversed_ = GeodesicH2(1.0, -1.0)
+        assert (reversed_.p, reversed_.q) == (-1.0, 1.0)
 
     def test_coincident_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -366,6 +370,7 @@ class TestTotality:
             assert math.isnan(p) or math.isnan(q) or math.isinf(p) and math.isinf(q) or near
             return
         assert not math.isnan(g.p) and not math.isnan(g.q) and -INF not in (g.p, g.q)
+        assert g.p < g.q
         assert g == GeodesicH2(q, p)
 
     @given(a=_FLOATS, b=_FLOATS, c=_FLOATS, d=_FLOATS)

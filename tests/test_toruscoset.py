@@ -306,7 +306,10 @@ class TestOracleTotality:
         assert all(w.kind == kind and shortest <= len(w.letters) <= length for w in words)
 
     @given(
-        letters=st.lists(st.one_of(st.integers(-2, 6), st.floats(), st.booleans()), max_size=6).map(tuple),
+        # as lists too: a word keeps any sequence of letters as a tuple
+        letters=st.lists(st.one_of(st.integers(-2, 6), st.floats(), st.booleans()), max_size=6).flatmap(
+            lambda ls: st.sampled_from([ls, tuple(ls)])
+        ),
         kind=st.one_of(st.sampled_from(["AA", "AB"]), st.text(max_size=3)),
     )
     @settings(max_examples=300)
@@ -314,6 +317,7 @@ class TestOracleTotality:
     @example(letters=(2.0, 0), kind="AB")  # not an int
     @example(letters=(True, 2), kind="AA")  # a bool, not the letter 1
     @example(letters=(2, True), kind="AB")
+    @example(letters=[2], kind="AA")  # a list of letters
     def test_coset_word_total(self, letters, kind):
         try:
             word = CosetWord(letters, kind)
@@ -321,6 +325,8 @@ class TestOracleTotality:
             return
         assert kind in ("AA", "AB") and all(type(l) is int and 0 <= l <= 3 for l in letters)
         assert str(word) == ("".join("AaBb"[l] for l in letters) or "e")
+        twin = CosetWord(tuple(letters), kind)
+        assert word == twin and hash(word) == hash(twin)
 
     @given(
         t=st.floats(min_value=5e-3, max_value=1418.0),
