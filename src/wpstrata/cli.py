@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from typing import Any, Callable
 from decimal import ROUND_CEILING, ROUND_DOWN, Decimal
 
@@ -39,12 +39,12 @@ from .gradbounds import (
     v_factor,
 )
 from .hyp2 import (
-    INF,
     GeodesicH2,
     MoebiusMap,
     UValue,
     axis_of,
     collar_area,
+    compose_many,
     translate_geodesic,
     translation_length,
     u_value,
@@ -446,17 +446,12 @@ def _verify_envelope_identity() -> None:
             _check(abs(f - g) <= 1e-12 * max(1.0, abs(f)), f"F != G at ({la}, {lb})")
 
 
-def _word_map(table: dict[int, MoebiusMap], letters: tuple[int, ...]) -> MoebiusMap:
-    # the product of table[l] over the letters, left to right
-    return reduce(MoebiusMap.compose, map(table.__getitem__, letters))
-
-
 def _verify_cross_route() -> None:
     point = holonomy(1.3)
-    lm = {0: point.A, 1: point.A.inverse(), 2: point.B, 3: point.B.inverse()}
+    table = (point.A, point.A.inverse(), point.B, point.B.inverse())
     for kind in ("AA", "AB"):
         for word in enumerate_cosets(kind, 3):
-            m = _word_map(lm, word.letters)
+            m = compose_many(table[l] for l in word.letters)
             direct = abs(1.0 + 2.0 * m.b * m.c) if kind == "AA" else abs(m.b * m.d - m.a * m.c)
             via_axes = u_of_coset(point, word).value
             _check(abs(direct - via_axes) <= 1e-9 * max(1.0, direct), f"u mismatch for {word}")
@@ -624,13 +619,13 @@ def _verify_pa_sane() -> None:
 def _verify_square_symmetry() -> None:
     t0 = 2.0 * math.asinh(1.0)
     point = holonomy(t0)
-    swap = {0: point.B, 1: point.B.inverse(), 2: point.A, 3: point.A.inverse()}
+    swap = (point.B, point.B.inverse(), point.A, point.A.inverse())
     axis_b = GeodesicH2(-1.0, 1.0)
     direct = []
     swapped = []
     for word in enumerate_cosets("AA", 3):
         direct.append(u_of_coset(point, word).value)
-        m = _word_map(swap, word.letters)
+        m = compose_many(swap[l] for l in word.letters)
         swapped.append(u_value(axis_b, translate_geodesic(m, axis_b)).value)
     for x, y in zip(sorted(direct), sorted(swapped)):
         _check(abs(x - y) <= 1e-9 * max(1.0, x), "square point multisets differ")
@@ -689,13 +684,8 @@ def _verify_mobius_invariance() -> None:
             continue
         g1 = GeodesicH2(pts[0], pts[1])
         g2 = GeodesicH2(pts[2], pts[3])
-        try:
-            u1 = u_value(g1, g2)
-            u2 = u_value(translate_geodesic(m, g1), translate_geodesic(m, g2))
-        except ValueError:
-            continue
-        if u1.value > 1e6 or abs(u1.value - 1.0) < 1e-9:
-            continue
+        u1 = u_value(g1, g2)
+        u2 = u_value(translate_geodesic(m, g1), translate_geodesic(m, g2))
         _check(
             abs(u1.value - u2.value) <= 1e-10 * max(1.0, u1.value),
             "u value not invariant under translation",
@@ -717,16 +707,10 @@ def _verify_axis_conjugation() -> None:
         m = g @ m0 @ g.inverse()
         got = axis_of(m)
         want = translate_geodesic(g, axis_of(m0))
-        pairs = sorted([got.p, got.q]), sorted([want.p, want.q])
-        ok = True
-        for x, y in zip(*pairs):
-            if x == INF or y == INF:
-                ok = ok and x == y
-            elif abs(x) > 1e6 or abs(y) > 1e6:
-                ok = ok and abs(x - y) <= 1e-4 * max(abs(x), abs(y))
-            else:
-                ok = ok and abs(x - y) <= 1e-8 * (1.0 + abs(x))
-        _check(ok, "axis not equivariant under conjugation")
+        _check(
+            all(abs(x - y) <= 1e-8 * (1.0 + abs(x)) for x, y in ((got.p, want.p), (got.q, want.q))),
+            "axis not equivariant under conjugation",
+        )
         _check(
             abs(translation_length(m) - t) <= 1e-10 * (1.0 + t),
             "translation length not conjugation invariant",

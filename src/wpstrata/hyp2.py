@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 INF = math.inf
@@ -204,13 +205,26 @@ class UValue:
             raise ValueError("disjoint pairs have u > 1")
 
 
+def _images(p1: float, q1: float, p2: float, q2: float) -> tuple[float, float]:
+    """Images of g2 = (p2, q2) under a map taking g1 = (p1, q1) to (0, oo),
+    in the arithmetic of the finite endpoints, float or Fraction. Endpoints
+    are stored ascending, so only q1 and q2 can be oo."""
+    if math.isinf(q1):
+        # Translation z -> z - p1 takes (p1, oo) to (0, oo).
+        return q2 - p1, p2 - p1
+    # z -> (z - p1) / (z - q1) takes (p1, q1) to (0, oo); oo maps to 1.
+    return (p2 - p1) / (p2 - q1), 1 if math.isinf(q2) else (q2 - p1) / (q2 - q1)
+
+
 def u_value(g1: GeodesicH2, g2: GeodesicH2) -> UValue:
     """Position invariant of g2 relative to g1.
 
     g1 is moved to the vertical axis (0, oo); if p, q are the images of
     g2's endpoints the invariant is |p + q| / |p - q|, and the pair
     crosses exactly when p and q have opposite signs. Shared endpoints
-    and tangency are rejected.
+    and tangency are rejected. Total over the double range: where an
+    intermediate overflows (a difference, a quotient, p + q or p - q),
+    the images are redone in exact rationals and u is rounded once.
     """
     p1, q1 = g1.p, g1.q
     p2, q2 = g2.p, g2.q
@@ -222,23 +236,20 @@ def u_value(g1: GeodesicH2, g2: GeodesicH2) -> UValue:
     ):
         raise ValueError("geodesics share an ideal endpoint")
 
-    # Endpoints are stored ascending, so only q1 and q2 can be oo.
-    if math.isinf(q1):
-        # Translation z -> z - p1 takes (p1, oo) to (0, oo).
-        p = q2 - p1
-        q = p2 - p1
-        if math.isinf(p) or math.isinf(q):
-            raise ValueError("pair is tangent at infinity")
-    else:
-        # z -> (z - p1) / (z - q1) takes (p1, q1) to (0, oo); oo maps to 1.
-        p = (p2 - p1) / (p2 - q1)
-        q = 1.0 if math.isinf(q2) else (q2 - p1) / (q2 - q1)
-
+    p, q = _images(p1, q1, p2, q2)
     s = abs(p + q)
     d = abs(p - q)
-    if d <= TANGENCY_TOL * max(1.0, abs(p), abs(q)):
+    tol = TANGENCY_TOL
+    # An overflow reads inf or nan, or 0 for a quotient over an infinite
+    # difference; a finite image is never 0, as the endpoints are distinct.
+    if not (p and q and s < INF and d < INF):
+        p, q = _images(*(x if math.isinf(x) else Fraction(x) for x in (p1, q1, p2, q2)))
+        s = abs(p + q)
+        d = abs(p - q)
+        tol = Fraction(TANGENCY_TOL)
+    if d <= tol * max(1, abs(p), abs(q)):
         raise ValueError("degenerate pair, images coincide")
-    value = s / d
+    value = float(s / d)
     crossing = (p < 0.0) != (q < 0.0)
     if value == 1.0:
         raise ValueError("tangent pair, u = 1")

@@ -30,6 +30,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
+from functools import cache
 from pathlib import Path
 
 import mpmath
@@ -693,44 +694,53 @@ def test_c_ratios_evaluate_each_distinct_node_once(monkeypatch):
     assert set(nodes) == set(per_length)
 
 
+@cache
+def _production_nodes() -> list[tuple[str, ast.AST]]:
+    # (file name, node) for every node of every src/wpstrata module
+    return [
+        (path.name, node)
+        for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    ]
+
+
 def test_production_imports_only_stdlib_and_numpy():
     # numpy is the one runtime dependency; mpmath, scipy and the oracles
     # are test-side only. Imports inside functions count too.
     outside = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.partition(".")[0]
-                if top != "numpy" and top not in sys.stdlib_module_names:
-                    outside.append(f"{path.name}:{node.lineno} {name}")
+    for name, node in _production_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                outside.append(f"{name}:{node.lineno} {module}")
     assert outside == []
 
 
 def test_production_holds_no_global_statement():
     # module state is set at import or held in a cache, never rebound
     # from inside a function
-    found = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Global):
-                found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+    found = [
+        f"{name}:{node.lineno} global {', '.join(node.names)}"
+        for name, node in _production_nodes()
+        if isinstance(node, ast.Global)
+    ]
     assert found == []
 
 
 def test_production_classes_define_no_eq_or_hash():
     # a value type reaches its canonical form in __post_init__, so the
     # dataclass's own field-wise __eq__ and __hash__ are the right ones
-    found = []
-    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__"):
-                        found.append(f"{path.name}:{item.lineno} {node.name}.{item.name}")
+    found = [
+        f"{name}:{item.lineno} {node.name}.{item.name}"
+        for name, node in _production_nodes()
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+    ]
     assert found == []

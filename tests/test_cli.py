@@ -20,8 +20,10 @@ import wpstrata
 from wpstrata import cli, integrals
 from wpstrata.cli import compute_constant_records, main
 from wpstrata.gradbounds import u_factor
+from wpstrata.hyp2 import INF, GeodesicH2, UValue
 from wpstrata.integrals import Bracket, c_ratios, integral_H, integral_K, strata_separation
 from wpstrata.riera import a_of_T, a_stable
+from wpstrata.toruscoset import CosetWord, enumerate_cosets
 
 EXPECTED_NAMES = [
     "delta11_elementary",
@@ -396,33 +398,87 @@ class TestVerifyCommand:
 _PROFILE_GRID = np.logspace(-6.0, math.log10(50.0), 40).tolist()
 
 
+def _fails_alone(monkeypatch, capsys, name, fn, want):
+    # verify with cli.<name> replaced by fn prints want as its one FAIL line
+    monkeypatch.setattr(cli, name, fn)
+    assert main(["verify", "all"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("FAIL")] == [want]
+
+
 class TestCollarProfileCheck:
     """verify's collar_profile on a_stable over its grid, and a_of_T
     against it from T = 0.51 on, each broken in one place."""
-
-    def _fails_alone(self, monkeypatch, capsys, name, fn, message):
-        monkeypatch.setattr(cli, name, fn)
-        assert main(["verify", "all"]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert [line for line in out if line.startswith("FAIL")] == [f"FAIL collar_profile: {message}"]
 
     def test_a_value_over_the_pinch(self, monkeypatch, capsys):
         T0 = _PROFILE_GRID[0]
         lifted = (8.0 / 3.0 - 2.0 * math.log1p(-math.exp(-2.0 * T0))) * (1.0 + 1e-9)
         profile = lambda T: lifted if T == T0 else a_stable(T)
-        self._fails_alone(monkeypatch, capsys, "a_stable", profile, f"a(T) outside pinch at T={T0}")
+        _fails_alone(monkeypatch, capsys, "a_stable", profile, f"FAIL collar_profile: a(T) outside pinch at T={T0}")
 
     def test_two_neighbours_swapped(self, monkeypatch, capsys):
         T1, T2 = _PROFILE_GRID[10:12]
         assert T2 < 0.51  # the closed form, away from the a_of_T comparison
         swap = {T1: T2, T2: T1}
         profile = lambda T: a_stable(swap.get(T, T))
-        self._fails_alone(monkeypatch, capsys, "a_stable", profile, f"a(T) increasing at T={T2}")
+        _fails_alone(monkeypatch, capsys, "a_stable", profile, f"FAIL collar_profile: a(T) increasing at T={T2}")
 
     def test_series_one_ulp_off(self, monkeypatch, capsys):
         T0 = next(T for T in _PROFILE_GRID if T >= 0.51)
         series = lambda T: math.nextafter(a_of_T(T), math.inf) if T == T0 else a_of_T(T)
-        self._fails_alone(monkeypatch, capsys, "a_of_T", series, f"a_of_T != a_stable at T={T0}")
+        _fails_alone(monkeypatch, capsys, "a_of_T", series, f"FAIL collar_profile: a_of_T != a_stable at T={T0}")
+
+
+def _nudged(u: UValue) -> UValue:
+    return UValue(u.value * (1.0 + 1e-6), u.crossing)
+
+
+def _refused(u: UValue) -> UValue:
+    raise ValueError("refused")
+
+
+def _u_of_coset_off(t: float, word: CosetWord):
+    # u_of_coset, nudged at one word of the square family point at t
+    real = cli.u_of_coset
+    return lambda point, w: _nudged(real(point, w)) if (point.t, w) == (t, word) else real(point, w)
+
+
+class TestGeometryChecks:
+    """verify's checks on the hyp2 and coset oracle, each with the oracle
+    broken in one place."""
+
+    def test_cross_route_u(self, monkeypatch, capsys):
+        word = enumerate_cosets("AB", 3)[-1]
+        broken = _u_of_coset_off(1.3, word)
+        _fails_alone(monkeypatch, capsys, "u_of_coset", broken, f"FAIL cross_route_u: u mismatch for {word}")
+
+    def test_square_symmetry(self, monkeypatch, capsys):
+        broken = _u_of_coset_off(2.0 * math.asinh(1.0), enumerate_cosets("AA", 3)[0])
+        _fails_alone(monkeypatch, capsys, "u_of_coset", broken, "FAIL square_symmetry: square point multisets differ")
+
+    @pytest.mark.parametrize(
+        "off, message",
+        [(_nudged, "u value not invariant under translation"), (_refused, "ValueError: refused")],
+        ids=["nudged", "refused"],
+    )
+    def test_mobius_invariance(self, monkeypatch, capsys, off, message):
+        # the check makes verify's first u_value call, for its first draw;
+        # a draw that raises fails the check rather than being skipped
+        real = cli.u_value
+        calls = []
+
+        def broken(g1: GeodesicH2, g2: GeodesicH2) -> UValue:
+            calls.append(None)
+            return off(real(g1, g2)) if len(calls) == 1 else real(g1, g2)
+
+        _fails_alone(monkeypatch, capsys, "u_value", broken, f"FAIL mobius_invariance: {message}")
+
+    def test_axis_conjugation(self, monkeypatch, capsys):
+        # off at the check's diagonal map, whose axis is (0, oo)
+        real = cli.axis_of
+        broken = lambda m: GeodesicH2(1e-6, INF) if m.c == 0.0 else real(m)
+        line = "FAIL axis_conjugation: axis not equivariant under conjugation"
+        _fails_alone(monkeypatch, capsys, "axis_of", broken, line)
 
 
 # [z0, z1] x [w0, w1] as the envelope proof names a failing box

@@ -83,6 +83,10 @@ class TestMoebius:
         assert mobius_apply(m, -1.0) == INF
         assert mobius_apply(MoebiusMap(1.0, 0.0, 0.0, 1.0), 3.5) == 3.5
 
+    def test_apply_fixes_oo_where_c_is_0(self):
+        # an affine map
+        assert mobius_apply(MoebiusMap(2.0, 1.0, 0.0, 0.5), INF) == INF
+
     def test_compose_many_determinant_drift(self):
         # bounded (elliptic) factors keep the product conditioned, so
         # drift is purely from rounding and the final renormalization
@@ -271,6 +275,83 @@ class TestUValue:
             assert abs(u1.value - u2.value) <= 1e-10 * max(1.0, u1.value)
             assert u1.crossing == u2.crossing
             checked += 1
+
+
+def _exact_images(g1: GeodesicH2, g2: GeodesicH2) -> tuple[Fraction, Fraction]:
+    # u_value's images of g2's endpoints, in exact rationals
+    p1, q1, p2, q2 = g1.p, g1.q, g2.p, g2.q
+    if q1 == INF:
+        return Fraction(q2) - Fraction(p1), Fraction(p2) - Fraction(p1)
+    p = (Fraction(p2) - Fraction(p1)) / (Fraction(p2) - Fraction(q1))
+    if q2 == INF:
+        return p, Fraction(1)
+    return p, (Fraction(q2) - Fraction(p1)) / (Fraction(q2) - Fraction(q1))
+
+
+# sign times a magnitude: past 1e290, oo, or small, so that the differences,
+# the quotients and p + q of u_value's images can each overflow
+_HUGE = st.builds(
+    math.copysign,
+    st.one_of(st.floats(1e290, sys.float_info.max), st.just(INF), st.floats(0.0, 10.0)),
+    st.sampled_from((1.0, -1.0)),
+)
+
+
+class TestUValueAtTheDoubleRange:
+    """u_value against its exact value where an intermediate overflows."""
+
+    @pytest.mark.parametrize(
+        "g1, g2, want",
+        [
+            # p2 - p1 overflowed: "pair is tangent at infinity"
+            ((-1e308, INF), (0.0, 1e308), 3.0),
+            # p + q overflowed: "u must be finite and nonnegative"
+            ((0.0, INF), (1e308, 1.7e308), 3.8571428571428577),
+            # both differences over (p1, q1) overflowed: the same message
+            ((-1e308, 1e308), (1.5e308, 1.7e308), 7.750000000000003),
+            # p - q overflowed: the pair read u = 0.0
+            ((0.0, INF), (-9e307, 1.7e308), 0.30769230769230765),
+            # the quotient (p2 - p1) / (p2 - q1) overflowed: "degenerate pair"
+            ((-1e308, 0.0), (1e-11, 1.0), 1.00000000002),
+        ],
+        ids=["p2-p1", "p+q", "both-differences", "p-q", "quotient"],
+    )
+    def test_pairs_past_an_overflow(self, g1, g2, want):
+        g1, g2 = GeodesicH2(*g1), GeodesicH2(*g2)
+        p, q = _exact_images(g1, g2)
+        u = u_value(g1, g2)
+        # correctly rounded
+        assert u.value == want == float(abs(p + q) / abs(p - q))
+        assert u.crossing == (p * q < 0)
+
+    @given(p1=_HUGE, q1=_HUGE, p2=_HUGE, q2=_HUGE)
+    @settings(max_examples=400)
+    def test_huge_endpoints(self, p1, q1, p2, q2):
+        try:
+            g1, g2 = GeodesicH2(p1, q1), GeodesicH2(p2, q2)
+        except ValueError:
+            return
+        near = lambda x, y: math.isclose(x, y, rel_tol=TANGENCY_TOL, abs_tol=TANGENCY_TOL)
+        if any(near(x, y) for x in (g1.p, g1.q) for y in (g2.p, g2.q)):
+            with pytest.raises(ValueError, match="share an ideal endpoint"):
+                u_value(g1, g2)
+            return
+        p, q = _exact_images(g1, g2)
+        d = abs(p - q)
+        u = abs(p + q) / d
+        # the float path rounds p and q, and p -+ q cancels: a few ulps of
+        # u (1 + u) for a disjoint pair, of 1 for a crossing one
+        tol = Fraction(2.0**-50) * (1 + u) ** 2
+        try:
+            got = u_value(g1, g2)
+        except ValueError as exc:
+            if "degenerate" in str(exc):
+                assert d <= 2 * Fraction(TANGENCY_TOL) * max(1, abs(p), abs(q))
+            else:
+                assert "tangent pair" in str(exc) and abs(u - 1) <= tol
+            return
+        assert abs(Fraction(got.value) - u) <= tol
+        assert got.crossing == (p * q < 0)
 
 
 class TestCollarArea:

@@ -65,6 +65,10 @@ class TestBracket:
         assert (s.lo, s.hi) == (11.0, 13.0)
         assert s.error_budget == {"x": 0.5, "y": 3.0, "z": 3.0}
 
+    def test_add_refuses_a_number(self):
+        with pytest.raises(TypeError):
+            Bracket(1.0, 2.0) + 1
+
     def test_scaled(self):
         br = Bracket(2.0, 3.0).scaled(2.0)
         assert (br.lo, br.hi) == (4.0, 6.0)
@@ -87,6 +91,15 @@ class TestAdaptiveSimpson:
     def test_nonfinite_integrand(self):
         with pytest.raises(RuntimeError):
             adaptive_simpson(lambda x: float("nan"), 0.0, 1.0, 1e-8)
+
+    @pytest.mark.parametrize("prefetch", [None, lambda nodes: None], ids=["depth-first", "rounds"])
+    @pytest.mark.parametrize("bad", [0.25, 0.75])
+    def test_nonfinite_at_a_quarter_point(self, prefetch, bad):
+        # finite at the root nodes 0, 1 and 0.5; the first panel's left or
+        # right quarter point is not
+        f = lambda x: math.inf if x == bad else 1.0
+        with pytest.raises(RuntimeError, match=f"integrand not finite at {bad!r}"):
+            adaptive_simpson(f, 0.0, 1.0, 1e-8, prefetch=prefetch)
 
     def test_depth_cap(self, monkeypatch):
         # a near-singular spike cannot converge in two levels
